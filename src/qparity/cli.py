@@ -4,15 +4,16 @@ Commands: ``classify``, ``run``, ``dj``, ``table``, ``verify``. All results
 go to stdout; diagnostics go to stderr. Exit codes: 0 success, 1
 verification failure, 2 usage error. The environment variable
 ``QPARITY_TOLERANCE`` overrides the default 1e-12 comparison tolerance for
-the duration of a command.
+the duration of a command; it must be finite and positive, and no verdict
+depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import linalg
 from .algorithms import (
@@ -36,15 +37,6 @@ from .verification import run_all_checks
 TOLERANCE_ENV_VAR = "QPARITY_TOLERANCE"
 
 USAGE_ERROR = 2
-
-
-@dataclass
-class RunConfig:
-    command: str
-    function: TruthTable | None
-    output_format: str  # "text" or "json"
-    trace: bool
-    tolerance_override: float | None
 
 
 def _truth_table_argument(text: str) -> TruthTable:
@@ -126,9 +118,9 @@ def _dj_status_text(verdict: DJVerdict) -> str:
     return verdict.value.capitalize()
 
 
-def _print_classify(config: RunConfig) -> int:
-    report = classification_report(config.function)
-    if config.output_format == "json":
+def _print_classify(args: argparse.Namespace) -> int:
+    report = classification_report(args.function)
+    if args.json:
         print(to_canonical_json(report_to_jsonable(report)))
         return 0
     ent, obs = report.entanglement, report.observability
@@ -138,9 +130,9 @@ def _print_classify(config: RunConfig) -> int:
         f"parity: {report.function_class.parity.value.capitalize()}",
         f"oracle: {'Separable' if report.oracle_separable else 'Entangling'}",
         f"dj: {_dj_status_text(report.dj_verdict)}",
-        f"circuit verdict: {report.circuit_verdict.value.capitalize()}",
-        f"oracle calls: {report.oracle_calls}",
-        f"final state: {format_state(report.final_state)}",
+        f"circuit verdict: {report.circuit.verdict.value.capitalize()}",
+        f"oracle calls: {report.circuit.oracle_calls}",
+        f"final state: {format_state(report.circuit.final_state)}",
         f"concurrence: {format_float(ent.concurrence)}",
         f"entangled: {'yes' if ent.is_entangled else 'no'}",
         "schmidt coefficients: "
@@ -157,17 +149,17 @@ def _print_classify(config: RunConfig) -> int:
     return 0
 
 
-def _print_run(config: RunConfig) -> int:
-    result = run_even_odd(config.function)
-    if config.output_format == "json":
+def _print_run(args: argparse.Namespace) -> int:
+    result = run_even_odd(args.function)
+    if args.json:
         payload = {
-            "function": config.function.to_string(),
-            "class": classify(config.function).label,
+            "function": args.function.to_string(),
+            "class": classify(args.function).label,
             "verdict": result.verdict.value,
             "oracle_calls": result.oracle_calls,
             "final_state": state_to_jsonable(result.final_state),
         }
-        if config.trace:
+        if args.trace:
             payload["trace"] = [
                 {"step": i, "gate": label, "state": state_to_jsonable(state)}
                 for i, (label, state) in enumerate(
@@ -176,9 +168,9 @@ def _print_run(config: RunConfig) -> int:
             ]
         print(to_canonical_json(payload))
         return 0
-    print(f"function: {config.function.to_string()}")
-    print(f"class: {classify(config.function).label}")
-    if config.trace:
+    print(f"function: {args.function.to_string()}")
+    print(f"class: {classify(args.function).label}")
+    if args.trace:
         for i, (label, state) in enumerate(zip(STEP_LABELS, result.per_step_states)):
             print(f"step {i} {label:<8} {format_state(state)}")
     print(f"verdict: {result.verdict.value.capitalize()}")
@@ -187,27 +179,27 @@ def _print_run(config: RunConfig) -> int:
     return 0
 
 
-def _print_dj(config: RunConfig) -> int:
-    verdict = run_deutsch_jozsa_2bit(config.function)
-    if config.output_format == "json":
+def _print_dj(args: argparse.Namespace) -> int:
+    verdict = run_deutsch_jozsa_2bit(args.function)
+    if args.json:
         payload = {
-            "function": config.function.to_string(),
-            "class": classify(config.function).label,
+            "function": args.function.to_string(),
+            "class": classify(args.function).label,
             "verdict": verdict.value,
             "oracle_calls": 1,
         }
         print(to_canonical_json(payload))
         return 0
-    print(f"function: {config.function.to_string()}")
-    print(f"class: {classify(config.function).label}")
+    print(f"function: {args.function.to_string()}")
+    print(f"class: {classify(args.function).label}")
     print(f"dj verdict: {_dj_status_text(verdict)}")
     return 0
 
 
-def _print_table(config: RunConfig) -> int:
+def _print_table(args: argparse.Namespace) -> int:
     reports = all_reports()
     rows = class_summary_rows(reports)
-    if config.output_format == "json":
+    if args.json:
         payload = {
             "classes": [
                 {
@@ -235,9 +227,9 @@ def _print_table(config: RunConfig) -> int:
     return 0
 
 
-def _print_verify(config: RunConfig) -> int:
+def _print_verify(args: argparse.Namespace) -> int:
     outcome = run_all_checks()
-    if config.output_format == "json":
+    if args.json:
         payload = {
             "passed": outcome.passed,
             "checks": [
@@ -288,23 +280,19 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return USAGE_ERROR
-        if tolerance_override <= 0:
-            print(f"error: {TOLERANCE_ENV_VAR} must be positive", file=sys.stderr)
+        if not (math.isfinite(tolerance_override) and tolerance_override > 0):
+            print(
+                f"error: {TOLERANCE_ENV_VAR} must be finite and positive, "
+                f"got {raw_tolerance!r}",
+                file=sys.stderr,
+            )
             return USAGE_ERROR
-
-    config = RunConfig(
-        command=args.command,
-        function=getattr(args, "function", None),
-        output_format="json" if args.json else "text",
-        trace=getattr(args, "trace", False),
-        tolerance_override=tolerance_override,
-    )
 
     saved_tolerance = linalg.DEFAULT_TOL
     if tolerance_override is not None:
         linalg.DEFAULT_TOL = tolerance_override
     try:
-        return _HANDLERS[config.command](config)
+        return _HANDLERS[args.command](args)
     finally:
         linalg.DEFAULT_TOL = saved_tolerance
 

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algorithms import run_even_odd
-from .linalg import DensityMatrix, density_from_state, partial_trace
-from .oracles import Parity, classify, enumerate_functions
+from .linalg import DensityMatrix, partial_trace
+from .oracles import Parity
+
+if TYPE_CHECKING:
+    from .reports import ClassificationReport
 
 COHERENCE_ORDERS = (-2, -1, 0, 1, 2)
 
@@ -127,46 +130,57 @@ def threshold_separates(
     )
 
 
-def parity_magnetization_values(qubit: int) -> tuple[list[float], list[float]]:
-    """Transverse magnetization of one qubit across all 16 final states.
+def parity_magnetization_values(
+    reports: Sequence[ClassificationReport], qubit: int
+) -> tuple[list[float], list[float]]:
+    """Transverse magnetization of one qubit across the reports' final states.
 
     Returns the values grouped as (even-function family, odd-function
-    family), running the even/odd circuit for every function.
+    family), read from each report's observability analysis.
     """
+    if qubit not in (1, 2):
+        raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
     even_values: list[float] = []
     odd_values: list[float] = []
-    for f in enumerate_functions():
-        rho = density_from_state(run_even_odd(f).final_state)
-        value = transverse_magnetization(rho, qubit)
+    for report in reports:
+        obs = report.observability
+        value = (
+            obs.transverse_magnetization_q1
+            if qubit == 1
+            else obs.transverse_magnetization_q2
+        )
         if value <= OBSERVABLE_THRESHOLD:
             value = 0.0  # below the detection floor there is no signal
-        if classify(f).parity is Parity.EVEN:
+        if report.function_class.parity is Parity.EVEN:
             even_values.append(value)
         else:
             odd_values.append(value)
     return even_values, odd_values
 
 
-def magnetization_classifies_parity(qubit: int, threshold: float) -> bool:
+def magnetization_classifies_parity(
+    reports: Sequence[ClassificationReport], qubit: int, threshold: float
+) -> bool:
     """Whether "transverse magnetization above threshold" predicts parity.
 
     Predicts even when the chosen qubit's magnetization exceeds the
-    threshold; true iff that rule is correct for all 16 functions. Qubit 2
-    with threshold 0.25 classifies perfectly (even gives 1/2, odd gives 0);
-    no threshold works on qubit 1.
+    threshold; true iff that rule is correct for every report. Over all 16
+    functions, qubit 2 with threshold 0.25 classifies perfectly (even gives
+    1/2, odd gives 0); no threshold works on qubit 1.
     """
-    even_values, odd_values = parity_magnetization_values(qubit)
+    even_values, odd_values = parity_magnetization_values(reports, qubit)
     return all(v > threshold for v in even_values) and all(
         v <= threshold for v in odd_values
     )
 
 
-def spin1_indistinguishability_check() -> bool:
+def spin1_indistinguishability_check(reports: Sequence[ClassificationReport]) -> bool:
     """True iff no threshold on qubit 1's transverse magnetization separates
-    even from odd functions across the full 16-function family.
+    the even from the odd functions among the reports.
 
-    Both families give exactly zero magnetization on qubit 1, so the value
-    sets coincide and no observable spectral line distinguishes them there.
+    Over all 16 functions both families give exactly zero magnetization on
+    qubit 1, so the value sets coincide and no observable spectral line
+    distinguishes them there.
     """
-    even_values, odd_values = parity_magnetization_values(1)
+    even_values, odd_values = parity_magnetization_values(reports, 1)
     return not threshold_separates(even_values, odd_values)

@@ -18,8 +18,6 @@ import numpy as np
 from . import linalg
 from .linalg import UnitaryOperator
 
-INPUT_POINTS = ("00", "01", "10", "11")
-
 MALFORMED_TABLE_MESSAGE = "truth table must be 4 bits"
 
 
@@ -104,9 +102,12 @@ def is_separable_oracle(u: UnitaryOperator, tol: float | None = None) -> bool:
     has rank one, i.e. when the single 2x2 minor d00*d11 - d01*d10 vanishes.
     That minor criterion is used directly here; no parity information about
     the underlying function enters, so the correspondence between parity and
-    separability stays an independently checkable fact.
+    separability stays an independently checkable fact. With entries +1 or
+    -1 the minor is 0 or +-2, so it is compared with 1 rather than with
+    ``tol``.
 
-    Raises ValueError unless ``u`` is 4x4, diagonal, with entries +1 or -1.
+    Raises ValueError unless ``u`` is 4x4, diagonal, with entries +1 or -1,
+    each within ``tol``.
     """
     limit = linalg.DEFAULT_TOL if tol is None else float(tol)
     if u.num_qubits != 2:
@@ -119,7 +120,7 @@ def is_separable_oracle(u: UnitaryOperator, tol: float | None = None) -> bool:
     if np.max(np.minimum(np.abs(diag - 1.0), np.abs(diag + 1.0))) > limit:
         raise ValueError("separability test expects diagonal entries +1 or -1")
     minor = diag[0] * diag[3] - diag[1] * diag[2]
-    return bool(abs(minor) <= limit)
+    return bool(abs(minor) < 1.0)
 
 
 def enumerate_functions() -> list[TruthTable]:

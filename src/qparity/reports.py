@@ -7,16 +7,16 @@ round-trip form, so parsing and re-serializing reproduces the bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
-from .algorithms import DJVerdict, run_deutsch_jozsa_2bit, run_even_odd
+from .algorithms import AlgorithmResult, DJVerdict, run_deutsch_jozsa_2bit, run_even_odd
 from .entanglement import EntanglementReport, analyze_pure_state
 from .linalg import StateVector, density_from_state
 from .nmr import ObservabilityReport, observability
 from .oracles import (
     FunctionClass,
-    Parity,
     TruthTable,
     build_oracle,
     classify,
@@ -29,38 +29,53 @@ CLASS_ORDER = (0, 1, 2, 3, 4)  # number of ones, i.e. [0,4] .. [4,0]
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Everything the toolkit knows about one two-bit Boolean function."""
+    """Everything the toolkit knows about one two-bit Boolean function.
+
+    ``circuit`` is the even/odd circuit run that the entanglement and
+    observability analyses of its final state were taken from.
+    """
 
     function: TruthTable
     function_class: FunctionClass
     oracle_separable: bool
     dj_verdict: DJVerdict
-    circuit_verdict: Parity
-    oracle_calls: int
-    final_state: StateVector
+    circuit: AlgorithmResult
     entanglement: EntanglementReport
     observability: ObservabilityReport
 
 
 def classification_report(f: TruthTable) -> ClassificationReport:
     """Run every analysis for one function and bundle the results."""
-    result = run_even_odd(f)
+    circuit = run_even_odd(f)
     return ClassificationReport(
         function=f,
         function_class=classify(f),
         oracle_separable=is_separable_oracle(build_oracle(f)),
         dj_verdict=run_deutsch_jozsa_2bit(f),
-        circuit_verdict=result.verdict,
-        oracle_calls=result.oracle_calls,
-        final_state=result.final_state,
-        entanglement=analyze_pure_state(result.final_state),
-        observability=observability(density_from_state(result.final_state)),
+        circuit=circuit,
+        entanglement=analyze_pure_state(circuit.final_state),
+        observability=observability(density_from_state(circuit.final_state)),
     )
 
 
+def _json_value(x) -> float | bool | list:
+    """JSON form of a number, a bool or a tuple of numbers.
+
+    The + 0.0 normalizes IEEE negative zero so serialized zeros are stable.
+    """
+    if isinstance(x, bool):
+        return x
+    if isinstance(x, tuple):
+        return [_json_value(v) for v in x]
+    return float(x) + 0.0
+
+
+def _fields_to_jsonable(record) -> dict:
+    return {f.name: _json_value(getattr(record, f.name)) for f in dataclasses.fields(record)}
+
+
 def complex_pair(z: complex) -> list[float]:
-    # The + 0.0 normalizes IEEE negative zero so serialized zeros are stable.
-    return [float(z.real) + 0.0, float(z.imag) + 0.0]
+    return [_json_value(z.real), _json_value(z.imag)]
 
 
 def state_to_jsonable(s: StateVector) -> dict:
@@ -79,31 +94,11 @@ def report_to_jsonable(r: ClassificationReport) -> dict:
         "parity": r.function_class.parity.value,
         "oracle_separable": r.oracle_separable,
         "dj_verdict": r.dj_verdict.value,
-        "circuit_verdict": r.circuit_verdict.value,
-        "oracle_calls": r.oracle_calls,
-        "final_state": state_to_jsonable(r.final_state),
-        "entanglement": {
-            "concurrence": float(r.entanglement.concurrence) + 0.0,
-            "schmidt_coefficients": [
-                float(v) + 0.0 for v in r.entanglement.schmidt_coefficients
-            ],
-            "is_entangled": r.entanglement.is_entangled,
-            "reduced_purity_q1": float(r.entanglement.reduced_purity_q1) + 0.0,
-            "reduced_purity_q2": float(r.entanglement.reduced_purity_q2) + 0.0,
-        },
-        "observability": {
-            "observable_line": r.observability.observable_line,
-            "single_quantum_weight": float(r.observability.single_quantum_weight) + 0.0,
-            "zero_quantum_weight": float(r.observability.zero_quantum_weight) + 0.0,
-            "transverse_magnetization_q1": float(
-                r.observability.transverse_magnetization_q1
-            )
-            + 0.0,
-            "transverse_magnetization_q2": float(
-                r.observability.transverse_magnetization_q2
-            )
-            + 0.0,
-        },
+        "circuit_verdict": r.circuit.verdict.value,
+        "oracle_calls": r.circuit.oracle_calls,
+        "final_state": state_to_jsonable(r.circuit.final_state),
+        "entanglement": _fields_to_jsonable(r.entanglement),
+        "observability": _fields_to_jsonable(r.observability),
     }
 
 
@@ -111,13 +106,12 @@ def all_reports() -> list[ClassificationReport]:
     return [classification_report(f) for f in enumerate_functions()]
 
 
-def class_summary_rows(reports: list[ClassificationReport] | None = None) -> list[dict]:
+def class_summary_rows(reports: list[ClassificationReport]) -> list[dict]:
     """One row per class [0,4] .. [4,0]: count, parity, oracle nature, DJ status.
 
     Raises ValueError if members of a class ever disagree on a column; the
     summary is derived from the per-function reports, not hardcoded.
     """
-    reports = all_reports() if reports is None else reports
     rows = []
     for ones in CLASS_ORDER:
         members = [r for r in reports if r.function_class.ones == ones]

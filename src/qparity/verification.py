@@ -1,8 +1,9 @@
 """Self-verification suite: every library-level invariant, run exhaustively.
 
-Each named check sweeps all 16 two-bit functions (or the relevant global
-property) and reports pass/fail with a short expected-vs-actual note on
-failure. The CLI ``verify`` command renders these results and exits nonzero
+One classification report is built per two-bit function, the same analysis
+``qparity table`` prints. Each named check sweeps those 16 reports (or the
+relevant global property) and reports pass/fail with a short
+expected-vs-actual note on failure. The CLI ``verify`` command renders these results and exits nonzero
 if anything fails. Checks trap exceptions, so a broken build degrades to
 failed checks instead of a crash.
 """
@@ -10,7 +11,7 @@ failed checks instead of a crash.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,26 +20,17 @@ from .algorithms import (
     DJVerdict,
     classical_min_queries,
     constant_balanced_promise_functions,
-    run_deutsch_jozsa_2bit,
-    run_even_odd,
 )
-from .entanglement import analyze_pure_state, is_idempotent
+from .entanglement import is_idempotent
 from .linalg import density_from_state, overlap, partial_trace, purity
 from .nmr import (
     decompose_coherences,
     magnetization_classifies_parity,
-    observability,
     spin1_indistinguishability_check,
 )
-from .oracles import (
-    Parity,
-    build_oracle,
-    classify,
-    enumerate_functions,
-    is_separable_oracle,
-)
+from .oracles import Parity, TruthTable, build_oracle, classify, enumerate_functions
+from .reports import ClassificationReport, classification_report
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _QUARTER_AMP = 1.0 / (2.0 * math.sqrt(2.0))
 
 
@@ -68,103 +60,57 @@ class VerificationOutcome:
         )
 
 
-@dataclass
-class _FunctionRecord:
-    bits: str
-    table: object
-    even: bool
-    sign_first: int  # (-1)^(f(00) xor f(01))
-    sign_second: int  # (-1)^(f(10) xor f(11))
-    result: object
-    rho: object
-    reduced1: object
-    reduced2: object
-    entanglement: object
-    observability: object
-    dj: DJVerdict
-    separable: bool
-    ones: int
+def _final_state_numerators(f: TruthTable) -> np.ndarray:
+    """The closed form of the even/odd circuit's final state, times 2*sqrt(2).
+
+    The final amplitudes are ((a+b), 2, (a-b), 0)/(2*sqrt(2)) with
+    a = (-1)^(f(00) xor f(01)) and b = (-1)^(f(10) xor f(11)). Keeping the
+    integer numerators makes every expectation derived from them exact.
+    """
+    o = f.outputs
+    a, b = 1 - 2 * (o[0] ^ o[1]), 1 - 2 * (o[2] ^ o[3])
+    return np.array([a + b, 2, a - b, 0], dtype=float)
 
 
-@dataclass
-class _Collector:
-    """Accumulates mismatch notes per check and the failing function set."""
-
-    failed_functions: set[str] = field(default_factory=set)
-
-    def check(self, name: str, notes: list[str]) -> CheckResult:
-        for note in notes:
-            bits = note.split(":", 1)[0]
-            if len(bits) == 4 and set(bits) <= {"0", "1"}:
-                self.failed_functions.add(bits)
-        detail = "; ".join(notes[:4])
-        if len(notes) > 4:
-            detail += f"; and {len(notes) - 4} more"
-        return CheckResult(name=name, passed=not notes, detail=detail)
+def _check(name: str, notes: list[str]) -> CheckResult:
+    detail = "; ".join(notes[:4])
+    if len(notes) > 4:
+        detail += f"; and {len(notes) - 4} more"
+    return CheckResult(name=name, passed=not notes, detail=detail)
 
 
-def _build_record(f) -> _FunctionRecord:
-    outputs = f.outputs
-    result = run_even_odd(f)
-    rho = density_from_state(result.final_state)
-    return _FunctionRecord(
-        bits=f.to_string(),
-        table=f,
-        even=classify(f).parity is Parity.EVEN,
-        sign_first=1 - 2 * (outputs[0] ^ outputs[1]),
-        sign_second=1 - 2 * (outputs[2] ^ outputs[3]),
-        result=result,
-        rho=rho,
-        reduced1=partial_trace(rho, 1),
-        reduced2=partial_trace(rho, 2),
-        entanglement=analyze_pure_state(result.final_state),
-        observability=observability(rho),
-        dj=run_deutsch_jozsa_2bit(f),
-        separable=is_separable_oracle(build_oracle(f)),
-        ones=f.ones(),
-    )
-
-
-def _expected_final(rec: _FunctionRecord) -> np.ndarray:
-    a, b = rec.sign_first, rec.sign_second
-    return np.array([(a + b) * _QUARTER_AMP, 2 * _QUARTER_AMP, (a - b) * _QUARTER_AMP, 0.0])
-
-
-def _expected_density(rec: _FunctionRecord) -> np.ndarray:
-    s = rec.sign_first
-    m = np.zeros((4, 4))
-    if rec.even:
-        m[0, 0] = m[1, 1] = 0.5
-        m[0, 1] = m[1, 0] = 0.5 * s
-    else:
-        m[1, 1] = m[2, 2] = 0.5
-        m[1, 2] = m[2, 1] = 0.5 * s
-    return m
+def _is_even(report: ClassificationReport) -> bool:
+    return report.function_class.parity is Parity.EVEN
 
 
 def run_all_checks() -> VerificationOutcome:
     tol = linalg.DEFAULT_TOL
     functions = enumerate_functions()
-    records: dict[str, _FunctionRecord] = {}
-    collector = _Collector()
+    reports: list[ClassificationReport] = []
+    failed_functions: set[str] = set()
     checks: list[CheckResult] = []
 
     build_notes = []
     for f in functions:
         try:
-            records[f.to_string()] = _build_record(f)
+            reports.append(classification_report(f))
         except Exception as exc:
+            failed_functions.add(f.to_string())
             build_notes.append(f"{f.to_string()}: analysis raised {exc!r}")
-    checks.append(collector.check("function_analysis", build_notes))
+    checks.append(_check("function_analysis", build_notes))
 
     def sweep(name: str, probe) -> None:
         notes = []
-        for bits, rec in records.items():
+        for report in reports:
+            bits = report.function.to_string()
             try:
-                notes.extend(f"{bits}: {msg}" for msg in probe(rec))
+                msgs = [f"{bits}: {msg}" for msg in probe(report)]
             except Exception as exc:
-                notes.append(f"{bits}: check raised {exc!r}")
-        checks.append(collector.check(name, notes))
+                msgs = [f"{bits}: check raised {exc!r}"]
+            if msgs:
+                failed_functions.add(bits)
+            notes.extend(msgs)
+        checks.append(_check(name, notes))
 
     # Enumeration structure: counts per class and parity split.
     notes = []
@@ -177,45 +123,45 @@ def run_all_checks() -> VerificationOutcome:
     even_count = sum(1 for f in functions if classify(f).parity is Parity.EVEN)
     if even_count != 8:
         notes.append(f"enumeration: expected 8 even functions, found {even_count}")
-    checks.append(collector.check("function_enumeration", notes))
+    checks.append(_check("function_enumeration", notes))
 
-    def probe_oracle(rec):
-        m = build_oracle(rec.table).entries
+    def probe_oracle(report):
+        m = build_oracle(report.function).entries
         msgs = []
         if np.max(np.abs(m - np.diag(np.diagonal(m)))) > tol:
             msgs.append("oracle is not diagonal")
         if np.max(np.abs(m @ m - np.eye(4))) > tol:
             msgs.append("oracle is not self-inverse")
-        expected_diag = [(-1.0) ** b for b in rec.table.outputs]
+        expected_diag = [(-1.0) ** b for b in report.function.outputs]
         if np.max(np.abs(np.diagonal(m) - expected_diag)) > tol:
             msgs.append(f"oracle diagonal {np.diagonal(m).tolist()} != {expected_diag}")
         return msgs
 
     sweep("oracle_properties", probe_oracle)
 
-    sweep(
-        "separability_parity_theorem",
-        lambda rec: []
-        if rec.separable == rec.even
-        else [f"separable={rec.separable} but even={rec.even}"],
-    )
+    def probe_separability(report):
+        separable, even = report.oracle_separable, _is_even(report)
+        return [] if separable == even else [f"separable={separable} but even={even}"]
 
-    def probe_verdict(rec):
+    sweep("separability_parity_theorem", probe_separability)
+
+    def probe_verdict(report):
+        circuit = report.circuit
         msgs = []
-        expected = Parity.EVEN if rec.even else Parity.ODD
-        if rec.result.verdict is not expected:
-            msgs.append(f"expected verdict {expected.value}, got {rec.result.verdict.value}")
-        if rec.result.oracle_calls != 2:
-            msgs.append(f"expected 2 oracle calls, counted {rec.result.oracle_calls}")
-        if len(rec.result.per_step_states) != 6:
-            msgs.append(f"expected 6 per-step states, got {len(rec.result.per_step_states)}")
+        expected = Parity.EVEN if _is_even(report) else Parity.ODD
+        if circuit.verdict is not expected:
+            msgs.append(f"expected verdict {expected.value}, got {circuit.verdict.value}")
+        if circuit.oracle_calls != 2:
+            msgs.append(f"expected 2 oracle calls, counted {circuit.oracle_calls}")
+        if len(circuit.per_step_states) != 6:
+            msgs.append(f"expected 6 per-step states, got {len(circuit.per_step_states)}")
         return msgs
 
     sweep("circuit_verdicts", probe_verdict)
 
-    def probe_norms(rec):
+    def probe_norms(report):
         msgs = []
-        for i, state in enumerate(rec.result.per_step_states):
+        for i, state in enumerate(report.circuit.per_step_states):
             err = abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0)
             if err > tol:
                 msgs.append(f"step {i} norm error {err:.3e}")
@@ -223,72 +169,69 @@ def run_all_checks() -> VerificationOutcome:
 
     sweep("step_normalization", probe_norms)
 
-    def probe_sign_law(rec):
-        expected = _expected_final(rec)
-        err = float(np.max(np.abs(rec.result.final_state.amplitudes - expected)))
+    def probe_sign_law(report):
+        expected = _final_state_numerators(report.function) * _QUARTER_AMP
+        err = float(np.max(np.abs(report.circuit.final_state.amplitudes - expected)))
         if err > tol:
             return [f"final state deviates from sign law by {err:.3e}"]
         return []
 
     sweep("final_state_sign_law", probe_sign_law)
 
-    def probe_pattern(rec):
-        s = rec.sign_first
-        if rec.even:
-            pattern = np.array([s * _INV_SQRT2, _INV_SQRT2, 0.0, 0.0])
-        else:
-            pattern = np.array([0.0, _INV_SQRT2, s * _INV_SQRT2, 0.0])
-        inner = float(abs(np.vdot(pattern, rec.result.final_state.amplitudes)))
+    def probe_pattern(report):
+        # Equality up to a global phase, a weaker route than the sign law.
+        pattern = _final_state_numerators(report.function) * _QUARTER_AMP
+        inner = float(abs(np.vdot(pattern, report.circuit.final_state.amplitudes)))
         if abs(inner - 1.0) > tol:
             return [f"|overlap with expected pattern| = {inner!r} != 1"]
         return []
 
     sweep("final_state_patterns", probe_pattern)
 
-    def probe_density(rec):
-        expected = _expected_density(rec)
+    def probe_density(report):
+        v = _final_state_numerators(report.function)
+        rho = density_from_state(report.circuit.final_state)
         msgs = []
-        err = float(np.max(np.abs(rec.rho.entries - expected)))
+        err = float(np.max(np.abs(rho.entries - np.outer(v, v) / 8.0)))
         if err > tol:
             msgs.append(f"density matrix deviates by {err:.3e}")
-        if not rec.rho.is_positive_semidefinite():
+        if not rho.is_positive_semidefinite():
             msgs.append("density matrix has a negative eigenvalue")
         return msgs
 
     sweep("density_matrix_forms", probe_density)
 
-    def probe_reduced(rec):
-        s = rec.sign_first
+    def probe_reduced(report):
+        m = _final_state_numerators(report.function).reshape(2, 2)  # [qubit 1, qubit 2]
+        expected2 = m.T @ m / 8.0
+        expected_purity = float(np.trace(expected2 @ expected2))
+        expected_idempotent = bool(np.array_equal(expected2 @ expected2, expected2))
+        rho = density_from_state(report.circuit.final_state)
+        reduced1, reduced2 = partial_trace(rho, 1), partial_trace(rho, 2)
         msgs = []
-        if rec.even:
-            expected2 = 0.5 * np.array([[1.0, s], [s, 1.0]])
-            expected_purity, expected_idempotent = 1.0, True
-        else:
-            expected2 = 0.5 * np.eye(2)
-            expected_purity, expected_idempotent = 0.5, False
-        err = float(np.max(np.abs(rec.reduced2.entries - expected2)))
+        err = float(np.max(np.abs(reduced2.entries - expected2)))
         if err > tol:
             msgs.append(f"qubit-2 reduced matrix deviates by {err:.3e}")
-        p = purity(rec.reduced2)
+        p = purity(reduced2)
         if abs(p - expected_purity) > tol:
             msgs.append(f"qubit-2 reduced purity {p!r} != {expected_purity}")
-        if is_idempotent(rec.reduced2) != expected_idempotent:
+        if is_idempotent(reduced2) != expected_idempotent:
             msgs.append(f"qubit-2 reduced idempotency != {expected_idempotent}")
-        trace_err = abs(complex(np.trace(rec.reduced1.entries)) - 1.0)
+        trace_err = abs(complex(np.trace(reduced1.entries)) - 1.0)
         if trace_err > tol:
             msgs.append(f"qubit-1 reduced trace off by {trace_err:.3e}")
         return msgs
 
     sweep("reduced_density_forms", probe_reduced)
 
-    def probe_entanglement(rec):
-        ent = rec.entanglement
-        expected_c = 0.0 if rec.even else 1.0
+    def probe_entanglement(report):
+        ent, even = report.entanglement, _is_even(report)
+        expected_c = 0.0 if even else 1.0
         msgs = []
         if abs(ent.concurrence - expected_c) > 1e-10:
             msgs.append(f"concurrence {ent.concurrence!r} != {expected_c}")
-        if ent.is_entangled == rec.even:
-            msgs.append(f"is_entangled={ent.is_entangled} but even={rec.even}")
+        if ent.is_entangled == even:
+            msgs.append(f"is_entangled={ent.is_entangled} but even={even}")
         relation = 1.0 - ent.concurrence**2 / 2.0
         if abs(ent.reduced_purity_q2 - relation) > 1e-10:
             msgs.append("purity/concurrence relation violated")
@@ -299,21 +242,21 @@ def run_all_checks() -> VerificationOutcome:
     sweep("entanglement_correspondence", probe_entanglement)
 
     notes = []
-    even_finals = [r.result.final_state for r in records.values() if r.even]
-    odd_finals = [r.result.final_state for r in records.values() if not r.even]
+    even_finals = [r.circuit.final_state for r in reports if _is_even(r)]
+    odd_finals = [r.circuit.final_state for r in reports if not _is_even(r)]
     for e in even_finals:
         for o in odd_finals:
             value = abs(overlap(e, o))
             if abs(value - 0.5) > tol:
                 notes.append(f"overlap: |<even|odd>| = {value!r} != 0.5")
-    checks.append(collector.check("even_odd_overlap", notes))
+    checks.append(_check("even_odd_overlap", notes))
 
-    def probe_nmr(rec):
-        obs = rec.observability
+    def probe_nmr(report):
+        obs, even = report.observability, _is_even(report)
         msgs = []
-        if obs.observable_line != rec.even:
-            msgs.append(f"observable_line={obs.observable_line} but even={rec.even}")
-        expected_tm2 = 0.5 if rec.even else 0.0
+        if obs.observable_line != even:
+            msgs.append(f"observable_line={obs.observable_line} but even={even}")
+        expected_tm2 = 0.5 if even else 0.0
         if abs(obs.transverse_magnetization_q2 - expected_tm2) > tol:
             msgs.append(
                 f"qubit-2 magnetization {obs.transverse_magnetization_q2!r} != {expected_tm2}"
@@ -326,10 +269,11 @@ def run_all_checks() -> VerificationOutcome:
 
     sweep("nmr_observability", probe_nmr)
 
-    def probe_coherence(rec):
-        decomposition = decompose_coherences(rec.rho)
+    def probe_coherence(report):
+        rho = density_from_state(report.circuit.final_state)
+        decomposition = decompose_coherences(rho)
         msgs = []
-        err = float(np.max(np.abs(decomposition.total() - rec.rho.entries)))
+        err = float(np.max(np.abs(decomposition.total() - rho.entries)))
         if err > tol:
             msgs.append(f"coherence components re-sum off by {err:.3e}")
         for order in (1, 2):
@@ -347,28 +291,29 @@ def run_all_checks() -> VerificationOutcome:
 
     sweep("coherence_resum", probe_coherence)
 
-    def probe_dj(rec):
-        if rec.ones in (0, 4):
+    def probe_dj(report):
+        ones = report.function.ones()
+        if ones in (0, 4):
             expected = DJVerdict.CONSTANT
-        elif rec.ones == 2:
+        elif ones == 2:
             expected = DJVerdict.BALANCED
         else:
             expected = DJVerdict.NEITHER
-        if rec.dj is not expected:
-            return [f"DJ verdict {rec.dj.value} != {expected.value}"]
+        if report.dj_verdict is not expected:
+            return [f"DJ verdict {report.dj_verdict.value} != {expected.value}"]
         return []
 
     sweep("dj_verdicts", probe_dj)
 
     notes = []
     try:
-        if not spin1_indistinguishability_check():
+        if not spin1_indistinguishability_check(reports):
             notes.append("spin-1 readout unexpectedly separates even from odd")
-        if not magnetization_classifies_parity(2, 0.25):
+        if not magnetization_classifies_parity(reports, 2, 0.25):
             notes.append("qubit-2 magnetization threshold 0.25 fails to classify parity")
     except Exception as exc:
         notes.append(f"spin readout checks raised {exc!r}")
-    checks.append(collector.check("spin_readout_separation", notes))
+    checks.append(_check("spin_readout_separation", notes))
 
     notes = []
     classical_queries: int | None = None
@@ -382,18 +327,18 @@ def run_all_checks() -> VerificationOutcome:
         )
         if promise_queries != 3:
             notes.append(f"classical promise queries = {promise_queries}, expected 3")
-        quantum_calls = {rec.result.oracle_calls for rec in records.values()}
+        quantum_calls = {r.circuit.oracle_calls for r in reports}
         if quantum_calls != {2}:
             notes.append(f"quantum circuits used {quantum_calls} oracle calls, expected 2")
         elif classical_queries is not None and not 2 < classical_queries:
             notes.append("no quantum/classical separation")
     except Exception as exc:
         notes.append(f"query counting raised {exc!r}")
-    checks.append(collector.check("query_separation", notes))
+    checks.append(_check("query_separation", notes))
 
     return VerificationOutcome(
         checks=checks,
-        functions_verified=16 - len(collector.failed_functions),
+        functions_verified=16 - len(failed_functions),
         total_functions=16,
         classical_queries=classical_queries,
     )

@@ -38,6 +38,7 @@ from qparity import (
     spin1_indistinguishability_check,
     states_equal,
 )
+from qparity.reports import all_reports
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 QUARTER_AMP = 1.0 / (2.0 * np.sqrt(2.0))
@@ -173,7 +174,7 @@ def test_criterion_6_nmr_observability():
         assert report.observable_line == even, f.to_string()
         expected = 0.5 if even else 0.0
         assert abs(report.transverse_magnetization_q2 - expected) <= 1e-12
-    assert spin1_indistinguishability_check() is True
+    assert spin1_indistinguishability_check(all_reports()) is True
 
 
 @criterion(7, "two quantum queries beat the classical minimum of four")

@@ -1,13 +1,21 @@
 """Command-line behavior: output formats, exit codes, JSON stability."""
 
+import contextlib
+import functools
+import io
 import json
+import os
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qparity.gates
 import qparity.linalg
-from qparity import UnitaryOperator, to_canonical_json
+import qparity.reports
+from qparity import DJVerdict, UnitaryOperator, enumerate_functions, to_canonical_json
 from qparity.cli import main
 
 
@@ -15,6 +23,27 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+VERDICT_COMMANDS = [
+    argv
+    for f in enumerate_functions()
+    for argv in (["dj", f.to_string()], ["classify", f.to_string(), "--json"])
+]
+
+
+@functools.cache
+def untuned_verdict_outputs():
+    with mock.patch.dict(os.environ):
+        os.environ.pop("QPARITY_TOLERANCE", None)
+        return [stdout_of(argv) for argv in VERDICT_COMMANDS]
 
 
 def assert_canonical_roundtrip(text):
@@ -194,6 +223,23 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_checks_the_reports_that_table_prints(self, capsys, monkeypatch):
+        # A wrong DJ verdict in one function's report must surface in verify,
+        # attributed to that function and to the DJ check alone.
+        honest = qparity.reports.run_deutsch_jozsa_2bit
+
+        def mislabel_1100(f):
+            if f.to_string() == "1100":
+                return DJVerdict.CONSTANT
+            return honest(f)
+
+        monkeypatch.setattr(qparity.reports, "run_deutsch_jozsa_2bit", mislabel_1100)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["FAIL dj_verdicts: 1100: DJ verdict constant != balanced"]
+        assert out.splitlines()[-1] == "15/16 functions verified, classical_min_queries=4"
+
 
 class TestToleranceOverride:
     def test_invalid_value_is_a_usage_error(self, capsys, monkeypatch):
@@ -211,6 +257,23 @@ class TestToleranceOverride:
         monkeypatch.setenv("QPARITY_TOLERANCE", "1e-9")
         code, _, _ = run_cli(capsys, "verify")
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_a_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QPARITY_TOLERANCE", value)
+        code, out, err = run_cli(capsys, "dj", "1100")
+        assert code == 2
+        assert out == ""
+        assert "QPARITY_TOLERANCE" in err
+
+    @given(st.floats(min_value=1e-12, max_value=1e6))
+    @example(0.6)
+    @example(3.0)
+    @settings(max_examples=10, deadline=None)
+    def test_tolerance_never_changes_a_verdict(self, tolerance):
+        with mock.patch.dict(os.environ, {"QPARITY_TOLERANCE": repr(tolerance)}):
+            tuned = [stdout_of(argv) for argv in VERDICT_COMMANDS]
+        assert tuned == untuned_verdict_outputs()
 
     def test_default_restored_after_command(self, capsys, monkeypatch):
         monkeypatch.setenv("QPARITY_TOLERANCE", "1e-6")

@@ -22,6 +22,7 @@ from qparity import (
     threshold_separates,
     transverse_magnetization,
 )
+from qparity.reports import all_reports
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -143,14 +144,15 @@ class TestObservability:
 
 class TestParityReadout:
     def test_first_spin_cannot_distinguish(self):
-        assert spin1_indistinguishability_check() is True
+        assert spin1_indistinguishability_check(all_reports()) is True
 
     def test_second_spin_threshold_classifies_perfectly(self):
-        assert magnetization_classifies_parity(2, 0.25) is True
+        assert magnetization_classifies_parity(all_reports(), 2, 0.25) is True
 
     def test_no_threshold_works_on_first_spin(self):
+        reports = all_reports()
         for threshold in (-0.1, 0.0, 0.1, 0.25, 0.4):
-            assert magnetization_classifies_parity(1, threshold) is False
+            assert magnetization_classifies_parity(reports, 1, threshold) is False
 
     def test_threshold_separates_needs_a_gap(self):
         assert threshold_separates([0.0, 0.0], [0.5, 0.6])
