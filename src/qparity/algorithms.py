@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import gates
-from .linalg import StateVector, apply, basis_state
+from .linalg import StateVector, UnitaryOperator, apply, basis_state
 from .oracles import Parity, TruthTable, build_oracle, enumerate_functions
 
 STEP_LABELS = ("initial", "H12", "Uf", "H2", "Uf", "H12")
@@ -50,8 +50,8 @@ class AlgorithmResult:
     per_step_states: tuple[StateVector, ...]
 
 
-def run_even_odd(f: TruthTable) -> AlgorithmResult:
-    """Classify ``f`` as even or odd with two oracle queries.
+def run_even_odd_sweep(functions: Iterable[TruthTable]) -> list[AlgorithmResult]:
+    """Classify each function as even or odd with two oracle queries.
 
     Starting from |00>, the circuit applies a Hadamard to both qubits, the
     phase oracle, a Hadamard to the second qubit alone, the oracle again,
@@ -60,15 +60,19 @@ def run_even_odd(f: TruthTable) -> AlgorithmResult:
     for odd ones, where the sign s is (-1)^(f(00) xor f(01)). The verdict
     is read off from which of the |00> or |10> components carries the
     nonzero amplitude.
+
+    The Hadamard gates are built once and shared by every run; the results
+    follow the order of ``functions``.
     """
+    h12, h2 = gates.hadamard_both(), gates.hadamard_second()
+    return [_run_even_odd_with(f, h12, h2) for f in functions]
+
+
+def _run_even_odd_with(
+    f: TruthTable, h12: UnitaryOperator, h2: UnitaryOperator
+) -> AlgorithmResult:
     oracle = build_oracle(f)
-    sequence = (
-        (gates.hadamard_both(), False),
-        (oracle, True),
-        (gates.hadamard_second(), False),
-        (oracle, True),
-        (gates.hadamard_both(), False),
-    )
+    sequence = ((h12, False), (oracle, True), (h2, False), (oracle, True), (h12, False))
     state = basis_state("00")
     steps = [state]
     calls = 0
@@ -94,16 +98,29 @@ def run_even_odd(f: TruthTable) -> AlgorithmResult:
     )
 
 
-def run_deutsch_jozsa_2bit(f: TruthTable) -> DJVerdict:
-    """Constant-vs-balanced test with a single oracle query.
+def run_even_odd(f: TruthTable) -> AlgorithmResult:
+    """The even/odd circuit of :func:`run_even_odd_sweep` on one function."""
+    (result,) = run_even_odd_sweep((f,))
+    return result
+
+
+def run_deutsch_jozsa_sweep(functions: Iterable[TruthTable]) -> list[DJVerdict]:
+    """Constant-vs-balanced test with a single oracle query per function.
 
     Applies Hadamards on both qubits, the phase oracle once, and Hadamards
     again, starting from |00>. The |00> amplitude is the mean of (-1)^f(x),
     so the function is reported constant when its magnitude is 1, balanced
     when it vanishes, and neither when it is 1/2 (functions with one or
     three ones sit outside the promise).
+
+    The Hadamard gate is built once and shared by every run; the verdicts
+    follow the order of ``functions``.
     """
     h12 = gates.hadamard_both()
+    return [_run_deutsch_jozsa_with(f, h12) for f in functions]
+
+
+def _run_deutsch_jozsa_with(f: TruthTable, h12: UnitaryOperator) -> DJVerdict:
     state = basis_state("00")
     for operator in (h12, build_oracle(f), h12):
         state = apply(operator, state)
@@ -113,6 +130,12 @@ def run_deutsch_jozsa_2bit(f: TruthTable) -> DJVerdict:
     if magnitude < DJ_BALANCED_CUT:
         return DJVerdict.BALANCED
     return DJVerdict.NEITHER
+
+
+def run_deutsch_jozsa_2bit(f: TruthTable) -> DJVerdict:
+    """The one-query test of :func:`run_deutsch_jozsa_sweep` on one function."""
+    (verdict,) = run_deutsch_jozsa_sweep((f,))
+    return verdict
 
 
 def constant_balanced_promise_functions() -> list[TruthTable]:
@@ -134,19 +157,27 @@ def classical_min_queries(
     answers seen so far. ``functions`` defaults to all 16 two-bit functions.
     """
     pool = tuple(enumerate_functions() if functions is None else functions)
-    labels = {f: label(f) for f in pool}
-    memo: dict[frozenset, int] = {}
+    # Candidate sets are bitmasks over pool positions: bit k stands for pool[k].
+    label_masks: dict[object, int] = {}
+    for k, f in enumerate(pool):
+        value = label(f)
+        label_masks[value] = label_masks.get(value, 0) | 1 << k
+    zero_masks = [
+        sum(1 << k for k, f in enumerate(pool) if f.evaluate(point) == 0)
+        for point in range(4)
+    ]
+    memo: dict[int, int] = {}
 
-    def depth(candidates: frozenset) -> int:
-        if len({labels[f] for f in candidates}) <= 1:
-            return 0
+    def depth(candidates: int) -> int:
         cached = memo.get(candidates)
         if cached is not None:
             return cached
+        if sum(1 for mask in label_masks.values() if candidates & mask) <= 1:
+            return 0
         best: int | None = None
-        for point in range(4):
-            answers_zero = frozenset(f for f in candidates if f.evaluate(point) == 0)
-            answers_one = candidates - answers_zero
+        for zeros in zero_masks:
+            answers_zero = candidates & zeros
+            answers_one = candidates & ~zeros
             if not answers_zero or not answers_one:
                 continue  # uninformative point: every candidate agrees here
             cost = 1 + max(depth(answers_zero), depth(answers_one))
@@ -158,4 +189,4 @@ def classical_min_queries(
         memo[candidates] = best
         return best
 
-    return depth(frozenset(pool))
+    return depth((1 << len(pool)) - 1)

@@ -4,8 +4,8 @@ Commands: ``classify``, ``run``, ``dj``, ``table``, ``verify``. All results
 go to stdout; diagnostics go to stderr. Exit codes: 0 success, 1
 verification failure, 2 usage error. The environment variable
 ``QPARITY_TOLERANCE`` overrides the default 1e-12 comparison tolerance for
-the duration of a command; it must be finite and positive, and no verdict
-depends on it.
+the duration of a command; it must be finite and at least 1e-13, and no
+verdict depends on it.
 """
 
 from __future__ import annotations
@@ -35,6 +35,11 @@ from .reports import (
 from .verification import run_all_checks
 
 TOLERANCE_ENV_VAR = "QPARITY_TOLERANCE"
+
+# Correctly computed gates, states and reduced purities deviate from their
+# exact values by rounding errors of up to a few 1e-15; a tolerance must stay
+# well above that, or the validating constructors reject correct values.
+MIN_TOLERANCE = 1e-13
 
 USAGE_ERROR = 2
 
@@ -280,10 +285,12 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return USAGE_ERROR
-        if not (math.isfinite(tolerance_override) and tolerance_override > 0):
+        if not (
+            math.isfinite(tolerance_override) and tolerance_override >= MIN_TOLERANCE
+        ):
             print(
-                f"error: {TOLERANCE_ENV_VAR} must be finite and positive, "
-                f"got {raw_tolerance!r}",
+                f"error: {TOLERANCE_ENV_VAR} must be finite and at least "
+                f"{MIN_TOLERANCE:g}, got {raw_tolerance!r}",
                 file=sys.stderr,
             )
             return USAGE_ERROR

@@ -1,8 +1,9 @@
 """Gate constructors for the two-qubit circuits.
 
 These are functions rather than module-level constants so each call builds a
-fresh operator; the matrices are tiny and the indirection keeps composite
-gates consistent with ``hadamard()`` even if it is replaced under test.
+fresh operator; the indirection keeps composite gates consistent with
+``hadamard()`` even if it is replaced under test. The circuits build their
+gates once per run or sweep and share them across all its functions.
 """
 
 from __future__ import annotations

@@ -37,6 +37,11 @@ def coherence_order(i: int, j: int) -> int:
     return bin(j).count("1") - bin(i).count("1")
 
 
+# Entry (i, j) holds coherence_order(i, j).
+_ORDER_MATRIX = np.array([[coherence_order(i, j) for j in range(4)] for i in range(4)])
+_ORDER_MATRIX.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class CoherenceDecomposition:
     """Split of a 4x4 matrix by coherence order.
@@ -58,12 +63,9 @@ def decompose_coherences(rho: DensityMatrix) -> CoherenceDecomposition:
     if rho.num_qubits != 2:
         raise ValueError("coherence decomposition expects a two-qubit density matrix")
     m = rho.entries
-    components = {}
-    for order in COHERENCE_ORDERS:
-        mask = np.array(
-            [[coherence_order(i, j) == order for j in range(4)] for i in range(4)]
-        )
-        components[order] = np.where(mask, m, 0.0 + 0.0j)
+    components = {
+        order: np.where(_ORDER_MATRIX == order, m, 0.0 + 0.0j) for order in COHERENCE_ORDERS
+    }
     return CoherenceDecomposition(orders=components)
 
 

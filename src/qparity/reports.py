@@ -9,9 +9,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .algorithms import AlgorithmResult, DJVerdict, run_deutsch_jozsa_2bit, run_even_odd
+from .algorithms import (
+    AlgorithmResult,
+    DJVerdict,
+    run_deutsch_jozsa_2bit,
+    run_deutsch_jozsa_sweep,
+    run_even_odd,
+    run_even_odd_sweep,
+)
 from .entanglement import EntanglementReport, analyze_pure_state
 from .linalg import StateVector, density_from_state
 from .nmr import ObservabilityReport, observability
@@ -44,18 +52,46 @@ class ClassificationReport:
     observability: ObservabilityReport
 
 
-def classification_report(f: TruthTable) -> ClassificationReport:
-    """Run every analysis for one function and bundle the results."""
-    circuit = run_even_odd(f)
+def _assemble_report(
+    f: TruthTable, circuit: AlgorithmResult, dj_verdict: DJVerdict
+) -> ClassificationReport:
     return ClassificationReport(
         function=f,
         function_class=classify(f),
         oracle_separable=is_separable_oracle(build_oracle(f)),
-        dj_verdict=run_deutsch_jozsa_2bit(f),
+        dj_verdict=dj_verdict,
         circuit=circuit,
         entanglement=analyze_pure_state(circuit.final_state),
         observability=observability(density_from_state(circuit.final_state)),
     )
+
+
+def classification_report_sweep(
+    functions: Iterable[TruthTable],
+) -> list[ClassificationReport]:
+    """Run every analysis for each function and bundle the results.
+
+    The even/odd circuits and the DJ tests run as one sweep each, so their
+    gates are built once for all the functions; the reports follow the
+    order of ``functions``.
+    """
+    functions = tuple(functions)
+    circuits = run_even_odd_sweep(functions)
+    dj_verdicts = run_deutsch_jozsa_sweep(functions)
+    return [
+        _assemble_report(f, circuit, dj_verdict)
+        for f, circuit, dj_verdict in zip(functions, circuits, dj_verdicts)
+    ]
+
+
+def classification_report(f: TruthTable) -> ClassificationReport:
+    """Run every analysis for one function and bundle the results.
+
+    The report equals the one :func:`classification_report_sweep` gives for
+    ``f``: the same assembly, with the circuit and the DJ verdict from
+    :func:`run_even_odd` and :func:`run_deutsch_jozsa_2bit`, the sweeps of one.
+    """
+    return _assemble_report(f, run_even_odd(f), run_deutsch_jozsa_2bit(f))
 
 
 def _json_value(x) -> float | bool | list:
@@ -103,7 +139,8 @@ def report_to_jsonable(r: ClassificationReport) -> dict:
 
 
 def all_reports() -> list[ClassificationReport]:
-    return [classification_report(f) for f in enumerate_functions()]
+    """The reports of all 16 functions, in enumeration order, from one sweep."""
+    return classification_report_sweep(enumerate_functions())
 
 
 def class_summary_rows(reports: list[ClassificationReport]) -> list[dict]:

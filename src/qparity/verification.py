@@ -1,11 +1,11 @@
 """Self-verification suite: every library-level invariant, run exhaustively.
 
-One classification report is built per two-bit function, the same analysis
-``qparity table`` prints. Each named check sweeps those 16 reports (or the
-relevant global property) and reports pass/fail with a short
-expected-vs-actual note on failure. The CLI ``verify`` command renders these results and exits nonzero
-if anything fails. Checks trap exceptions, so a broken build degrades to
-failed checks instead of a crash.
+One classification report is built per two-bit function, by the same sweep
+that ``qparity table`` prints from. Each named check sweeps those 16 reports
+(or the relevant global property) and reports pass/fail with a short
+expected-vs-actual note on failure. The CLI ``verify`` command renders these
+results and exits nonzero if anything fails. Checks trap exceptions, so a
+broken build degrades to failed checks instead of a crash.
 """
 
 from __future__ import annotations
@@ -29,7 +29,11 @@ from .nmr import (
     spin1_indistinguishability_check,
 )
 from .oracles import Parity, TruthTable, build_oracle, classify, enumerate_functions
-from .reports import ClassificationReport, classification_report
+from .reports import (
+    ClassificationReport,
+    classification_report,
+    classification_report_sweep,
+)
 
 _QUARTER_AMP = 1.0 / (2.0 * math.sqrt(2.0))
 
@@ -91,12 +95,16 @@ def run_all_checks() -> VerificationOutcome:
     checks: list[CheckResult] = []
 
     build_notes = []
-    for f in functions:
-        try:
-            reports.append(classification_report(f))
-        except Exception as exc:
-            failed_functions.add(f.to_string())
-            build_notes.append(f"{f.to_string()}: analysis raised {exc!r}")
+    try:
+        reports = classification_report_sweep(functions)
+    except Exception:
+        # Rerun one function at a time so each failure names its function.
+        for f in functions:
+            try:
+                reports.append(classification_report(f))
+            except Exception as exc:
+                failed_functions.add(f.to_string())
+                build_notes.append(f"{f.to_string()}: analysis raised {exc!r}")
     checks.append(_check("function_analysis", build_notes))
 
     def sweep(name: str, probe) -> None:

@@ -11,6 +11,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qparity import (
     DJVerdict,
@@ -197,6 +199,15 @@ class TestClassicalMinQueries:
 
     def test_single_point_property_needs_one_query(self):
         assert classical_min_queries(lambda f: f.evaluate(0)) == 1
+
+    @given(
+        st.lists(st.sampled_from(enumerate_functions()), max_size=16, unique=True),
+        st.lists(st.integers(0, 2), min_size=16, max_size=16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_existence_search_on_random_pools(self, pool, labels):
+        label = lambda f: labels[int(f.to_string(), 2)]
+        assert classical_min_queries(label, pool) == min_queries_by_existence(pool, label)
 
     def test_quantum_classical_separation(self):
         quantum_calls = {run_even_odd(f).oracle_calls for f in enumerate_functions()}

@@ -226,18 +226,40 @@ class TestVerify:
     def test_checks_the_reports_that_table_prints(self, capsys, monkeypatch):
         # A wrong DJ verdict in one function's report must surface in verify,
         # attributed to that function and to the DJ check alone.
-        honest = qparity.reports.run_deutsch_jozsa_2bit
+        honest = qparity.reports.run_deutsch_jozsa_sweep
 
-        def mislabel_1100(f):
-            if f.to_string() == "1100":
-                return DJVerdict.CONSTANT
-            return honest(f)
+        def mislabel_1100(functions):
+            functions = tuple(functions)
+            return [
+                DJVerdict.CONSTANT if f.to_string() == "1100" else verdict
+                for f, verdict in zip(functions, honest(functions))
+            ]
 
-        monkeypatch.setattr(qparity.reports, "run_deutsch_jozsa_2bit", mislabel_1100)
+        monkeypatch.setattr(qparity.reports, "run_deutsch_jozsa_sweep", mislabel_1100)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert failed == ["FAIL dj_verdicts: 1100: DJ verdict constant != balanced"]
+        assert out.splitlines()[-1] == "15/16 functions verified, classical_min_queries=4"
+
+    def test_raising_analysis_is_attributed_to_its_function(self, capsys, monkeypatch):
+        # An analysis that raises for one function fails that function alone,
+        # not the whole sweep. (0110 and 1001 share a final state, so the
+        # fault goes into a step that sees the function itself.)
+        honest = qparity.reports.classify
+
+        def raise_for_0110(f):
+            if f.to_string() == "0110":
+                raise RuntimeError("injected fault")
+            return honest(f)
+
+        monkeypatch.setattr(qparity.reports, "classify", raise_for_0110)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == [
+            "FAIL function_analysis: 0110: analysis raised RuntimeError('injected fault')"
+        ]
         assert out.splitlines()[-1] == "15/16 functions verified, classical_min_queries=4"
 
 
@@ -265,6 +287,16 @@ class TestToleranceOverride:
         assert code == 2
         assert out == ""
         assert "QPARITY_TOLERANCE" in err
+
+    @pytest.mark.parametrize("value", ["1e-14", "5e-16", "5e-324"])
+    def test_value_below_rounding_level_is_a_usage_error(self, capsys, monkeypatch, value):
+        # Such a tolerance would reject correctly rounded gates and states.
+        monkeypatch.setenv("QPARITY_TOLERANCE", value)
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 2
+        assert out == ""
+        assert "QPARITY_TOLERANCE" in err
+        assert "at least 1e-13" in err
 
     @given(st.floats(min_value=1e-12, max_value=1e6))
     @example(0.6)
