@@ -3,9 +3,10 @@
 Commands: ``classify``, ``run``, ``dj``, ``table``, ``verify``. All results
 go to stdout; diagnostics go to stderr. Exit codes: 0 success, 1
 verification failure, 2 usage error. The environment variable
-``QPARITY_TOLERANCE`` overrides the default 1e-12 comparison tolerance for
-the duration of a command; it must be finite and at least 1e-13, and no
-verdict depends on it.
+``QPARITY_TOLERANCE`` sets the tolerance of the checks of ``verify``
+(default 1e-12). Every command rejects a value that is not finite or is below
+1e-13 as a usage error; no other command reads it, and no verdict depends on
+it.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ import math
 import os
 import sys
 
-from . import linalg
 from .algorithms import (
     STEP_LABELS,
     DJVerdict,
     run_deutsch_jozsa_2bit,
     run_even_odd,
 )
-from .linalg import StateVector
+from .linalg import DEFAULT_TOL, StateVector
 from .oracles import MALFORMED_TABLE_MESSAGE, TruthTable, classify
 from .reports import (
     all_reports,
@@ -32,14 +32,9 @@ from .reports import (
     state_to_jsonable,
     to_canonical_json,
 )
-from .verification import run_all_checks
+from .verification import MIN_TOLERANCE, run_all_checks
 
 TOLERANCE_ENV_VAR = "QPARITY_TOLERANCE"
-
-# Correctly computed gates, states and reduced purities deviate from their
-# exact values by rounding errors of up to a few 1e-15; a tolerance must stay
-# well above that, or the validating constructors reject correct values.
-MIN_TOLERANCE = 1e-13
 
 USAGE_ERROR = 2
 
@@ -233,7 +228,7 @@ def _print_table(args: argparse.Namespace) -> int:
 
 
 def _print_verify(args: argparse.Namespace) -> int:
-    outcome = run_all_checks()
+    outcome = run_all_checks(args.tolerance)
     if args.json:
         payload = {
             "passed": outcome.passed,
@@ -274,20 +269,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
 
-    tolerance_override = None
+    args.tolerance = DEFAULT_TOL
     raw_tolerance = os.environ.get(TOLERANCE_ENV_VAR)
     if raw_tolerance is not None:
         try:
-            tolerance_override = float(raw_tolerance)
+            args.tolerance = float(raw_tolerance)
         except ValueError:
             print(
                 f"error: {TOLERANCE_ENV_VAR} must be a number, got {raw_tolerance!r}",
                 file=sys.stderr,
             )
             return USAGE_ERROR
-        if not (
-            math.isfinite(tolerance_override) and tolerance_override >= MIN_TOLERANCE
-        ):
+        if not (math.isfinite(args.tolerance) and args.tolerance >= MIN_TOLERANCE):
             print(
                 f"error: {TOLERANCE_ENV_VAR} must be finite and at least "
                 f"{MIN_TOLERANCE:g}, got {raw_tolerance!r}",
@@ -295,13 +288,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return USAGE_ERROR
 
-    saved_tolerance = linalg.DEFAULT_TOL
-    if tolerance_override is not None:
-        linalg.DEFAULT_TOL = tolerance_override
-    try:
-        return _HANDLERS[args.command](args)
-    finally:
-        linalg.DEFAULT_TOL = saved_tolerance
+    return _HANDLERS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -69,7 +69,8 @@ def analyze_pure_state(s: StateVector) -> EntanglementReport:
     )
 
 
-def is_idempotent(rho: DensityMatrix, tol: float = IDEMPOTENCY_TOL) -> bool:
-    """True iff rho^2 = rho entrywise, i.e. rho is a pure-state projector."""
+def is_idempotent(rho: DensityMatrix) -> bool:
+    """True iff rho^2 = rho entrywise within ``IDEMPOTENCY_TOL``, i.e. rho is a
+    pure-state projector."""
     m = rho.entries
-    return bool(np.max(np.abs(m @ m - m)) <= tol)
+    return bool(np.max(np.abs(m @ m - m)) <= IDEMPOTENCY_TOL)

@@ -5,9 +5,10 @@ so for two qubits the amplitude order is |00>, |01>, |10>, |11>. All
 arithmetic is double-precision complex; validity checks run at construction
 time and fail fast with ValueError.
 
-``DEFAULT_TOL`` is the entrywise tolerance used by every equality check in
-this package. The CLI may rebind it (see ``qparity.cli``); functions read it
-at call time, never at import time.
+``DEFAULT_TOL`` is the entrywise tolerance of every constructor's validation
+and of ``states_equal``. It and the other tolerances below are constants:
+nothing rebinds them, so validation is the same in every thread. Only the
+checks of ``qparity verify`` take a tolerance as an argument.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ DEFAULT_TOL = 1e-12
 PSD_TOL = 1e-10
 IDEMPOTENCY_TOL = 1e-11
 MAX_QUBITS = 12
-
-
-def _resolve_tol(tol: float | None) -> float:
-    return DEFAULT_TOL if tol is None else float(tol)
 
 
 def _to_complex_array(data, what: str) -> np.ndarray:
@@ -50,16 +47,16 @@ class StateVector:
 
     __slots__ = ("_amplitudes", "_num_qubits")
 
-    def __init__(self, amplitudes, *, tol: float | None = None):
+    def __init__(self, amplitudes):
         arr = _to_complex_array(amplitudes, "state vector")
         if arr.ndim != 1:
             raise ValueError("state vector must be one-dimensional")
         self._num_qubits = _qubit_count(arr.shape[0], "state vector")
         norm_error = abs(float(np.sum(np.abs(arr) ** 2)) - 1.0)
-        limit = _resolve_tol(tol)
-        if norm_error > limit:
+        if norm_error > DEFAULT_TOL:
             raise ValueError(
-                f"state vector is not normalized: |sum(|a|^2) - 1| = {norm_error:.3e} > {limit:.3e}"
+                f"state vector is not normalized: |sum(|a|^2) - 1| = {norm_error:.3e}"
+                f" > {DEFAULT_TOL:.3e}"
             )
         arr.setflags(write=False)
         self._amplitudes = arr
@@ -95,21 +92,21 @@ class DensityMatrix:
 
     __slots__ = ("_entries", "_num_qubits")
 
-    def __init__(self, entries, *, tol: float | None = None):
+    def __init__(self, entries):
         arr = _to_complex_array(entries, "density matrix")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("density matrix must be square")
         self._num_qubits = _qubit_count(arr.shape[0], "density matrix")
-        limit = _resolve_tol(tol)
         hermiticity_error = float(np.max(np.abs(arr - arr.conj().T)))
-        if hermiticity_error > limit:
+        if hermiticity_error > DEFAULT_TOL:
             raise ValueError(
-                f"density matrix is not Hermitian: max deviation {hermiticity_error:.3e} > {limit:.3e}"
+                f"density matrix is not Hermitian: max deviation {hermiticity_error:.3e}"
+                f" > {DEFAULT_TOL:.3e}"
             )
         trace_error = abs(complex(np.trace(arr)) - 1.0)
-        if trace_error > limit:
+        if trace_error > DEFAULT_TOL:
             raise ValueError(
-                f"density matrix trace differs from 1 by {trace_error:.3e} > {limit:.3e}"
+                f"density matrix trace differs from 1 by {trace_error:.3e} > {DEFAULT_TOL:.3e}"
             )
         arr.setflags(write=False)
         self._entries = arr
@@ -126,8 +123,8 @@ class DensityMatrix:
         """Real eigenvalues in ascending order."""
         return np.linalg.eigvalsh(self._entries)
 
-    def is_positive_semidefinite(self, tol: float = PSD_TOL) -> bool:
-        return bool(np.all(self.eigenvalues() >= -tol))
+    def is_positive_semidefinite(self) -> bool:
+        return bool(np.all(self.eigenvalues() >= -PSD_TOL))
 
     def __repr__(self) -> str:
         return f"DensityMatrix(num_qubits={self._num_qubits})"
@@ -138,16 +135,15 @@ class UnitaryOperator:
 
     __slots__ = ("_entries", "_num_qubits")
 
-    def __init__(self, entries, *, tol: float | None = None):
+    def __init__(self, entries):
         arr = _to_complex_array(entries, "operator")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("operator must be square")
         self._num_qubits = _qubit_count(arr.shape[0], "operator")
-        limit = _resolve_tol(tol)
         defect = float(np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0]))))
-        if defect > limit:
+        if defect > DEFAULT_TOL:
             raise ValueError(
-                f"operator is not unitary: max |U^dagger U - I| = {defect:.3e} > {limit:.3e}"
+                f"operator is not unitary: max |U^dagger U - I| = {defect:.3e} > {DEFAULT_TOL:.3e}"
             )
         arr.setflags(write=False)
         self._entries = arr
@@ -245,12 +241,12 @@ def overlap(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def states_equal(a: StateVector, b: StateVector, tol: float | None = None) -> bool:
-    """Equality up to a global phase: |<a|b>| = 1 within tolerance.
+def states_equal(a: StateVector, b: StateVector) -> bool:
+    """Equality up to a global phase: |<a|b>| = 1 within ``DEFAULT_TOL``.
 
     A global phase has no observable consequence, so two normalized states
     are considered the same exactly when the magnitude of their overlap is 1.
     """
     if a.num_qubits != b.num_qubits:
         return False
-    return abs(abs(overlap(a, b)) - 1.0) <= _resolve_tol(tol)
+    return abs(abs(overlap(a, b)) - 1.0) <= DEFAULT_TOL

@@ -116,19 +116,17 @@ def observability(rho: DensityMatrix) -> ObservabilityReport:
     )
 
 
-def threshold_separates(
-    values_a: Sequence[float], values_b: Sequence[float], margin: float = 1e-10
-) -> bool:
+def threshold_separates(values_a: Sequence[float], values_b: Sequence[float]) -> bool:
     """Whether some cut point puts the two value families on opposite sides.
 
-    Requires a gap of at least ``margin`` between the families; two empty or
-    overlapping families cannot be separated.
+    Requires a gap of more than ``OBSERVABLE_THRESHOLD`` between the
+    families; two empty or overlapping families cannot be separated.
     """
     if not values_a or not values_b:
         return False
     return (
-        min(values_b) - max(values_a) > margin
-        or min(values_a) - max(values_b) > margin
+        min(values_b) - max(values_a) > OBSERVABLE_THRESHOLD
+        or min(values_a) - max(values_b) > OBSERVABLE_THRESHOLD
     )
 
 

@@ -15,8 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import linalg
-from .linalg import UnitaryOperator
+from .linalg import DEFAULT_TOL, UnitaryOperator
 
 MALFORMED_TABLE_MESSAGE = "truth table must be 4 bits"
 
@@ -33,9 +32,11 @@ class TruthTable:
     outputs: tuple[int, int, int, int]
 
     def __post_init__(self):
-        if len(self.outputs) != 4:
+        # A tuple keeps equality and hashing well defined; a bool bit would
+        # print as "True" in the text form.
+        if not isinstance(self.outputs, tuple) or len(self.outputs) != 4:
             raise ValueError(MALFORMED_TABLE_MESSAGE)
-        if any(bit not in (0, 1) for bit in self.outputs):
+        if any(isinstance(bit, bool) or bit not in (0, 1) for bit in self.outputs):
             raise ValueError(MALFORMED_TABLE_MESSAGE)
 
     @classmethod
@@ -50,7 +51,7 @@ class TruthTable:
 
     def evaluate(self, point: int) -> int:
         """Output bit at input point 0..3, indexed as the binary value of (x1 x2)."""
-        if point not in (0, 1, 2, 3):
+        if isinstance(point, bool) or point not in (0, 1, 2, 3):
             raise ValueError(f"input point must be 0..3, got {point!r}")
         return self.outputs[point]
 
@@ -94,7 +95,7 @@ def build_oracle(f: TruthTable) -> UnitaryOperator:
     return UnitaryOperator(np.diag(signs).astype(np.complex128))
 
 
-def is_separable_oracle(u: UnitaryOperator, tol: float | None = None) -> bool:
+def is_separable_oracle(u: UnitaryOperator) -> bool:
     """Whether a diagonal sign matrix factors as A (x) B with 2x2 diagonal A, B.
 
     Arranging the diagonal (d00, d01, d10, d11) as the 2x2 array
@@ -103,21 +104,20 @@ def is_separable_oracle(u: UnitaryOperator, tol: float | None = None) -> bool:
     That minor criterion is used directly here; no parity information about
     the underlying function enters, so the correspondence between parity and
     separability stays an independently checkable fact. With entries +1 or
-    -1 the minor is 0 or +-2, so it is compared with 1 rather than with
-    ``tol``.
+    -1 the minor is 0 or +-2, so it is compared with 1 rather than with a
+    tolerance.
 
     Raises ValueError unless ``u`` is 4x4, diagonal, with entries +1 or -1,
-    each within ``tol``.
+    each within ``DEFAULT_TOL``.
     """
-    limit = linalg.DEFAULT_TOL if tol is None else float(tol)
     if u.num_qubits != 2:
         raise ValueError("separability test expects a two-qubit operator")
     m = u.entries
     diag = np.diagonal(m)
     off_diagonal = m - np.diag(diag)
-    if np.max(np.abs(off_diagonal)) > limit:
+    if np.max(np.abs(off_diagonal)) > DEFAULT_TOL:
         raise ValueError("separability test expects a diagonal operator")
-    if np.max(np.minimum(np.abs(diag - 1.0), np.abs(diag + 1.0))) > limit:
+    if np.max(np.minimum(np.abs(diag - 1.0), np.abs(diag + 1.0))) > DEFAULT_TOL:
         raise ValueError("separability test expects diagonal entries +1 or -1")
     minor = diag[0] * diag[3] - diag[1] * diag[2]
     return bool(abs(minor) < 1.0)

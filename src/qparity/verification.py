@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .algorithms import (
     DJVerdict,
     classical_min_queries,
     constant_balanced_promise_functions,
 )
 from .entanglement import is_idempotent
-from .linalg import density_from_state, overlap, partial_trace, purity
+from .linalg import DEFAULT_TOL, density_from_state, overlap, partial_trace, purity
 from .nmr import (
     decompose_coherences,
     magnetization_classifies_parity,
@@ -36,6 +35,12 @@ from .reports import (
 )
 
 _QUARTER_AMP = 1.0 / (2.0 * math.sqrt(2.0))
+
+# Correctly computed states and reduced matrices deviate from their exact
+# values by rounding errors of up to a few 1e-15, so a check tolerance must
+# stay well above that: at 1e-15, correct results fail reduced_density_forms
+# for 8 of the 16 functions.
+MIN_TOLERANCE = 1e-13
 
 
 @dataclass
@@ -87,8 +92,13 @@ def _is_even(report: ClassificationReport) -> bool:
     return report.function_class.parity is Parity.EVEN
 
 
-def run_all_checks() -> VerificationOutcome:
-    tol = linalg.DEFAULT_TOL
+def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
+    """Run every named check, comparing computed values with ``tol``.
+
+    Raises ValueError unless ``tol`` is finite and at least ``MIN_TOLERANCE``.
+    """
+    if not (math.isfinite(tol) and tol >= MIN_TOLERANCE):
+        raise ValueError(f"tolerance must be finite and at least {MIN_TOLERANCE:g}, got {tol!r}")
     functions = enumerate_functions()
     reports: list[ClassificationReport] = []
     failed_functions: set[str] = set()

@@ -6,16 +6,25 @@ import io
 import json
 import os
 import re
+import threading
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qparity.cli
 import qparity.gates
 import qparity.linalg
 import qparity.reports
-from qparity import DJVerdict, UnitaryOperator, enumerate_functions, to_canonical_json
+from qparity import (
+    DJVerdict,
+    StateVector,
+    UnitaryOperator,
+    enumerate_functions,
+    run_all_checks,
+    to_canonical_json,
+)
 from qparity.cli import main
 
 
@@ -312,6 +321,34 @@ class TestToleranceOverride:
         before = qparity.linalg.DEFAULT_TOL
         run_cli(capsys, "classify", "0000")
         assert qparity.linalg.DEFAULT_TOL == before
+
+    def test_override_does_not_reach_other_threads(self, capsys, monkeypatch):
+        entered, release = threading.Event(), threading.Event()
+
+        def paused_run_all_checks(*args):
+            entered.set()
+            release.wait(timeout=60)
+            return run_all_checks(*args)
+
+        monkeypatch.setattr(qparity.cli, "run_all_checks", paused_run_all_checks)
+        monkeypatch.setenv("QPARITY_TOLERANCE", "1e6")
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(main(["verify"])))
+        worker.start()
+        try:
+            assert entered.wait(timeout=60)
+            # The command's loose tolerance must not loosen validation here.
+            with pytest.raises(ValueError, match="not normalized"):
+                StateVector([1.0, 1.0])
+        finally:
+            release.set()
+            worker.join(timeout=60)
+        assert codes == [0]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e-15])
+    def test_check_tolerance_is_validated(self, value):
+        with pytest.raises(ValueError, match="at least 1e-13"):
+            run_all_checks(value)
 
 
 class TestUsage:

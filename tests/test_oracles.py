@@ -33,6 +33,8 @@ class TestTruthTable:
     def test_evaluate_rejects_bad_point(self):
         with pytest.raises(ValueError, match="0..3"):
             table("0001").evaluate(4)
+        with pytest.raises(ValueError, match="0..3"):
+            table("0001").evaluate(True)
 
     @pytest.mark.parametrize("bad", ["001", "00011", "002a", "", "01x1"])
     def test_malformed_strings_rejected(self, bad):
@@ -44,6 +46,12 @@ class TestTruthTable:
             TruthTable((0, 1))
         with pytest.raises(ValueError):
             TruthTable((0, 1, 2, 0))
+        with pytest.raises(ValueError):
+            TruthTable((True, False, False, True))
+        with pytest.raises(ValueError):
+            TruthTable([0, 1, 1, 0])
+        with pytest.raises(ValueError):
+            TruthTable(np.array([0, 1, 1, 0]))
 
 
 class TestBuildOracle:
