@@ -5,24 +5,20 @@ concurrence is 2|ad - bc|: zero exactly for product states, one for
 maximally entangled states. The Schmidt coefficients are the singular
 values of the 2x2 amplitude matrix [[a, b], [c, d]]; for a normalized state
 they follow in closed form from the concurrence alone, so no general SVD is
-needed.
+needed. The analyses run on stacks of states; the one-state forms are the
+stack of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .linalg import (
-    DensityMatrix,
-    IDEMPOTENCY_TOL,
-    StateVector,
-    density_from_state,
-    partial_trace,
-    purity,
-)
-
 import numpy as np
+
+from .linalg import (
+    DensityMatrix, IDEMPOTENCY_TOL, StateVector, density_from_state_stack, partial_trace_stack,
+    purity_stack,
+)
 
 ENTANGLEMENT_THRESHOLD = 1e-10
 
@@ -43,34 +39,46 @@ class EntanglementReport:
     reduced_purity_q2: float
 
 
-def analyze_pure_state(s: StateVector) -> EntanglementReport:
-    """Concurrence, Schmidt coefficients and reduced purities of a state.
+def analyze_pure_state_stack(amplitudes) -> list[EntanglementReport]:
+    """Concurrence, Schmidt coefficients and reduced purities of an (n, 4)
+    stack of two-qubit amplitudes, one report per row.
 
     The reduced purities are computed independently, via the partial trace
     of |s><s|, rather than from the Schmidt coefficients; agreement between
     the two routes is a consistency check the tests rely on.
     """
-    if s.num_qubits != 2:
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    if amps.ndim != 2 or amps.shape[1] != 4:
         raise ValueError("entanglement analysis expects a two-qubit state")
-    a, b, c, d = (complex(z) for z in s.amplitudes)
-    concurrence = 2.0 * abs(a * d - b * c)
+    a, b, c, d = amps.T
+    concurrence = 2.0 * np.abs(a * d - b * c)
     # Singular values of [[a, b], [c, d]] for a unit-norm state: the squares
     # solve t^2 - t + |ad - bc|^2 = 0.
-    spread = math.sqrt(max(0.0, 1.0 - concurrence**2))
-    lam1 = math.sqrt((1.0 + spread) / 2.0)
-    lam2 = math.sqrt(max(0.0, (1.0 - spread)) / 2.0)
-    rho = density_from_state(s)
-    return EntanglementReport(
-        concurrence=concurrence,
-        schmidt_coefficients=(lam1, lam2),
-        is_entangled=concurrence > ENTANGLEMENT_THRESHOLD,
-        reduced_purity_q1=purity(partial_trace(rho, 1)),
-        reduced_purity_q2=purity(partial_trace(rho, 2)),
-    )
+    spread = np.sqrt(np.maximum(0.0, 1.0 - concurrence**2))
+    lam1 = np.sqrt((1.0 + spread) / 2.0)
+    lam2 = np.sqrt(np.maximum(0.0, (1.0 - spread)) / 2.0)
+    rhos = density_from_state_stack(amps)
+    purity1 = purity_stack(partial_trace_stack(rhos, 1))
+    purity2 = purity_stack(partial_trace_stack(rhos, 2))
+    columns = (concurrence, lam1, lam2, purity1, purity2)
+    return [
+        EntanglementReport(conc, (l1, l2), conc > ENTANGLEMENT_THRESHOLD, p1, p2)
+        for conc, l1, l2, p1, p2 in zip(*(x.tolist() for x in columns))
+    ]
+
+
+def analyze_pure_state(s: StateVector) -> EntanglementReport:
+    """The analysis of :func:`analyze_pure_state_stack` for one state."""
+    (report,) = analyze_pure_state_stack(s.amplitudes[None])
+    return report
+
+
+def is_idempotent_stack(rhos: np.ndarray) -> np.ndarray:
+    """Whether rho^2 = rho entrywise within ``IDEMPOTENCY_TOL`` for every
+    matrix of an (n, d, d) stack, i.e. which are pure-state projectors."""
+    return np.max(np.abs(rhos @ rhos - rhos), axis=(-2, -1)) <= IDEMPOTENCY_TOL
 
 
 def is_idempotent(rho: DensityMatrix) -> bool:
-    """True iff rho^2 = rho entrywise within ``IDEMPOTENCY_TOL``, i.e. rho is a
-    pure-state projector."""
-    m = rho.entries
-    return bool(np.max(np.abs(m @ m - m)) <= IDEMPOTENCY_TOL)
+    """The test of :func:`is_idempotent_stack` for one matrix."""
+    return bool(is_idempotent_stack(rho.entries[None])[0])

@@ -82,6 +82,26 @@ class StateVector:
         return f"StateVector({terms})"
 
 
+def _validated_densities(arr: np.ndarray) -> np.ndarray:
+    """Mark a matrix, or a stack of them, read-only after checking that each
+    has finite entries, is Hermitian and has unit trace within ``DEFAULT_TOL``."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("density matrix must have finite entries (no NaN or infinity)")
+    hermiticity_error = float(np.max(np.abs(arr - arr.conj().swapaxes(-1, -2)), initial=0.0))
+    if hermiticity_error > DEFAULT_TOL:
+        raise ValueError(
+            f"density matrix is not Hermitian: max deviation {hermiticity_error:.3e}"
+            f" > {DEFAULT_TOL:.3e}"
+        )
+    trace_error = float(np.max(np.abs(np.trace(arr, axis1=-2, axis2=-1) - 1.0), initial=0.0))
+    if trace_error > DEFAULT_TOL:
+        raise ValueError(
+            f"density matrix trace differs from 1 by {trace_error:.3e} > {DEFAULT_TOL:.3e}"
+        )
+    arr.setflags(write=False)
+    return arr
+
+
 class DensityMatrix:
     """Hermitian, trace-one operator on an n-qubit register.
 
@@ -97,19 +117,7 @@ class DensityMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("density matrix must be square")
         self._num_qubits = _qubit_count(arr.shape[0], "density matrix")
-        hermiticity_error = float(np.max(np.abs(arr - arr.conj().T)))
-        if hermiticity_error > DEFAULT_TOL:
-            raise ValueError(
-                f"density matrix is not Hermitian: max deviation {hermiticity_error:.3e}"
-                f" > {DEFAULT_TOL:.3e}"
-            )
-        trace_error = abs(complex(np.trace(arr)) - 1.0)
-        if trace_error > DEFAULT_TOL:
-            raise ValueError(
-                f"density matrix trace differs from 1 by {trace_error:.3e} > {DEFAULT_TOL:.3e}"
-            )
-        arr.setflags(write=False)
-        self._entries = arr
+        self._entries = _validated_densities(arr)
 
     @property
     def entries(self) -> np.ndarray:
@@ -201,35 +209,51 @@ def apply(u: UnitaryOperator, s: StateVector) -> StateVector:
     return StateVector(u.entries @ s.amplitudes)
 
 
+def density_from_state_stack(amplitudes) -> np.ndarray:
+    """Rank-one projectors |s><s| of an (n, d) stack of amplitudes, as a
+    read-only (n, d, d) array validated as ``DensityMatrix`` validates one."""
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    if amps.ndim != 2:
+        raise ValueError("expected an (n, d) stack of amplitudes")
+    return _validated_densities(amps[:, :, None] * amps[:, None, :].conj())
+
+
 def density_from_state(s: StateVector) -> DensityMatrix:
-    """Rank-one projector |s><s| of a pure state."""
-    amps = s.amplitudes
-    return DensityMatrix(np.outer(amps, amps.conj()))
+    """Rank-one projector |s><s| of a pure state: the stack of one."""
+    return DensityMatrix(density_from_state_stack(s.amplitudes[None])[0])
 
 
-def partial_trace(rho: DensityMatrix, keep_qubit: int) -> DensityMatrix:
-    """Reduced density matrix of one qubit of a two-qubit state.
+def partial_trace_stack(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:
+    """Reduced density matrices of one qubit of an (n, 4, 4) two-qubit stack.
 
     ``keep_qubit`` is 1 (the most significant bit of the basis index) or 2;
-    the other qubit is traced out. The result is a 2x2 density matrix with
-    the trace preserved.
+    the other qubit is traced out. The (n, 2, 2) result is read-only and
+    validated as ``DensityMatrix`` validates one.
     """
-    if rho.num_qubits != 2:
+    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise ValueError("partial_trace expects a two-qubit density matrix")
     if keep_qubit not in (1, 2):
         raise ValueError(f"keep_qubit must be 1 or 2, got {keep_qubit!r}")
-    blocks = rho.entries.reshape(2, 2, 2, 2)  # [i1, i2, j1, j2]
-    if keep_qubit == 1:
-        reduced = np.einsum("akbk->ab", blocks)
-    else:
-        reduced = np.einsum("kakb->ab", blocks)
-    return DensityMatrix(reduced)
+    blocks = rhos.reshape(-1, 2, 2, 2, 2)  # [n, i1, i2, j1, j2]
+    return _validated_densities(
+        np.einsum("nakbk->nab" if keep_qubit == 1 else "nkakb->nab", blocks)
+    )
+
+
+def partial_trace(rho: DensityMatrix, keep_qubit: int) -> DensityMatrix:
+    """Reduced density matrix of one qubit of a two-qubit state: the stack of one."""
+    return DensityMatrix(partial_trace_stack(rho.entries[None], keep_qubit)[0])
+
+
+def purity_stack(rhos: np.ndarray) -> np.ndarray:
+    """Tr(rho^2) of every matrix of an (n, d, d) stack; 1 for pure states,
+    1/d for the maximally mixed state."""
+    return np.real(np.trace(rhos @ rhos, axis1=-2, axis2=-1))
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2); equals 1 for pure states, 1/dim for the maximally mixed state."""
-    m = rho.entries
-    return float(np.real(np.trace(m @ m)))
+    """Tr(rho^2) of one matrix: the stack of one."""
+    return float(purity_stack(rho.entries[None])[0])
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:

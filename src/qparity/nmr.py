@@ -6,7 +6,8 @@ Each basis state gets a total magnetic quantum number m = (number of 0 bits
 for two qubits. Only single-quantum terms (order +-1) produce a spectral
 line; zero-quantum off-diagonal terms and multiples of the identity are
 silent. The sign convention for m is irrelevant to anything here, which
-depends on |order| alone.
+depends on |order| alone. The analyses run on (n, 4, 4) stacks of density
+matrices; the one-matrix forms are the stack of one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import DensityMatrix, partial_trace
+from .linalg import DensityMatrix, partial_trace_stack
 from .oracles import Parity
 
 if TYPE_CHECKING:
@@ -58,15 +59,21 @@ class CoherenceDecomposition:
         return sum(self.orders.values())
 
 
-def decompose_coherences(rho: DensityMatrix) -> CoherenceDecomposition:
-    """Assign every entry of a two-qubit density matrix to its coherence order."""
-    if rho.num_qubits != 2:
+def decompose_coherences_stack(rhos: np.ndarray) -> CoherenceDecomposition:
+    """Assign every entry of an (n, 4, 4) stack of two-qubit density matrices
+    to its coherence order; each component is an (n, 4, 4) stack too."""
+    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise ValueError("coherence decomposition expects a two-qubit density matrix")
-    m = rho.entries
     components = {
-        order: np.where(_ORDER_MATRIX == order, m, 0.0 + 0.0j) for order in COHERENCE_ORDERS
+        order: np.where(_ORDER_MATRIX == order, rhos, 0.0 + 0.0j) for order in COHERENCE_ORDERS
     }
     return CoherenceDecomposition(orders=components)
+
+
+def decompose_coherences(rho: DensityMatrix) -> CoherenceDecomposition:
+    """The decomposition of :func:`decompose_coherences_stack` for one matrix."""
+    stacked = decompose_coherences_stack(rho.entries[None])
+    return CoherenceDecomposition(orders={k: v[0] for k, v in stacked.orders.items()})
 
 
 @dataclass(frozen=True)
@@ -88,32 +95,45 @@ class ObservabilityReport:
     transverse_magnetization_q2: float
 
 
-def transverse_magnetization(rho: DensityMatrix, qubit: int) -> float:
-    """Off-diagonal magnitude of one qubit's reduced density matrix.
+def transverse_magnetization_stack(rhos: np.ndarray, qubit: int) -> np.ndarray:
+    """Off-diagonal magnitude of one qubit's reduced density matrix, for every
+    matrix of an (n, 4, 4) stack.
 
     This is the size of that spin's single-quantum coherence, hence of its
     contribution to the spectrum; subtracting any multiple of the identity
     (which carries no signal) would not change it.
     """
-    reduced = partial_trace(rho, qubit)
-    return float(abs(reduced.entries[0, 1]))
+    return np.abs(partial_trace_stack(rhos, qubit)[:, 0, 1])
+
+
+def transverse_magnetization(rho: DensityMatrix, qubit: int) -> float:
+    """The magnetization of :func:`transverse_magnetization_stack` for one matrix."""
+    return float(transverse_magnetization_stack(rho.entries[None], qubit)[0])
+
+
+def _weight(components: np.ndarray) -> np.ndarray:
+    """Sum of |entry| over each matrix of an (n, 4, 4) stack."""
+    return np.abs(components).reshape(len(components), 16).sum(axis=1)
+
+
+def observability_stack(rhos: np.ndarray) -> list[ObservabilityReport]:
+    """Spectral observability summaries of an (n, 4, 4) stack of two-qubit
+    density matrices, one report per matrix."""
+    orders = decompose_coherences_stack(rhos).orders
+    single = _weight(orders[1]) + _weight(orders[-1])
+    zero_quantum = _weight(np.where(np.eye(4, dtype=bool), 0.0 + 0.0j, orders[0]))
+    magnetizations = [transverse_magnetization_stack(rhos, qubit) for qubit in (1, 2)]
+    columns = (single, zero_quantum, *magnetizations)
+    return [
+        ObservabilityReport(s > OBSERVABLE_THRESHOLD, s, z, m1, m2)
+        for s, z, m1, m2 in zip(*(x.tolist() for x in columns))
+    ]
 
 
 def observability(rho: DensityMatrix) -> ObservabilityReport:
-    """Spectral observability summary of a two-qubit density matrix."""
-    decomposition = decompose_coherences(rho)
-    single = float(
-        np.sum(np.abs(decomposition.orders[1])) + np.sum(np.abs(decomposition.orders[-1]))
-    )
-    order_zero = decomposition.orders[0]
-    zero_quantum = float(np.sum(np.abs(order_zero - np.diag(np.diagonal(order_zero)))))
-    return ObservabilityReport(
-        observable_line=single > OBSERVABLE_THRESHOLD,
-        single_quantum_weight=single,
-        zero_quantum_weight=zero_quantum,
-        transverse_magnetization_q1=transverse_magnetization(rho, 1),
-        transverse_magnetization_q2=transverse_magnetization(rho, 2),
-    )
+    """The summary of :func:`observability_stack` for one matrix."""
+    (report,) = observability_stack(rho.entries[None])
+    return report
 
 
 def threshold_separates(values_a: Sequence[float], values_b: Sequence[float]) -> bool:
@@ -140,22 +160,13 @@ def parity_magnetization_values(
     """
     if qubit not in (1, 2):
         raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
-    even_values: list[float] = []
-    odd_values: list[float] = []
+    families: tuple[list[float], list[float]] = ([], [])
     for report in reports:
-        obs = report.observability
-        value = (
-            obs.transverse_magnetization_q1
-            if qubit == 1
-            else obs.transverse_magnetization_q2
-        )
-        if value <= OBSERVABLE_THRESHOLD:
-            value = 0.0  # below the detection floor there is no signal
-        if report.function_class.parity is Parity.EVEN:
-            even_values.append(value)
-        else:
-            odd_values.append(value)
-    return even_values, odd_values
+        value = getattr(report.observability, f"transverse_magnetization_q{qubit}")
+        # Below the detection floor there is no signal.
+        odd = report.function_class.parity is not Parity.EVEN
+        families[odd].append(value if value > OBSERVABLE_THRESHOLD else 0.0)
+    return families
 
 
 def magnetization_classifies_parity(

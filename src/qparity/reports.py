@@ -9,27 +9,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algorithms import (
-    AlgorithmResult,
-    DJVerdict,
-    run_deutsch_jozsa_2bit,
-    run_deutsch_jozsa_sweep,
-    run_even_odd,
+    AlgorithmResult, DJVerdict, run_deutsch_jozsa_2bit, run_deutsch_jozsa_sweep, run_even_odd,
     run_even_odd_sweep,
 )
-from .entanglement import EntanglementReport, analyze_pure_state
-from .linalg import StateVector, density_from_state
-from .nmr import ObservabilityReport, observability
+from .entanglement import EntanglementReport, analyze_pure_state_stack
+from .linalg import StateVector, density_from_state_stack
+from .nmr import ObservabilityReport, observability_stack
 from .oracles import (
-    FunctionClass,
-    TruthTable,
-    build_oracle,
-    classify,
-    enumerate_functions,
-    is_separable_oracle,
+    FunctionClass, TruthTable, build_oracle, classify, enumerate_functions, is_separable_oracle
 )
 
 CLASS_ORDER = (0, 1, 2, 3, 4)  # number of ones, i.e. [0,4] .. [4,0]
@@ -52,18 +45,24 @@ class ClassificationReport:
     observability: ObservabilityReport
 
 
-def _assemble_report(
-    f: TruthTable, circuit: AlgorithmResult, dj_verdict: DJVerdict
-) -> ClassificationReport:
-    return ClassificationReport(
-        function=f,
-        function_class=classify(f),
-        oracle_separable=is_separable_oracle(build_oracle(f)),
-        dj_verdict=dj_verdict,
-        circuit=circuit,
-        entanglement=analyze_pure_state(circuit.final_state),
-        observability=observability(density_from_state(circuit.final_state)),
+def _assemble_reports(
+    functions: Sequence[TruthTable], circuits: Sequence[AlgorithmResult], dj_verdicts
+) -> list[ClassificationReport]:
+    """Bundle the reports, analysing all the final states as one stack."""
+    finals = np.array([c.final_state.amplitudes for c in circuits]).reshape(len(circuits), 4)
+    analyses = zip(
+        functions,
+        circuits,
+        dj_verdicts,
+        analyze_pure_state_stack(finals),
+        observability_stack(density_from_state_stack(finals)),
     )
+    return [
+        ClassificationReport(
+            f, classify(f), is_separable_oracle(build_oracle(f)), dj_verdict, circuit, ent, obs
+        )
+        for f, circuit, dj_verdict, ent, obs in analyses
+    ]
 
 
 def classification_report_sweep(
@@ -72,26 +71,26 @@ def classification_report_sweep(
     """Run every analysis for each function and bundle the results.
 
     The even/odd circuits and the DJ tests run as one sweep each, so their
-    gates are built once for all the functions; the reports follow the
-    order of ``functions``.
+    gates are built once for all the functions, and the entanglement and
+    observability analyses take all the final states as one stack; the
+    reports follow the order of ``functions``.
     """
     functions = tuple(functions)
-    circuits = run_even_odd_sweep(functions)
-    dj_verdicts = run_deutsch_jozsa_sweep(functions)
-    return [
-        _assemble_report(f, circuit, dj_verdict)
-        for f, circuit, dj_verdict in zip(functions, circuits, dj_verdicts)
-    ]
+    return _assemble_reports(
+        functions, run_even_odd_sweep(functions), run_deutsch_jozsa_sweep(functions)
+    )
 
 
 def classification_report(f: TruthTable) -> ClassificationReport:
     """Run every analysis for one function and bundle the results.
 
     The report equals the one :func:`classification_report_sweep` gives for
-    ``f``: the same assembly, with the circuit and the DJ verdict from
-    :func:`run_even_odd` and :func:`run_deutsch_jozsa_2bit`, the sweeps of one.
+    ``f``: the same assembly with a stack of one, with the circuit and the DJ
+    verdict from :func:`run_even_odd` and :func:`run_deutsch_jozsa_2bit`, the
+    sweeps of one.
     """
-    return _assemble_report(f, run_even_odd(f), run_deutsch_jozsa_2bit(f))
+    (report,) = _assemble_reports((f,), (run_even_odd(f),), (run_deutsch_jozsa_2bit(f),))
+    return report
 
 
 def _json_value(x) -> float | bool | list:

@@ -10,29 +10,20 @@ broken build degrades to failed checks instead of a crash.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import (
-    DJVerdict,
-    classical_min_queries,
-    constant_balanced_promise_functions,
-)
-from .entanglement import is_idempotent
-from .linalg import DEFAULT_TOL, density_from_state, overlap, partial_trace, purity
+from .algorithms import DJVerdict, classical_min_queries, constant_balanced_promise_functions
+from .entanglement import is_idempotent_stack
+from .linalg import DEFAULT_TOL, PSD_TOL, density_from_state_stack, partial_trace_stack, purity_stack
 from .nmr import (
-    decompose_coherences,
-    magnetization_classifies_parity,
-    spin1_indistinguishability_check,
+    decompose_coherences_stack, magnetization_classifies_parity, spin1_indistinguishability_check
 )
-from .oracles import Parity, TruthTable, build_oracle, classify, enumerate_functions
-from .reports import (
-    ClassificationReport,
-    classification_report,
-    classification_report_sweep,
-)
+from .oracles import Parity, build_oracle, classify, enumerate_functions
+from .reports import ClassificationReport, classification_report, classification_report_sweep
 
 _QUARTER_AMP = 1.0 / (2.0 * math.sqrt(2.0))
 
@@ -69,16 +60,17 @@ class VerificationOutcome:
         )
 
 
-def _final_state_numerators(f: TruthTable) -> np.ndarray:
-    """The closed form of the even/odd circuit's final state, times 2*sqrt(2).
+def _final_state_numerators(outputs: np.ndarray) -> np.ndarray:
+    """The closed form of the even/odd circuit's final states, times 2*sqrt(2).
 
-    The final amplitudes are ((a+b), 2, (a-b), 0)/(2*sqrt(2)) with
+    For each row of (f(00), f(01), f(10), f(11)) output bits, the final
+    amplitudes are ((a+b), 2, (a-b), 0)/(2*sqrt(2)) with
     a = (-1)^(f(00) xor f(01)) and b = (-1)^(f(10) xor f(11)). Keeping the
     integer numerators makes every expectation derived from them exact.
     """
-    o = f.outputs
-    a, b = 1 - 2 * (o[0] ^ o[1]), 1 - 2 * (o[2] ^ o[3])
-    return np.array([a + b, 2, a - b, 0], dtype=float)
+    a = 1 - 2 * (outputs[:, 0] ^ outputs[:, 1])
+    b = 1 - 2 * (outputs[:, 2] ^ outputs[:, 3])
+    return np.stack([a + b, np.full_like(a, 2), a - b, np.zeros_like(a)], axis=1).astype(float)
 
 
 def _check(name: str, notes: list[str]) -> CheckResult:
@@ -88,8 +80,20 @@ def _check(name: str, notes: list[str]) -> CheckResult:
     return CheckResult(name=name, passed=not notes, detail=detail)
 
 
-def _is_even(report: ClassificationReport) -> bool:
-    return report.function_class.parity is Parity.EVEN
+def _deviation(actual: np.ndarray, expected) -> np.ndarray:
+    """Largest entrywise |actual - expected| in each row of a stack."""
+    diff = np.abs(actual - expected)
+    return diff.max(axis=tuple(range(1, diff.ndim)))
+
+
+def _notes(count: int, rules) -> list[list[str]]:
+    """One note list for each of ``count`` functions. A rule
+    (mask, template, *columns) adds ``template.format(column[i], ...)`` to
+    function i's notes wherever ``mask[i]`` is true, in rule order."""
+    return [
+        [template.format(*(c[i] for c in columns)) for mask, template, *columns in rules if mask[i]]
+        for i in range(count)
+    ]
 
 
 def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
@@ -117,18 +121,32 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
                 build_notes.append(f"{f.to_string()}: analysis raised {exc!r}")
     checks.append(_check("function_analysis", build_notes))
 
-    def sweep(name: str, probe) -> None:
-        notes = []
-        for report in reports:
-            bits = report.function.to_string()
+    # The stacks the array probes read, one row per report.
+    bits = [r.function.to_string() for r in reports]
+    even = np.array([r.function_class.parity is Parity.EVEN for r in reports], dtype=bool)
+    outputs = np.array([r.function.outputs for r in reports], dtype=int).reshape(-1, 4)
+    numerators = _final_state_numerators(outputs)
+    finals = np.array([r.circuit.final_state.amplitudes for r in reports]).reshape(-1, 4)
+    densities = functools.cache(lambda: density_from_state_stack(finals))
+
+    def sweep(name: str):
+        """Run the decorated array probe at once, over all the reports, as
+        check ``name``. A probe returns ``_notes`` rules; one that raises
+        fails every function."""
+
+        def run(probe) -> None:
             try:
-                msgs = [f"{bits}: {msg}" for msg in probe(report)]
+                per_function = _notes(len(reports), probe())
             except Exception as exc:
-                msgs = [f"{bits}: check raised {exc!r}"]
-            if msgs:
-                failed_functions.add(bits)
-            notes.extend(msgs)
-        checks.append(_check(name, notes))
+                per_function = [[f"check raised {exc!r}"]] * len(reports)
+            notes = []
+            for b, msgs in zip(bits, per_function):
+                if msgs:
+                    failed_functions.add(b)
+                notes.extend(f"{b}: {msg}" for msg in msgs)
+            checks.append(_check(name, notes))
+
+        return run
 
     # Enumeration structure: counts per class and parity split.
     notes = []
@@ -143,185 +161,145 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         notes.append(f"enumeration: expected 8 even functions, found {even_count}")
     checks.append(_check("function_enumeration", notes))
 
-    def probe_oracle(report):
-        m = build_oracle(report.function).entries
-        msgs = []
-        if np.max(np.abs(m - np.diag(np.diagonal(m)))) > tol:
-            msgs.append("oracle is not diagonal")
-        if np.max(np.abs(m @ m - np.eye(4))) > tol:
-            msgs.append("oracle is not self-inverse")
-        expected_diag = [(-1.0) ** b for b in report.function.outputs]
-        if np.max(np.abs(np.diagonal(m) - expected_diag)) > tol:
-            msgs.append(f"oracle diagonal {np.diagonal(m).tolist()} != {expected_diag}")
-        return msgs
+    @sweep("oracle_properties")
+    def probe_oracle():
+        m = np.array([build_oracle(r.function).entries for r in reports]).reshape(-1, 4, 4)
+        diag = np.diagonal(m, axis1=1, axis2=2)
+        expected = (-1.0) ** outputs
+        return [
+            (_deviation(m, diag[:, :, None] * np.eye(4)) > tol, "oracle is not diagonal"),
+            (_deviation(m @ m, np.eye(4)) > tol, "oracle is not self-inverse"),
+            (_deviation(diag, expected) > tol, "oracle diagonal {} != {}", diag.tolist(),
+             expected.tolist()),
+        ]
 
-    sweep("oracle_properties", probe_oracle)
+    @sweep("separability_parity_theorem")
+    def probe_separability():
+        separable = [r.oracle_separable for r in reports]
+        return [(np.array(separable) != even, "separable={} but even={}", separable, even)]
 
-    def probe_separability(report):
-        separable, even = report.oracle_separable, _is_even(report)
-        return [] if separable == even else [f"separable={separable} but even={even}"]
+    @sweep("circuit_verdicts")
+    def probe_verdict():
+        verdicts = [r.circuit.verdict.value for r in reports]
+        expected = [Parity.EVEN.value if e else Parity.ODD.value for e in even]
+        calls = [r.circuit.oracle_calls for r in reports]
+        steps = [len(r.circuit.per_step_states) for r in reports]
+        return [
+            (np.array(verdicts) != np.array(expected), "expected verdict {}, got {}", expected,
+             verdicts),
+            (np.array(calls) != 2, "expected 2 oracle calls, counted {}", calls),
+            (np.array(steps) != 6, "expected 6 per-step states, got {}", steps),
+        ]
 
-    sweep("separability_parity_theorem", probe_separability)
+    @sweep("step_normalization")
+    def probe_norms():
+        # One column per step; steps a circuit lacks stay NaN and never fail.
+        counts = np.array([len(r.circuit.per_step_states) for r in reports])
+        steps = np.array([s.amplitudes for r in reports for s in r.circuit.per_step_states])
+        errors = np.full((len(reports), counts.max(initial=0)), np.nan)
+        errors[np.arange(errors.shape[1]) < counts[:, None]] = np.abs(
+            np.sum(np.abs(steps.reshape(-1, 4)) ** 2, axis=1) - 1.0
+        )
+        return [(col > tol, f"step {k} norm error {{:.3e}}", col) for k, col in enumerate(errors.T)]
 
-    def probe_verdict(report):
-        circuit = report.circuit
-        msgs = []
-        expected = Parity.EVEN if _is_even(report) else Parity.ODD
-        if circuit.verdict is not expected:
-            msgs.append(f"expected verdict {expected.value}, got {circuit.verdict.value}")
-        if circuit.oracle_calls != 2:
-            msgs.append(f"expected 2 oracle calls, counted {circuit.oracle_calls}")
-        if len(circuit.per_step_states) != 6:
-            msgs.append(f"expected 6 per-step states, got {len(circuit.per_step_states)}")
-        return msgs
+    @sweep("final_state_sign_law")
+    def probe_sign_law():
+        err = _deviation(finals, numerators * _QUARTER_AMP)
+        return [(err > tol, "final state deviates from sign law by {:.3e}", err)]
 
-    sweep("circuit_verdicts", probe_verdict)
-
-    def probe_norms(report):
-        msgs = []
-        for i, state in enumerate(report.circuit.per_step_states):
-            err = abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0)
-            if err > tol:
-                msgs.append(f"step {i} norm error {err:.3e}")
-        return msgs
-
-    sweep("step_normalization", probe_norms)
-
-    def probe_sign_law(report):
-        expected = _final_state_numerators(report.function) * _QUARTER_AMP
-        err = float(np.max(np.abs(report.circuit.final_state.amplitudes - expected)))
-        if err > tol:
-            return [f"final state deviates from sign law by {err:.3e}"]
-        return []
-
-    sweep("final_state_sign_law", probe_sign_law)
-
-    def probe_pattern(report):
+    @sweep("final_state_patterns")
+    def probe_pattern():
         # Equality up to a global phase, a weaker route than the sign law.
-        pattern = _final_state_numerators(report.function) * _QUARTER_AMP
-        inner = float(abs(np.vdot(pattern, report.circuit.final_state.amplitudes)))
-        if abs(inner - 1.0) > tol:
-            return [f"|overlap with expected pattern| = {inner!r} != 1"]
-        return []
+        inner = np.abs(np.sum(numerators * _QUARTER_AMP * finals, axis=1))
+        return [(np.abs(inner - 1.0) > tol, "|overlap with expected pattern| = {!r} != 1",
+                 inner.tolist())]
 
-    sweep("final_state_patterns", probe_pattern)
+    @sweep("density_matrix_forms")
+    def probe_density():
+        rhos = densities()
+        err = _deviation(rhos, numerators[:, :, None] * numerators[:, None, :] / 8.0)
+        return [
+            (err > tol, "density matrix deviates by {:.3e}", err),
+            (np.linalg.eigvalsh(rhos).min(axis=1) < -PSD_TOL,
+             "density matrix has a negative eigenvalue"),
+        ]
 
-    def probe_density(report):
-        v = _final_state_numerators(report.function)
-        rho = density_from_state(report.circuit.final_state)
-        msgs = []
-        err = float(np.max(np.abs(rho.entries - np.outer(v, v) / 8.0)))
-        if err > tol:
-            msgs.append(f"density matrix deviates by {err:.3e}")
-        if not rho.is_positive_semidefinite():
-            msgs.append("density matrix has a negative eigenvalue")
-        return msgs
+    @sweep("reduced_density_forms")
+    def probe_reduced():
+        m = numerators.reshape(-1, 2, 2)  # [function, qubit 1, qubit 2]
+        expected2 = m.swapaxes(1, 2) @ m / 8.0
+        expected_purity = np.trace(expected2 @ expected2, axis1=1, axis2=2)
+        expected_idempotent = np.all(expected2 @ expected2 == expected2, axis=(1, 2))
+        rhos = densities()
+        reduced1, reduced2 = partial_trace_stack(rhos, 1), partial_trace_stack(rhos, 2)
+        err = _deviation(reduced2, expected2)
+        purities = purity_stack(reduced2)
+        trace_err = np.abs(np.trace(reduced1, axis1=1, axis2=2) - 1.0)
+        return [
+            (err > tol, "qubit-2 reduced matrix deviates by {:.3e}", err),
+            (np.abs(purities - expected_purity) > tol, "qubit-2 reduced purity {!r} != {}",
+             purities.tolist(), expected_purity),
+            (is_idempotent_stack(reduced2) != expected_idempotent,
+             "qubit-2 reduced idempotency != {}", expected_idempotent),
+            (trace_err > tol, "qubit-1 reduced trace off by {:.3e}", trace_err),
+        ]
 
-    sweep("density_matrix_forms", probe_density)
+    @sweep("entanglement_correspondence")
+    def probe_entanglement():
+        ent = [r.entanglement for r in reports]
+        concurrence = [e.concurrence for e in ent]
+        entangled = [e.is_entangled for e in ent]
+        c = np.array(concurrence)
+        purity1, purity2 = (np.array([e.reduced_purity_q1 for e in ent]),
+                            np.array([e.reduced_purity_q2 for e in ent]))
+        expected_c = np.where(even, 0.0, 1.0)
+        return [
+            (np.abs(c - expected_c) > 1e-10, "concurrence {!r} != {}", concurrence, expected_c),
+            (np.array(entangled) == even, "is_entangled={} but even={}", entangled, even),
+            (np.abs(purity2 - (1.0 - c**2 / 2.0)) > 1e-10, "purity/concurrence relation violated"),
+            (np.abs(purity1 - purity2) > 1e-10, "reduced purities of the two qubits disagree"),
+        ]
 
-    def probe_reduced(report):
-        m = _final_state_numerators(report.function).reshape(2, 2)  # [qubit 1, qubit 2]
-        expected2 = m.T @ m / 8.0
-        expected_purity = float(np.trace(expected2 @ expected2))
-        expected_idempotent = bool(np.array_equal(expected2 @ expected2, expected2))
-        rho = density_from_state(report.circuit.final_state)
-        reduced1, reduced2 = partial_trace(rho, 1), partial_trace(rho, 2)
-        msgs = []
-        err = float(np.max(np.abs(reduced2.entries - expected2)))
-        if err > tol:
-            msgs.append(f"qubit-2 reduced matrix deviates by {err:.3e}")
-        p = purity(reduced2)
-        if abs(p - expected_purity) > tol:
-            msgs.append(f"qubit-2 reduced purity {p!r} != {expected_purity}")
-        if is_idempotent(reduced2) != expected_idempotent:
-            msgs.append(f"qubit-2 reduced idempotency != {expected_idempotent}")
-        trace_err = abs(complex(np.trace(reduced1.entries)) - 1.0)
-        if trace_err > tol:
-            msgs.append(f"qubit-1 reduced trace off by {trace_err:.3e}")
-        return msgs
-
-    sweep("reduced_density_forms", probe_reduced)
-
-    def probe_entanglement(report):
-        ent, even = report.entanglement, _is_even(report)
-        expected_c = 0.0 if even else 1.0
-        msgs = []
-        if abs(ent.concurrence - expected_c) > 1e-10:
-            msgs.append(f"concurrence {ent.concurrence!r} != {expected_c}")
-        if ent.is_entangled == even:
-            msgs.append(f"is_entangled={ent.is_entangled} but even={even}")
-        relation = 1.0 - ent.concurrence**2 / 2.0
-        if abs(ent.reduced_purity_q2 - relation) > 1e-10:
-            msgs.append("purity/concurrence relation violated")
-        if abs(ent.reduced_purity_q1 - ent.reduced_purity_q2) > 1e-10:
-            msgs.append("reduced purities of the two qubits disagree")
-        return msgs
-
-    sweep("entanglement_correspondence", probe_entanglement)
-
-    notes = []
-    even_finals = [r.circuit.final_state for r in reports if _is_even(r)]
-    odd_finals = [r.circuit.final_state for r in reports if not _is_even(r)]
-    for e in even_finals:
-        for o in odd_finals:
-            value = abs(overlap(e, o))
-            if abs(value - 0.5) > tol:
-                notes.append(f"overlap: |<even|odd>| = {value!r} != 0.5")
+    overlaps = np.abs(finals[even].conj() @ finals[~even].T).ravel().tolist()
+    notes = [f"overlap: |<even|odd>| = {v!r} != 0.5" for v in overlaps if abs(v - 0.5) > tol]
     checks.append(_check("even_odd_overlap", notes))
 
-    def probe_nmr(report):
-        obs, even = report.observability, _is_even(report)
-        msgs = []
-        if obs.observable_line != even:
-            msgs.append(f"observable_line={obs.observable_line} but even={even}")
-        expected_tm2 = 0.5 if even else 0.0
-        if abs(obs.transverse_magnetization_q2 - expected_tm2) > tol:
-            msgs.append(
-                f"qubit-2 magnetization {obs.transverse_magnetization_q2!r} != {expected_tm2}"
-            )
-        if abs(obs.transverse_magnetization_q1) > tol:
-            msgs.append(
-                f"qubit-1 magnetization {obs.transverse_magnetization_q1!r} != 0"
-            )
-        return msgs
+    @sweep("nmr_observability")
+    def probe_nmr():
+        obs = [r.observability for r in reports]
+        line = [o.observable_line for o in obs]
+        magnetization1 = [o.transverse_magnetization_q1 for o in obs]
+        magnetization2 = [o.transverse_magnetization_q2 for o in obs]
+        expected2 = np.where(even, 0.5, 0.0)
+        return [
+            (np.array(line) != even, "observable_line={} but even={}", line, even),
+            (np.abs(np.array(magnetization2) - expected2) > tol,
+             "qubit-2 magnetization {!r} != {}", magnetization2, expected2),
+            (np.abs(np.array(magnetization1)) > tol, "qubit-1 magnetization {!r} != 0",
+             magnetization1),
+        ]
 
-    sweep("nmr_observability", probe_nmr)
+    @sweep("coherence_resum")
+    def probe_coherence():
+        rhos = densities()
+        decomposition = decompose_coherences_stack(rhos)
+        orders = decomposition.orders
+        err = _deviation(decomposition.total(), rhos)
+        return [(err > tol, "coherence components re-sum off by {:.3e}", err)] + [
+            (_deviation(orders[order], orders[-order].conj().swapaxes(1, 2)) > tol,
+             f"order +-{order} components are not conjugate transposes")
+            for order in (1, 2)
+        ]
 
-    def probe_coherence(report):
-        rho = density_from_state(report.circuit.final_state)
-        decomposition = decompose_coherences(rho)
-        msgs = []
-        err = float(np.max(np.abs(decomposition.total() - rho.entries)))
-        if err > tol:
-            msgs.append(f"coherence components re-sum off by {err:.3e}")
-        for order in (1, 2):
-            sym = float(
-                np.max(
-                    np.abs(
-                        decomposition.orders[order]
-                        - decomposition.orders[-order].conj().T
-                    )
-                )
-            )
-            if sym > tol:
-                msgs.append(f"order +-{order} components are not conjugate transposes")
-        return msgs
-
-    sweep("coherence_resum", probe_coherence)
-
-    def probe_dj(report):
-        ones = report.function.ones()
-        if ones in (0, 4):
-            expected = DJVerdict.CONSTANT
-        elif ones == 2:
-            expected = DJVerdict.BALANCED
-        else:
-            expected = DJVerdict.NEITHER
-        if report.dj_verdict is not expected:
-            return [f"DJ verdict {report.dj_verdict.value} != {expected.value}"]
-        return []
-
-    sweep("dj_verdicts", probe_dj)
+    @sweep("dj_verdicts")
+    def probe_dj():
+        expected = [
+            DJVerdict.CONSTANT if k in (0, 4) else DJVerdict.BALANCED if k == 2 else DJVerdict.NEITHER
+            for k in outputs.sum(axis=1)
+        ]
+        wrong = np.array([r.dj_verdict is not x for r, x in zip(reports, expected)], dtype=bool)
+        return [(wrong, "DJ verdict {} != {}", [r.dj_verdict.value for r in reports],
+                 [x.value for x in expected])]
 
     notes = []
     try:
