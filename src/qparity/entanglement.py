@@ -3,10 +3,10 @@
 For amplitudes (a, b, c, d) in basis order |00>, |01>, |10>, |11>, the
 concurrence is 2|ad - bc|: zero exactly for product states, one for
 maximally entangled states. The Schmidt coefficients are the singular
-values of the 2x2 amplitude matrix [[a, b], [c, d]]; for a normalized state
-they follow in closed form from the concurrence alone, so no general SVD is
-needed. The analyses run on stacks of states; the one-state forms are the
-stack of one.
+values of the 2x2 amplitude matrix [[a, b], [c, d]]; they follow in closed
+form from the qubit-1 reduced matrix and |ad - bc| (Nielsen & Chuang, sec.
+2.5; Wootters, PRL 80, 2245, 1998), so no general SVD is needed. The
+analyses run on stacks of states; the one-state forms are the stack of one.
 """
 
 from __future__ import annotations
@@ -52,13 +52,17 @@ def analyze_pure_state_stack(amplitudes) -> list[EntanglementReport]:
         raise ValueError("entanglement analysis expects a two-qubit state")
     a, b, c, d = amps.T
     concurrence = 2.0 * np.abs(a * d - b * c)
-    # Singular values of [[a, b], [c, d]] for a unit-norm state: the squares
-    # solve t^2 - t + |ad - bc|^2 = 0.
-    spread = np.sqrt(np.maximum(0.0, 1.0 - concurrence**2))
-    lam1 = np.sqrt((1.0 + spread) / 2.0)
-    lam2 = np.sqrt(np.maximum(0.0, (1.0 - spread)) / 2.0)
     rhos = density_from_state_stack(amps)
-    purity1 = purity_stack(partial_trace_stack(rhos, 1))
+    reduced1 = partial_trace_stack(rhos, 1)
+    # The squared Schmidt coefficients are the eigenvalues (1 +- spread)/2 of
+    # the trace-normalized reduced matrix [[p, q], [q*, 1 - p]], with
+    # spread = hypot(2p - 1, 2|q|), and lam1 * lam2 = |ad - bc|. Unlike
+    # sqrt(1 - C^2) near C = 1, neither step cancels.
+    norm = np.real(np.trace(reduced1, axis1=1, axis2=2))
+    p, q = reduced1[:, 0, 0].real / norm, np.abs(reduced1[:, 0, 1]) / norm
+    lam1 = np.sqrt((1.0 + np.hypot(2.0 * p - 1.0, 2.0 * q)) / 2.0)
+    lam2 = concurrence / (2.0 * norm * lam1)
+    purity1 = purity_stack(reduced1)
     purity2 = purity_stack(partial_trace_stack(rhos, 2))
     columns = (concurrence, lam1, lam2, purity1, purity2)
     return [

@@ -260,6 +260,15 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
             (np.abs(purity1 - purity2) > 1e-10, "reduced purities of the two qubits disagree"),
         ]
 
+    @sweep("schmidt_coefficients")
+    def probe_schmidt():
+        pairs = [r.entanglement.schmidt_coefficients for r in reports]
+        expected = np.where(even[:, None], [1.0, 0.0], math.sqrt(0.5))
+        return [
+            (_deviation(np.array(pairs).reshape(-1, 2), expected) > tol,
+             "schmidt coefficients {!r} != {!r}", pairs, [tuple(e) for e in expected.tolist()]),
+        ]
+
     overlaps = np.abs(finals[even].conj() @ finals[~even].T).ravel().tolist()
     notes = [f"overlap: |<even|odd>| = {v!r} != 0.5" for v in overlaps if abs(v - 0.5) > tol]
     checks.append(_check("even_odd_overlap", notes))

@@ -32,11 +32,10 @@ class TestAnalyzePureState:
         report = analyze_pure_state(StateVector([0, INV_SQRT2, -INV_SQRT2, 0]))
         assert report.concurrence == pytest.approx(1.0, abs=1e-12)
         assert report.is_entangled
-        # The closed form sqrt((1 +- sqrt(1 - C^2))/2) amplifies the last-bit
-        # rounding of C ~ 1 by a square root, so the coefficients are only
-        # pinned to ~1e-8 here even though C itself is exact to 1e-15.
+        # Computed without the cancellation of sqrt(1 - C^2) at C ~ 1, the
+        # coefficients are as exact as C itself.
         assert report.schmidt_coefficients == pytest.approx(
-            (INV_SQRT2, INV_SQRT2), abs=1e-7
+            (INV_SQRT2, INV_SQRT2), abs=1e-15
         )
 
     def test_basis_state_is_product(self):
@@ -94,6 +93,50 @@ class TestAnalyzePureState:
         assert report.reduced_purity_q2 == pytest.approx(
             1.0 - report.concurrence**2 / 2.0, abs=1e-10
         )
+
+
+def random_unitary(rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@st.composite
+def two_qubit_amplitudes(draw):
+    """Random states, and states within a small distance of a product state
+    or of a maximally entangled one, where a cancelling formula loses digits."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "near_product", "near_maximal"]))
+    noise = 10.0 ** draw(st.floats(-16, -2)) * (
+        rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    )
+    if kind == "random":
+        matrix = noise / np.abs(noise).max()
+    elif kind == "near_product":
+        matrix = np.outer(random_unitary(rng)[0], random_unitary(rng)[0]) + noise
+    else:
+        matrix = random_unitary(rng) / np.sqrt(2.0) + noise
+    amplitudes = matrix.reshape(4)
+    return amplitudes / np.linalg.norm(amplitudes)
+
+
+def svd_schmidt(amplitudes) -> tuple[float, float]:
+    return tuple(np.linalg.svd(np.reshape(amplitudes, (2, 2)), compute_uv=False).tolist())
+
+
+class TestSchmidtCoefficients:
+    @given(two_qubit_amplitudes())
+    @settings(max_examples=300, deadline=None)
+    def test_agree_with_svd(self, amplitudes):
+        report = analyze_pure_state(StateVector(amplitudes))
+        assert report.schmidt_coefficients == pytest.approx(svd_schmidt(amplitudes), abs=1e-14)
+
+    def test_circuit_outputs_have_exact_coefficients(self):
+        for f in enumerate_functions():
+            final = run_even_odd(f).final_state
+            coefficients = analyze_pure_state(final).schmidt_coefficients
+            expected = (1.0, 0.0) if classify(f).parity is Parity.EVEN else (INV_SQRT2,) * 2
+            assert coefficients == pytest.approx(expected, abs=1e-15), f.to_string()
+            assert coefficients == pytest.approx(svd_schmidt(final.amplitudes), abs=1e-15)
 
 
 class TestIsIdempotent:

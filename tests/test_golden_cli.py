@@ -9,12 +9,15 @@ Regenerate it only when an output change is intended:
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import math
 import os
 
 import pytest
 
+from qparity import to_canonical_json
 from qparity.cli import TOLERANCE_ENV_VAR, main
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
@@ -54,6 +57,46 @@ def test_golden_file_covers_every_invocation(golden):
 def test_output_matches_golden(index, argv, golden, monkeypatch):
     monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
     assert capture(argv) == golden[index]
+
+
+# The golden file before the Schmidt coefficients were computed without
+# cancellation, and the values it held for every odd function.
+PRE_SCHMIDT_CORRECTION_SHA256 = "59b487f447ca66a27e14c40dc900d15af64b54594e93310f0577490b7493028c"
+PRE_SCHMIDT_CORRECTION_ODD_PAIR = [0.7071067951253074, 0.7071067672477874]
+
+
+def undo_schmidt_correction(entry: dict, corrected: list[float]) -> dict:
+    """The entry as it was before the correction. Appends each corrected
+    Schmidt value to ``corrected`` after checking it is closer to 1/sqrt(2)."""
+    argv, stdout = entry["argv"], entry["stdout"]
+    if argv == ["verify"]:
+        stdout = stdout.replace("ok   schmidt_coefficients\n", "")
+    elif argv == ["verify", "--json"]:
+        data = json.loads(stdout)
+        data["checks"] = [c for c in data["checks"] if c["name"] != "schmidt_coefficients"]
+        stdout = to_canonical_json(data) + "\n"
+    elif argv[0] in ("classify", "table") and "--json" in argv:
+        data = json.loads(stdout)
+        for record in data["functions"] if argv[0] == "table" else [data]:
+            if record["parity"] == "odd":
+                pair = record["entanglement"]["schmidt_coefficients"]
+                for new, old in zip(pair, PRE_SCHMIDT_CORRECTION_ODD_PAIR):
+                    assert abs(new - math.sqrt(0.5)) < abs(old - math.sqrt(0.5))
+                    corrected.append(new)
+                record["entanglement"]["schmidt_coefficients"] = PRE_SCHMIDT_CORRECTION_ODD_PAIR
+        stdout = to_canonical_json(data) + "\n"
+    return {**entry, "stdout": stdout}
+
+
+def test_schmidt_correction_changed_only_the_schmidt_values(golden):
+    # Undoing the correction must give back the earlier file byte for byte:
+    # only the 32 odd-function Schmidt values and the new check's entry in
+    # the two verify invocations changed; text output did not.
+    corrected: list[float] = []
+    restored = [undo_schmidt_correction(entry, corrected) for entry in golden]
+    restored_bytes = (json.dumps(restored, indent=1) + "\n").encode()
+    assert hashlib.sha256(restored_bytes).hexdigest() == PRE_SCHMIDT_CORRECTION_SHA256
+    assert len(corrected) == 32
 
 
 if __name__ == "__main__":

@@ -77,6 +77,35 @@ def test_one_function_fault_is_attributed_to_it(bits, capsys, monkeypatch):
     assert out.splitlines()[-1] == "15/16 functions verified, classical_min_queries=4"
 
 
+def test_cancelling_schmidt_formula_is_caught(capsys, monkeypatch):
+    # The pair sqrt((1 +- sqrt(1 - C^2))/2) gave every odd function, 1.4e-8
+    # from 1/sqrt(2) because 1 - C^2 cancels at C = 1 - 8e-16.
+    cancelled = (0.7071067951253074, 0.7071067672477874)
+    honest = qparity.verification.classification_report_sweep
+
+    def cancelling_sweep(functions):
+        return [
+            dataclasses.replace(
+                r,
+                entanglement=dataclasses.replace(r.entanglement, schmidt_coefficients=cancelled),
+            )
+            if r.entanglement.is_entangled
+            else r
+            for r in honest(functions)
+        ]
+
+    monkeypatch.setattr(qparity.verification, "classification_report_sweep", cancelling_sweep)
+    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+    code = main(["verify"])
+    out = capsys.readouterr().out
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 1
+    note = "schmidt coefficients {} != (0.7071067811865476, 0.7071067811865476)".format(cancelled)
+    first_four = "; ".join(f"{bits}: {note}" for bits in ("0001", "0010", "0100", "0111"))
+    assert failed == [f"FAIL schmidt_coefficients: {first_four}; and 4 more"]
+    assert out.splitlines()[-1] == "8/16 functions verified, classical_min_queries=4"
+
+
 def snapshot():
     reports = to_canonical_json([report_to_jsonable(r) for r in all_reports()])
     outcome = run_all_checks()
