@@ -41,14 +41,11 @@ class EntanglementReport:
 
 def analyze_pure_state_stack(amplitudes) -> list[EntanglementReport]:
     """Concurrence, Schmidt coefficients and reduced purities of an (n, 4)
-    stack of two-qubit amplitudes, one report per row.
-
-    The reduced purities are computed independently, via the partial trace
-    of |s><s|, rather than from the Schmidt coefficients; agreement between
-    the two routes is a consistency check the tests rely on.
-    """
+    stack of two-qubit amplitudes, one report per row. The reduced purities
+    come from the partial trace of |s><s|, independently of the concurrence;
+    agreement between the two routes is a consistency check the tests rely on."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
-    if amps.ndim != 2 or amps.shape[1] != 4:
+    if amps.shape[1:] != (4,):
         raise ValueError("entanglement analysis expects a two-qubit state")
     a, b, c, d = amps.T
     concurrence = 2.0 * np.abs(a * d - b * c)

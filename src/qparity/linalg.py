@@ -224,13 +224,11 @@ def density_from_state(s: StateVector) -> DensityMatrix:
 
 
 def partial_trace_stack(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:
-    """Reduced density matrices of one qubit of an (n, 4, 4) two-qubit stack.
-
-    ``keep_qubit`` is 1 (the most significant bit of the basis index) or 2;
-    the other qubit is traced out. The (n, 2, 2) result is read-only and
-    validated as ``DensityMatrix`` validates one.
-    """
-    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
+    """Reduced density matrices of qubit ``keep_qubit`` (1, the most significant
+    bit of the basis index, or 2) of an (n, 4, 4) two-qubit stack, tracing out
+    the other; the (n, 2, 2) result is read-only and validated like one
+    ``DensityMatrix``."""
+    if rhos.shape[1:] != (4, 4):
         raise ValueError("partial_trace expects a two-qubit density matrix")
     if keep_qubit not in (1, 2):
         raise ValueError(f"keep_qubit must be 1 or 2, got {keep_qubit!r}")

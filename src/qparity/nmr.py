@@ -62,12 +62,10 @@ class CoherenceDecomposition:
 def decompose_coherences_stack(rhos: np.ndarray) -> CoherenceDecomposition:
     """Assign every entry of an (n, 4, 4) stack of two-qubit density matrices
     to its coherence order; each component is an (n, 4, 4) stack too."""
-    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
+    if rhos.shape[1:] != (4, 4):
         raise ValueError("coherence decomposition expects a two-qubit density matrix")
-    components = {
-        order: np.where(_ORDER_MATRIX == order, rhos, 0.0 + 0.0j) for order in COHERENCE_ORDERS
-    }
-    return CoherenceDecomposition(orders=components)
+    orders = {k: np.where(_ORDER_MATRIX == k, rhos, 0.0 + 0.0j) for k in COHERENCE_ORDERS}
+    return CoherenceDecomposition(orders=orders)
 
 
 def decompose_coherences(rho: DensityMatrix) -> CoherenceDecomposition:
@@ -97,12 +95,9 @@ class ObservabilityReport:
 
 def transverse_magnetization_stack(rhos: np.ndarray, qubit: int) -> np.ndarray:
     """Off-diagonal magnitude of one qubit's reduced density matrix, for every
-    matrix of an (n, 4, 4) stack.
-
-    This is the size of that spin's single-quantum coherence, hence of its
-    contribution to the spectrum; subtracting any multiple of the identity
-    (which carries no signal) would not change it.
-    """
+    matrix of an (n, 4, 4) stack: the size of that spin's single-quantum
+    coherence, hence of its contribution to the spectrum. Subtracting any
+    multiple of the identity (which carries no signal) would not change it."""
     return np.abs(partial_trace_stack(rhos, qubit)[:, 0, 1])
 
 

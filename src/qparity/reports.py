@@ -50,31 +50,21 @@ def _assemble_reports(
 ) -> list[ClassificationReport]:
     """Bundle the reports, analysing all the final states as one stack."""
     finals = np.array([c.final_state.amplitudes for c in circuits]).reshape(len(circuits), 4)
-    analyses = zip(
-        functions,
-        circuits,
-        dj_verdicts,
-        analyze_pure_state_stack(finals),
-        observability_stack(density_from_state_stack(finals)),
-    )
+    entanglements = analyze_pure_state_stack(finals)
+    observabilities = observability_stack(density_from_state_stack(finals))
     return [
-        ClassificationReport(
-            f, classify(f), is_separable_oracle(build_oracle(f)), dj_verdict, circuit, ent, obs
-        )
-        for f, circuit, dj_verdict, ent, obs in analyses
+        ClassificationReport(f, classify(f), is_separable_oracle(build_oracle(f)), dj, c, e, o)
+        for f, c, dj, e, o in zip(functions, circuits, dj_verdicts, entanglements, observabilities)
     ]
 
 
 def classification_report_sweep(
     functions: Iterable[TruthTable],
 ) -> list[ClassificationReport]:
-    """Run every analysis for each function and bundle the results.
-
-    The even/odd circuits and the DJ tests run as one sweep each, so their
-    gates are built once for all the functions, and the entanglement and
-    observability analyses take all the final states as one stack; the
-    reports follow the order of ``functions``.
-    """
+    """Run every analysis for each function and bundle the results, in the
+    order of ``functions``. The even/odd circuits and the DJ tests run as one
+    sweep each, building their gates once, and the entanglement and
+    observability analyses take all the final states as one stack."""
     functions = tuple(functions)
     return _assemble_reports(
         functions, run_even_odd_sweep(functions), run_deutsch_jozsa_sweep(functions)

@@ -63,10 +63,10 @@ class VerificationOutcome:
 def _final_state_numerators(outputs: np.ndarray) -> np.ndarray:
     """The closed form of the even/odd circuit's final states, times 2*sqrt(2).
 
-    For each row of (f(00), f(01), f(10), f(11)) output bits, the final
-    amplitudes are ((a+b), 2, (a-b), 0)/(2*sqrt(2)) with
-    a = (-1)^(f(00) xor f(01)) and b = (-1)^(f(10) xor f(11)). Keeping the
-    integer numerators makes every expectation derived from them exact.
+    For each row of output bits (f(00), f(01), f(10), f(11)), the final state
+    is ((a+b), 2, (a-b), 0)/(2*sqrt(2)) with a = (-1)^(f(00) xor f(01)) and
+    b = (-1)^(f(10) xor f(11)). The integer numerators keep every expectation
+    derived from them exact.
     """
     a = 1 - 2 * (outputs[:, 0] ^ outputs[:, 1])
     b = 1 - 2 * (outputs[:, 2] ^ outputs[:, 3])
@@ -84,16 +84,6 @@ def _deviation(actual: np.ndarray, expected) -> np.ndarray:
     """Largest entrywise |actual - expected| in each row of a stack."""
     diff = np.abs(actual - expected)
     return diff.max(axis=tuple(range(1, diff.ndim)))
-
-
-def _notes(count: int, rules) -> list[list[str]]:
-    """One note list for each of ``count`` functions. A rule
-    (mask, template, *columns) adds ``template.format(column[i], ...)`` to
-    function i's notes wherever ``mask[i]`` is true, in rule order."""
-    return [
-        [template.format(*(c[i] for c in columns)) for mask, template, *columns in rules if mask[i]]
-        for i in range(count)
-    ]
 
 
 def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
@@ -130,20 +120,22 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
     densities = functools.cache(lambda: density_from_state_stack(finals))
 
     def sweep(name: str):
-        """Run the decorated array probe at once, over all the reports, as
-        check ``name``. A probe returns ``_notes`` rules; one that raises
-        fails every function."""
+        """Run the decorated array probe now, over all the reports, as check
+        ``name``. A probe returns rules (mask, template, *columns): function i
+        gets the note ``template.format(column[i], ...)`` of each rule whose
+        mask[i] is true, in rule order. A probe that raises fails every function."""
 
         def run(probe) -> None:
             try:
-                per_function = _notes(len(reports), probe())
+                rules = probe()
+                per_function = [
+                    [t.format(*(c[i] for c in columns)) for mask, t, *columns in rules if mask[i]]
+                    for i in range(len(reports))
+                ]
             except Exception as exc:
                 per_function = [[f"check raised {exc!r}"]] * len(reports)
-            notes = []
-            for b, msgs in zip(bits, per_function):
-                if msgs:
-                    failed_functions.add(b)
-                notes.extend(f"{b}: {msg}" for msg in msgs)
+            failed_functions.update(b for b, msgs in zip(bits, per_function) if msgs)
+            notes = [f"{b}: {msg}" for b, msgs in zip(bits, per_function) for msg in msgs]
             checks.append(_check(name, notes))
 
         return run
@@ -185,8 +177,7 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         calls = [r.circuit.oracle_calls for r in reports]
         steps = [len(r.circuit.per_step_states) for r in reports]
         return [
-            (np.array(verdicts) != np.array(expected), "expected verdict {}, got {}", expected,
-             verdicts),
+            (np.array(verdicts) != expected, "expected verdict {}, got {}", expected, verdicts),
             (np.array(calls) != 2, "expected 2 oracle calls, counted {}", calls),
             (np.array(steps) != 6, "expected 6 per-step states, got {}", steps),
         ]
@@ -197,9 +188,8 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         counts = np.array([len(r.circuit.per_step_states) for r in reports])
         steps = np.array([s.amplitudes for r in reports for s in r.circuit.per_step_states])
         errors = np.full((len(reports), counts.max(initial=0)), np.nan)
-        errors[np.arange(errors.shape[1]) < counts[:, None]] = np.abs(
-            np.sum(np.abs(steps.reshape(-1, 4)) ** 2, axis=1) - 1.0
-        )
+        norms = np.sum(np.abs(steps.reshape(-1, 4)) ** 2, axis=1)
+        errors[np.arange(errors.shape[1]) < counts[:, None]] = np.abs(norms - 1.0)
         return [(col > tol, f"step {k} norm error {{:.3e}}", col) for k, col in enumerate(errors.T)]
 
     @sweep("final_state_sign_law")
@@ -247,12 +237,10 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
     @sweep("entanglement_correspondence")
     def probe_entanglement():
         ent = [r.entanglement for r in reports]
-        concurrence = [e.concurrence for e in ent]
-        entangled = [e.is_entangled for e in ent]
-        c = np.array(concurrence)
-        purity1, purity2 = (np.array([e.reduced_purity_q1 for e in ent]),
-                            np.array([e.reduced_purity_q2 for e in ent]))
-        expected_c = np.where(even, 0.0, 1.0)
+        concurrence, entangled = [e.concurrence for e in ent], [e.is_entangled for e in ent]
+        c, expected_c = np.array(concurrence), np.where(even, 0.0, 1.0)
+        purity1 = np.array([e.reduced_purity_q1 for e in ent])
+        purity2 = np.array([e.reduced_purity_q2 for e in ent])
         return [
             (np.abs(c - expected_c) > 1e-10, "concurrence {!r} != {}", concurrence, expected_c),
             (np.array(entangled) == even, "is_entangled={} but even={}", entangled, even),
@@ -264,10 +252,9 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
     def probe_schmidt():
         pairs = [r.entanglement.schmidt_coefficients for r in reports]
         expected = np.where(even[:, None], [1.0, 0.0], math.sqrt(0.5))
-        return [
-            (_deviation(np.array(pairs).reshape(-1, 2), expected) > tol,
-             "schmidt coefficients {!r} != {!r}", pairs, [tuple(e) for e in expected.tolist()]),
-        ]
+        err = _deviation(np.array(pairs).reshape(-1, 2), expected)
+        expected_pairs = [tuple(e) for e in expected.tolist()]
+        return [(err > tol, "schmidt coefficients {!r} != {!r}", pairs, expected_pairs)]
 
     overlaps = np.abs(finals[even].conj() @ finals[~even].T).ravel().tolist()
     notes = [f"overlap: |<even|odd>| = {v!r} != 0.5" for v in overlaps if abs(v - 0.5) > tol]
@@ -276,10 +263,9 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
     @sweep("nmr_observability")
     def probe_nmr():
         obs = [r.observability for r in reports]
-        line = [o.observable_line for o in obs]
+        line, expected2 = [o.observable_line for o in obs], np.where(even, 0.5, 0.0)
         magnetization1 = [o.transverse_magnetization_q1 for o in obs]
         magnetization2 = [o.transverse_magnetization_q2 for o in obs]
-        expected2 = np.where(even, 0.5, 0.0)
         return [
             (np.array(line) != even, "observable_line={} but even={}", line, even),
             (np.abs(np.array(magnetization2) - expected2) > tol,
