@@ -46,7 +46,9 @@ class ClassificationReport:
 
 
 def _assemble_reports(
-    functions: Sequence[TruthTable], circuits: Sequence[AlgorithmResult], dj_verdicts
+    functions: Sequence[TruthTable],
+    circuits: Sequence[AlgorithmResult],
+    dj_verdicts: Sequence[DJVerdict],
 ) -> list[ClassificationReport]:
     """Bundle the reports, analysing all the final states as one stack."""
     finals = np.array([c.final_state.amplitudes for c in circuits]).reshape(len(circuits), 4)
@@ -72,13 +74,10 @@ def classification_report_sweep(
 
 
 def classification_report(f: TruthTable) -> ClassificationReport:
-    """Run every analysis for one function and bundle the results.
-
-    The report equals the one :func:`classification_report_sweep` gives for
-    ``f``: the same assembly with a stack of one, with the circuit and the DJ
-    verdict from :func:`run_even_odd` and :func:`run_deutsch_jozsa_2bit`, the
-    sweeps of one.
-    """
+    """Run every analysis for one function and bundle the results: the report
+    :func:`classification_report_sweep` gives for ``f``, assembled as a stack
+    of one from :func:`run_even_odd` and :func:`run_deutsch_jozsa_2bit`, the
+    sweeps of one."""
     (report,) = _assemble_reports((f,), (run_even_odd(f),), (run_deutsch_jozsa_2bit(f),))
     return report
 

@@ -1,11 +1,15 @@
 """Self-verification suite: every library-level invariant, run exhaustively.
 
 One classification report is built per two-bit function, by the same sweep
-that ``qparity table`` prints from. Each named check sweeps those 16 reports
+that ``qparity table`` prints from. Each named check covers those 16 reports
 (or the relevant global property) and reports pass/fail with a short
-expected-vs-actual note on failure. The CLI ``verify`` command renders these
-results and exits nonzero if anything fails. Checks trap exceptions, so a
-broken build degrades to failed checks instead of a crash.
+expected-vs-actual note per failing function. The per-function checks are
+array probes over one stack of the reports' amplitudes and fields: one
+density stack, one eigvalsh call, one even-by-odd overlap product, and the
+library function each checks applied to the whole stack. The CLI ``verify``
+command renders the results and exits nonzero if anything fails. Checks trap
+exceptions, so a broken build degrades to failed checks instead of a crash; a
+probe that raises fails its check for every function.
 """
 
 from __future__ import annotations
@@ -111,7 +115,6 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
                 build_notes.append(f"{f.to_string()}: analysis raised {exc!r}")
     checks.append(_check("function_analysis", build_notes))
 
-    # The stacks the array probes read, one row per report.
     bits = [r.function.to_string() for r in reports]
     even = np.array([r.function_class.parity is Parity.EVEN for r in reports], dtype=bool)
     outputs = np.array([r.function.outputs for r in reports], dtype=int).reshape(-1, 4)
@@ -120,10 +123,9 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
     densities = functools.cache(lambda: density_from_state_stack(finals))
 
     def sweep(name: str):
-        """Run the decorated array probe now, over all the reports, as check
-        ``name``. A probe returns rules (mask, template, *columns): function i
-        gets the note ``template.format(column[i], ...)`` of each rule whose
-        mask[i] is true, in rule order. A probe that raises fails every function."""
+        """Run the decorated probe now as check ``name``. It returns rules
+        (mask, template, *columns); function i gets the note
+        ``template.format(column[i], ...)`` of each rule whose mask[i] is true."""
 
         def run(probe) -> None:
             try:
