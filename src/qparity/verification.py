@@ -2,14 +2,14 @@
 
 One classification report is built per two-bit function, by the same sweep
 that ``qparity table`` prints from. Each named check covers those 16 reports
-(or the relevant global property) and reports pass/fail with a short
-expected-vs-actual note per failing function. The per-function checks are
-array probes over one stack of the reports' amplitudes and fields: one
-density stack, one eigvalsh call, one even-by-odd overlap product, and the
-library function each checks applied to the whole stack. The CLI ``verify``
-command renders the results and exits nonzero if anything fails. Checks trap
-exceptions, so a broken build degrades to failed checks instead of a crash; a
-probe that raises fails its check for every function.
+(or a global property) and notes expected-vs-actual for each failing
+function; ``qparity verify`` prints the results and exits nonzero on any
+failure. The per-function checks are array probes over one stack of the
+reports' amplitudes and fields (one density stack, one eigvalsh call, one
+even-by-odd overlap product), each applying the library function it checks
+to the whole stack. Checks trap exceptions, so a broken build degrades to
+failed checks instead of a crash; a probe that raises fails its check for
+every function.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ import numpy as np
 
 from .algorithms import DJVerdict, classical_min_queries, constant_balanced_promise_functions
 from .entanglement import is_idempotent_stack
-from .linalg import DEFAULT_TOL, PSD_TOL, density_from_state_stack, partial_trace_stack, purity_stack
+from .linalg import (
+    DEFAULT_TOL, PSD_TOL, density_from_state_stack, partial_trace_stack, purity_stack
+)
 from .nmr import (
     decompose_coherences_stack, magnetization_classifies_parity, spin1_indistinguishability_check
 )
@@ -192,7 +194,7 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         errors = np.full((len(reports), counts.max(initial=0)), np.nan)
         norms = np.sum(np.abs(steps.reshape(-1, 4)) ** 2, axis=1)
         errors[np.arange(errors.shape[1]) < counts[:, None]] = np.abs(norms - 1.0)
-        return [(col > tol, f"step {k} norm error {{:.3e}}", col) for k, col in enumerate(errors.T)]
+        return [(e > tol, f"step {k} norm error {{:.3e}}", e) for k, e in enumerate(errors.T)]
 
     @sweep("final_state_sign_law")
     def probe_sign_law():
@@ -290,13 +292,10 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
 
     @sweep("dj_verdicts")
     def probe_dj():
-        expected = [
-            DJVerdict.CONSTANT if k in (0, 4) else DJVerdict.BALANCED if k == 2 else DJVerdict.NEITHER
-            for k in outputs.sum(axis=1)
-        ]
-        wrong = np.array([r.dj_verdict is not x for r, x in zip(reports, expected)], dtype=bool)
-        return [(wrong, "DJ verdict {} != {}", [r.dj_verdict.value for r in reports],
-                 [x.value for x in expected])]
+        by_ones = {0: DJVerdict.CONSTANT, 2: DJVerdict.BALANCED, 4: DJVerdict.CONSTANT}
+        expected = [by_ones.get(k, DJVerdict.NEITHER).value for k in outputs.sum(axis=1)]
+        verdicts = [r.dj_verdict.value for r in reports]
+        return [(np.array(verdicts) != expected, "DJ verdict {} != {}", verdicts, expected)]
 
     notes = []
     try:

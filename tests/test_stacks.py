@@ -63,7 +63,9 @@ def assert_stacked_equals_stack_of_one(amplitudes, rhos):
         for qubit in (1, 2):
             reduced = partial_trace_stack(stack, qubit)
             magnetizations = transverse_magnetization_stack(stack, qubit)
-            assert list(purity_stack(reduced)) == [purity(partial_trace(m, qubit)) for m in matrices]
+            assert list(purity_stack(reduced)) == [
+                purity(partial_trace(m, qubit)) for m in matrices
+            ]
             assert list(is_idempotent_stack(reduced)) == [
                 is_idempotent(partial_trace(m, qubit)) for m in matrices
             ]

@@ -2,6 +2,7 @@
 faults, and concurrent use."""
 
 import dataclasses
+import sys
 import threading
 
 import pytest
@@ -58,52 +59,49 @@ FAULTS = {
 }
 
 
+def verify_with(fault, capsys, monkeypatch) -> tuple[int, list[str], str]:
+    """Run ``qparity verify`` on the sweep's reports passed through ``fault``;
+    returns the exit code, the FAIL lines and the summary line."""
+    honest = qparity.verification.classification_report_sweep
+    monkeypatch.setattr(
+        qparity.verification,
+        "classification_report_sweep",
+        lambda functions: [fault(r) for r in honest(functions)],
+    )
+    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+    code = main(["verify"])
+    lines = capsys.readouterr().out.splitlines()
+    return code, [line for line in lines if line.startswith("FAIL")], lines[-1]
+
+
 @pytest.mark.parametrize("bits", sorted(FAULTS))
 def test_one_function_fault_is_attributed_to_it(bits, capsys, monkeypatch):
     fault, expected_failures = FAULTS[bits]
-    honest = qparity.verification.classification_report_sweep
-
-    def faulty_sweep(functions):
-        return [
-            fault(r) if r.function.to_string() == bits else r for r in honest(functions)
-        ]
-
-    monkeypatch.setattr(qparity.verification, "classification_report_sweep", faulty_sweep)
-    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
-    code = main(["verify"])
-    out = capsys.readouterr().out
+    code, failed, summary = verify_with(
+        lambda r: fault(r) if r.function.to_string() == bits else r, capsys, monkeypatch
+    )
     assert code == 1
-    assert [line for line in out.splitlines() if line.startswith("FAIL")] == expected_failures
-    assert out.splitlines()[-1] == "15/16 functions verified, classical_min_queries=4"
+    assert failed == expected_failures
+    assert summary == "15/16 functions verified, classical_min_queries=4"
 
 
 def test_cancelling_schmidt_formula_is_caught(capsys, monkeypatch):
     # The pair sqrt((1 +- sqrt(1 - C^2))/2) gave every odd function, 1.4e-8
     # from 1/sqrt(2) because 1 - C^2 cancels at C = 1 - 8e-16.
     cancelled = (0.7071067951253074, 0.7071067672477874)
-    honest = qparity.verification.classification_report_sweep
 
-    def cancelling_sweep(functions):
-        return [
-            dataclasses.replace(
-                r,
-                entanglement=dataclasses.replace(r.entanglement, schmidt_coefficients=cancelled),
-            )
-            if r.entanglement.is_entangled
-            else r
-            for r in honest(functions)
-        ]
+    def cancelling(report):
+        if not report.entanglement.is_entangled:
+            return report
+        entanglement = dataclasses.replace(report.entanglement, schmidt_coefficients=cancelled)
+        return dataclasses.replace(report, entanglement=entanglement)
 
-    monkeypatch.setattr(qparity.verification, "classification_report_sweep", cancelling_sweep)
-    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
-    code = main(["verify"])
-    out = capsys.readouterr().out
-    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert code == 1
-    note = "schmidt coefficients {} != (0.7071067811865476, 0.7071067811865476)".format(cancelled)
+    code, failed, summary = verify_with(cancelling, capsys, monkeypatch)
+    note = f"schmidt coefficients {cancelled} != (0.7071067811865476, 0.7071067811865476)"
     first_four = "; ".join(f"{bits}: {note}" for bits in ("0001", "0010", "0100", "0111"))
+    assert code == 1
     assert failed == [f"FAIL schmidt_coefficients: {first_four}; and 4 more"]
-    assert out.splitlines()[-1] == "8/16 functions verified, classical_min_queries=4"
+    assert summary == "8/16 functions verified, classical_min_queries=4"
 
 
 def snapshot():
@@ -124,10 +122,16 @@ def test_concurrent_sweeps_equal_a_serial_run():
             errors.append(exc)
 
     threads = [threading.Thread(target=work) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=300)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(results) == 80
     assert all(result == serial for result in results)
