@@ -5,6 +5,10 @@ The main circuit decides whether a function is even or odd with two oracle
 queries. A deterministic classical strategy needs all four input points, a
 fact :func:`classical_min_queries` establishes by exhaustive search over
 adaptive decision trees.
+
+Each sweep simulates all its functions as one (n, 4) array: a gate acts on
+each row as ``gate @ state``, rounding as ``apply`` does, and an oracle query
+multiplies each row by its function's :func:`~qparity.oracles.oracle_signs`.
 """
 
 from __future__ import annotations
@@ -13,9 +17,11 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import gates
-from .linalg import StateVector, UnitaryOperator, apply, basis_state
-from .oracles import Parity, TruthTable, build_oracle, enumerate_functions
+from .linalg import StateVector, UnitaryOperator, validated_state_stack
+from .oracles import Parity, TruthTable, enumerate_functions, oracle_signs
 
 STEP_LABELS = ("initial", "H12", "Uf", "H2", "Uf", "H12")
 
@@ -50,6 +56,19 @@ class AlgorithmResult:
     per_step_states: tuple[StateVector, ...]
 
 
+def _circuit_steps(signs: np.ndarray, sequence: tuple[UnitaryOperator | None, ...]) -> np.ndarray:
+    """Every state, from |00> on, of one circuit run per row of an (n, 4) sign
+    stack, as one validated (n, len(sequence) + 1, 4) stack: each gate acts as
+    ``gate @ state`` and each ``None`` queries the oracle, a sign multiply."""
+    state = np.zeros(signs.shape, dtype=np.complex128)
+    state[:, 0] = 1.0
+    steps = [state]
+    for gate in sequence:
+        state = state * signs if gate is None else (gate.entries @ state[..., None])[..., 0]
+        steps.append(state)
+    return validated_state_stack(np.stack(steps, axis=1))
+
+
 def run_even_odd_sweep(functions: Iterable[TruthTable]) -> list[AlgorithmResult]:
     """Classify each function as even or odd with two oracle queries.
 
@@ -61,41 +80,27 @@ def run_even_odd_sweep(functions: Iterable[TruthTable]) -> list[AlgorithmResult]
     is read off from which of the |00> or |10> components carries the
     nonzero amplitude.
 
-    The Hadamard gates are built once and shared by every run; the results
-    follow the order of ``functions``.
+    The gates are built once and all functions run as one stack, whose rows
+    are the per-step states; the results follow the order of ``functions``.
     """
     h12, h2 = gates.hadamard_both(), gates.hadamard_second()
-    return [_run_even_odd_with(f, h12, h2) for f in functions]
-
-
-def _run_even_odd_with(
-    f: TruthTable, h12: UnitaryOperator, h2: UnitaryOperator
-) -> AlgorithmResult:
-    oracle = build_oracle(f)
-    sequence = ((h12, False), (oracle, True), (h2, False), (oracle, True), (h12, False))
-    state = basis_state("00")
-    steps = [state]
-    calls = 0
-    for operator, is_oracle_call in sequence:
-        state = apply(operator, state)
-        steps.append(state)
-        calls += int(is_oracle_call)
-    amplitudes = state.amplitudes
-    if abs(amplitudes[0]) > VERDICT_AMPLITUDE_THRESHOLD:
-        verdict = Parity.EVEN
-    elif abs(amplitudes[2]) > VERDICT_AMPLITUDE_THRESHOLD:
-        verdict = Parity.ODD
-    else:
-        raise RuntimeError(
-            "final state matches neither parity pattern; "
-            f"amplitudes {amplitudes.tolist()}"
-        )
-    return AlgorithmResult(
-        final_state=state,
-        verdict=verdict,
-        oracle_calls=calls,
-        per_step_states=tuple(steps),
-    )
+    sequence = (h12, None, h2, None, h12)
+    oracle_calls = sequence.count(None)
+    results = []
+    for steps in _circuit_steps(oracle_signs(functions), sequence):
+        states = tuple(StateVector._trusted(row) for row in steps)
+        amplitudes = steps[-1]
+        if abs(amplitudes[0]) > VERDICT_AMPLITUDE_THRESHOLD:
+            verdict = Parity.EVEN
+        elif abs(amplitudes[2]) > VERDICT_AMPLITUDE_THRESHOLD:
+            verdict = Parity.ODD
+        else:
+            raise RuntimeError(
+                "final state matches neither parity pattern; "
+                f"amplitudes {amplitudes.tolist()}"
+            )
+        results.append(AlgorithmResult(states[-1], verdict, oracle_calls, states))
+    return results
 
 
 def run_even_odd(f: TruthTable) -> AlgorithmResult:
@@ -113,23 +118,16 @@ def run_deutsch_jozsa_sweep(functions: Iterable[TruthTable]) -> list[DJVerdict]:
     when it vanishes, and neither when it is 1/2 (functions with one or
     three ones sit outside the promise).
 
-    The Hadamard gate is built once and shared by every run; the verdicts
+    The gate is built once and all functions run as one stack; the verdicts
     follow the order of ``functions``.
     """
     h12 = gates.hadamard_both()
-    return [_run_deutsch_jozsa_with(f, h12) for f in functions]
-
-
-def _run_deutsch_jozsa_with(f: TruthTable, h12: UnitaryOperator) -> DJVerdict:
-    state = basis_state("00")
-    for operator in (h12, build_oracle(f), h12):
-        state = apply(operator, state)
-    magnitude = abs(state.amplitudes[0])
-    if magnitude > DJ_CONSTANT_CUT:
-        return DJVerdict.CONSTANT
-    if magnitude < DJ_BALANCED_CUT:
-        return DJVerdict.BALANCED
-    return DJVerdict.NEITHER
+    magnitudes = np.abs(_circuit_steps(oracle_signs(functions), (h12, None, h12))[:, -1, 0])
+    return [
+        DJVerdict.CONSTANT if m > DJ_CONSTANT_CUT else
+        DJVerdict.BALANCED if m < DJ_BALANCED_CUT else DJVerdict.NEITHER
+        for m in magnitudes.tolist()
+    ]
 
 
 def run_deutsch_jozsa_2bit(f: TruthTable) -> DJVerdict:

@@ -2,8 +2,9 @@
 
 These are functions rather than module-level constants so each call builds a
 fresh operator; the indirection keeps composite gates consistent with
-``hadamard()`` even if it is replaced under test. The circuits build their
-gates once per run or sweep and share them across all its functions.
+``hadamard()`` even if it is replaced under test. Each circuit sweep builds
+its gates once and applies each one to the whole (n, 4) stack of states, as
+``gate @ state`` per row.
 """
 
 from __future__ import annotations

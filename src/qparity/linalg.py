@@ -21,10 +21,14 @@ IDEMPOTENCY_TOL = 1e-11
 MAX_QUBITS = 12
 
 
-def _to_complex_array(data, what: str) -> np.ndarray:
-    arr = np.array(data, dtype=np.complex128)
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} must have finite entries (no NaN or infinity)")
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
     return arr
 
 
@@ -48,18 +52,18 @@ class StateVector:
     __slots__ = ("_amplitudes", "_num_qubits")
 
     def __init__(self, amplitudes):
-        arr = _to_complex_array(amplitudes, "state vector")
+        arr = np.array(amplitudes, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError("state vector must be one-dimensional")
         self._num_qubits = _qubit_count(arr.shape[0], "state vector")
-        norm_error = abs(float(np.sum(np.abs(arr) ** 2)) - 1.0)
-        if norm_error > DEFAULT_TOL:
-            raise ValueError(
-                f"state vector is not normalized: |sum(|a|^2) - 1| = {norm_error:.3e}"
-                f" > {DEFAULT_TOL:.3e}"
-            )
-        arr.setflags(write=False)
-        self._amplitudes = arr
+        self._amplitudes = validated_state_stack(arr)
+
+    @classmethod
+    def _trusted(cls, amplitudes: np.ndarray) -> "StateVector":
+        """A state on a row of a ``validated_state_stack`` result, not copied."""
+        s = object.__new__(cls)
+        s._amplitudes, s._num_qubits = amplitudes, (len(amplitudes) - 1).bit_length()
+        return s
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -82,23 +86,35 @@ class StateVector:
         return f"StateVector({terms})"
 
 
-def _validated_densities(arr: np.ndarray) -> np.ndarray:
-    """Mark a matrix, or a stack of them, read-only after checking that each
-    has finite entries, is Hermitian and has unit trace within ``DEFAULT_TOL``."""
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("density matrix must have finite entries (no NaN or infinity)")
-    hermiticity_error = float(np.max(np.abs(arr - arr.conj().swapaxes(-1, -2)), initial=0.0))
+def validated_state_stack(amplitudes: np.ndarray) -> np.ndarray:
+    """Mark an array of amplitudes, one state per row of its last axis,
+    read-only after checking as ``StateVector`` does that every entry is
+    finite and every row has unit norm within ``DEFAULT_TOL``."""
+    _check_finite(amplitudes, "state vector")
+    norm_error = float(np.abs((np.abs(amplitudes) ** 2).sum(axis=-1) - 1.0).max(initial=0.0))
+    if norm_error > DEFAULT_TOL:
+        raise ValueError(
+            f"state vector is not normalized: |sum(|a|^2) - 1| = {norm_error:.3e}"
+            f" > {DEFAULT_TOL:.3e}"
+        )
+    return _frozen(amplitudes)
+
+
+def _check_densities(arr: np.ndarray) -> np.ndarray:
+    """Check that a matrix, or each matrix of a stack, has finite entries, is
+    Hermitian and has unit trace within ``DEFAULT_TOL``; returns ``arr``."""
+    _check_finite(arr, "density matrix")
+    hermiticity_error = float(np.abs(arr - arr.conj().swapaxes(-1, -2)).max(initial=0.0))
     if hermiticity_error > DEFAULT_TOL:
         raise ValueError(
             f"density matrix is not Hermitian: max deviation {hermiticity_error:.3e}"
             f" > {DEFAULT_TOL:.3e}"
         )
-    trace_error = float(np.max(np.abs(np.trace(arr, axis1=-2, axis2=-1) - 1.0), initial=0.0))
+    trace_error = float(np.abs(arr.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
     if trace_error > DEFAULT_TOL:
         raise ValueError(
             f"density matrix trace differs from 1 by {trace_error:.3e} > {DEFAULT_TOL:.3e}"
         )
-    arr.setflags(write=False)
     return arr
 
 
@@ -113,11 +129,11 @@ class DensityMatrix:
     __slots__ = ("_entries", "_num_qubits")
 
     def __init__(self, entries):
-        arr = _to_complex_array(entries, "density matrix")
+        arr = np.array(entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("density matrix must be square")
         self._num_qubits = _qubit_count(arr.shape[0], "density matrix")
-        self._entries = _validated_densities(arr)
+        self._entries = _frozen(_check_densities(arr))
 
     @property
     def entries(self) -> np.ndarray:
@@ -144,7 +160,7 @@ class UnitaryOperator:
     __slots__ = ("_entries", "_num_qubits")
 
     def __init__(self, entries):
-        arr = _to_complex_array(entries, "operator")
+        arr = _check_finite(np.array(entries, dtype=np.complex128), "operator")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("operator must be square")
         self._num_qubits = _qubit_count(arr.shape[0], "operator")
@@ -153,8 +169,7 @@ class UnitaryOperator:
             raise ValueError(
                 f"operator is not unitary: max |U^dagger U - I| = {defect:.3e} > {DEFAULT_TOL:.3e}"
             )
-        arr.setflags(write=False)
-        self._entries = arr
+        self._entries = _frozen(arr)
 
     @property
     def entries(self) -> np.ndarray:
@@ -215,7 +230,7 @@ def density_from_state_stack(amplitudes) -> np.ndarray:
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 2:
         raise ValueError("expected an (n, d) stack of amplitudes")
-    return _validated_densities(amps[:, :, None] * amps[:, None, :].conj())
+    return _frozen(_check_densities(amps[:, :, None] * amps[:, None, :].conj()))
 
 
 def density_from_state(s: StateVector) -> DensityMatrix:
@@ -226,16 +241,20 @@ def density_from_state(s: StateVector) -> DensityMatrix:
 def partial_trace_stack(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:
     """Reduced density matrices of qubit ``keep_qubit`` (1, the most significant
     bit of the basis index, or 2) of an (n, 4, 4) two-qubit stack, tracing out
-    the other; the (n, 2, 2) result is read-only and validated like one
-    ``DensityMatrix``."""
+    the other. The input is checked as ``DensityMatrix`` checks one matrix; the
+    (n, 2, 2) result is read-only and validated likewise."""
     if rhos.shape[1:] != (4, 4):
         raise ValueError("partial_trace expects a two-qubit density matrix")
     if keep_qubit not in (1, 2):
         raise ValueError(f"keep_qubit must be 1 or 2, got {keep_qubit!r}")
+    return _partial_trace(_check_densities(rhos), keep_qubit)
+
+
+def _partial_trace(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:
+    """:func:`partial_trace_stack` of a stack that is already checked."""
     blocks = rhos.reshape(-1, 2, 2, 2, 2)  # [n, i1, i2, j1, j2]
-    return _validated_densities(
-        np.einsum("nakbk->nab" if keep_qubit == 1 else "nkakb->nab", blocks)
-    )
+    reduced = np.einsum("nakbk->nab" if keep_qubit == 1 else "nkakb->nab", blocks)
+    return _frozen(_check_densities(reduced))
 
 
 def partial_trace(rho: DensityMatrix, keep_qubit: int) -> DensityMatrix:
@@ -244,9 +263,15 @@ def partial_trace(rho: DensityMatrix, keep_qubit: int) -> DensityMatrix:
 
 
 def purity_stack(rhos: np.ndarray) -> np.ndarray:
-    """Tr(rho^2) of every matrix of an (n, d, d) stack; 1 for pure states,
-    1/d for the maximally mixed state."""
-    return np.real(np.trace(rhos @ rhos, axis1=-2, axis2=-1))
+    """Tr(rho^2) of every matrix of an (n, d, d) stack, checked as
+    ``DensityMatrix`` checks one; 1 for pure states, 1/d for the maximally
+    mixed state."""
+    return _purity(_check_densities(rhos))
+
+
+def _purity(rhos: np.ndarray) -> np.ndarray:
+    """:func:`purity_stack` of a stack that is already checked."""
+    return np.real((rhos @ rhos).trace(axis1=-2, axis2=-1))
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import DensityMatrix, partial_trace_stack
+from .linalg import DensityMatrix, _check_densities, _partial_trace, partial_trace_stack
 from .oracles import Parity
 
 if TYPE_CHECKING:
@@ -60,10 +60,12 @@ class CoherenceDecomposition:
 
 
 def decompose_coherences_stack(rhos: np.ndarray) -> CoherenceDecomposition:
-    """Assign every entry of an (n, 4, 4) stack of two-qubit density matrices
-    to its coherence order; each component is an (n, 4, 4) stack too."""
+    """Assign every entry of an (n, 4, 4) stack of two-qubit density matrices,
+    checked as ``DensityMatrix`` checks one, to its coherence order; each
+    component is an (n, 4, 4) stack too."""
     if rhos.shape[1:] != (4, 4):
         raise ValueError("coherence decomposition expects a two-qubit density matrix")
+    _check_densities(rhos)
     orders = {k: np.where(_ORDER_MATRIX == k, rhos, 0.0 + 0.0j) for k in COHERENCE_ORDERS}
     return CoherenceDecomposition(orders=orders)
 
@@ -95,9 +97,10 @@ class ObservabilityReport:
 
 def transverse_magnetization_stack(rhos: np.ndarray, qubit: int) -> np.ndarray:
     """Off-diagonal magnitude of one qubit's reduced density matrix, for every
-    matrix of an (n, 4, 4) stack: the size of that spin's single-quantum
-    coherence, hence of its contribution to the spectrum. Subtracting any
-    multiple of the identity (which carries no signal) would not change it."""
+    matrix of an (n, 4, 4) stack, checked by :func:`partial_trace_stack`: the
+    size of that spin's single-quantum coherence, hence of its contribution to
+    the spectrum. Subtracting any multiple of the identity (which carries no
+    signal) would not change it."""
     return np.abs(partial_trace_stack(rhos, qubit)[:, 0, 1])
 
 
@@ -113,11 +116,12 @@ def _weight(components: np.ndarray) -> np.ndarray:
 
 def observability_stack(rhos: np.ndarray) -> list[ObservabilityReport]:
     """Spectral observability summaries of an (n, 4, 4) stack of two-qubit
-    density matrices, one report per matrix."""
+    density matrices, one report per matrix. The stack is checked once, by
+    the decomposition."""
     orders = decompose_coherences_stack(rhos).orders
     single = _weight(orders[1]) + _weight(orders[-1])
     zero_quantum = _weight(np.where(np.eye(4, dtype=bool), 0.0 + 0.0j, orders[0]))
-    magnetizations = [transverse_magnetization_stack(rhos, qubit) for qubit in (1, 2)]
+    magnetizations = [np.abs(_partial_trace(rhos, qubit)[:, 0, 1]) for qubit in (1, 2)]
     columns = (single, zero_quantum, *magnetizations)
     return [
         ObservabilityReport(s > OBSERVABLE_THRESHOLD, s, z, m1, m2)

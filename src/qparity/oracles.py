@@ -4,12 +4,14 @@ A function f: {0,1}^2 -> {0,1} is stored as its four output bits in input
 order (00), (01), (10), (11). There are 16 such functions. Each one is
 encoded as the diagonal unitary that multiplies basis state |x> by
 (-1)^f(x); functions with an even number of ones in the output are called
-even, the rest odd.
+even, the rest odd. :func:`oracle_signs` states that sign law once, as one
+diagonal row per function, for the circuits, oracles and separability test.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -84,28 +86,36 @@ def classify(f: TruthTable) -> FunctionClass:
     return FunctionClass(ones=ones, zeros=4 - ones, parity=parity)
 
 
+def oracle_signs(functions: Iterable[TruthTable]) -> np.ndarray:
+    """Diagonals of the phase oracles of ``functions``: an (n, 4) array whose
+    row k holds (-1)^f(x) for the k-th function at x = 00, 01, 10, 11."""
+    outputs = np.array([f.outputs for f in functions], dtype=float).reshape(-1, 4)
+    return 1.0 - 2.0 * outputs
+
+
 def build_oracle(f: TruthTable) -> UnitaryOperator:
     """Phase oracle of f: the diagonal unitary with entries (-1)^f(x).
 
     The diagonal follows the basis order |00>, |01>, |10>, |11>, so the
-    matrix is diag((-1)^f(00), (-1)^f(01), (-1)^f(10), (-1)^f(11)). Every
-    oracle is self-inverse.
+    matrix is diag((-1)^f(00), (-1)^f(01), (-1)^f(10), (-1)^f(11)), the row
+    of :func:`oracle_signs`. Every oracle is self-inverse.
     """
-    signs = [(-1.0) ** bit for bit in f.outputs]
-    return UnitaryOperator(np.diag(signs).astype(np.complex128))
+    return UnitaryOperator(np.diag(oracle_signs((f,))[0]))
+
+
+def separable_signs(diagonals: np.ndarray) -> np.ndarray:
+    """Which rows (d00, d01, d10, d11) of an (n, 4) stack of +-1 oracle
+    diagonals factor as A (x) B with 2x2 diagonal A, B: exactly those whose
+    2x2 array M[x1, x2] = d_{x1 x2} has rank one, i.e. minor d00*d11 - d01*d10
+    zero. No parity enters, so parity <-> separability stays a checkable fact.
+    The minor is 0 or +-2, so it is compared with 1, not a tolerance."""
+    d00, d01, d10, d11 = np.asarray(diagonals).T
+    return np.abs(d00 * d11 - d01 * d10) < 1.0
 
 
 def is_separable_oracle(u: UnitaryOperator) -> bool:
-    """Whether a diagonal sign matrix factors as A (x) B with 2x2 diagonal A, B.
-
-    Arranging the diagonal (d00, d01, d10, d11) as the 2x2 array
-    M[x1, x2] = d_{x1 x2}, the operator is a tensor product exactly when M
-    has rank one, i.e. when the single 2x2 minor d00*d11 - d01*d10 vanishes.
-    That minor criterion is used directly here; no parity information about
-    the underlying function enters, so the correspondence between parity and
-    separability stays an independently checkable fact. With entries +1 or
-    -1 the minor is 0 or +-2, so it is compared with 1 rather than with a
-    tolerance.
+    """Whether a diagonal sign matrix factors as A (x) B with 2x2 diagonal A, B:
+    the minor rule of :func:`separable_signs` on its diagonal.
 
     Raises ValueError unless ``u`` is 4x4, diagonal, with entries +1 or -1,
     each within ``DEFAULT_TOL``.
@@ -119,8 +129,7 @@ def is_separable_oracle(u: UnitaryOperator) -> bool:
         raise ValueError("separability test expects a diagonal operator")
     if np.max(np.minimum(np.abs(diag - 1.0), np.abs(diag + 1.0))) > DEFAULT_TOL:
         raise ValueError("separability test expects diagonal entries +1 or -1")
-    minor = diag[0] * diag[3] - diag[1] * diag[2]
-    return bool(abs(minor) < 1.0)
+    return bool(separable_signs(diag[None])[0])
 
 
 def enumerate_functions() -> list[TruthTable]:

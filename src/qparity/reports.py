@@ -22,7 +22,7 @@ from .entanglement import EntanglementReport, analyze_pure_state_stack
 from .linalg import StateVector, density_from_state_stack
 from .nmr import ObservabilityReport, observability_stack
 from .oracles import (
-    FunctionClass, TruthTable, build_oracle, classify, enumerate_functions, is_separable_oracle
+    FunctionClass, TruthTable, classify, enumerate_functions, oracle_signs, separable_signs
 )
 
 CLASS_ORDER = (0, 1, 2, 3, 4)  # number of ones, i.e. [0,4] .. [4,0]
@@ -50,13 +50,17 @@ def _assemble_reports(
     circuits: Sequence[AlgorithmResult],
     dj_verdicts: Sequence[DJVerdict],
 ) -> list[ClassificationReport]:
-    """Bundle the reports, analysing all the final states as one stack."""
+    """Bundle the reports, analysing all the final states as one stack and
+    deciding separability from the stack of oracle signs."""
     finals = np.array([c.final_state.amplitudes for c in circuits]).reshape(len(circuits), 4)
     entanglements = analyze_pure_state_stack(finals)
     observabilities = observability_stack(density_from_state_stack(finals))
+    separable = separable_signs(oracle_signs(functions)).tolist()
     return [
-        ClassificationReport(f, classify(f), is_separable_oracle(build_oracle(f)), dj, c, e, o)
-        for f, c, dj, e, o in zip(functions, circuits, dj_verdicts, entanglements, observabilities)
+        ClassificationReport(f, classify(f), sep, dj, c, e, o)
+        for f, sep, dj, c, e, o in zip(
+            functions, separable, dj_verdicts, circuits, entanglements, observabilities
+        )
     ]
 
 

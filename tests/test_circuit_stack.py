@@ -1,0 +1,155 @@
+"""The stacked circuit sweeps: every step equals a gate-by-gate run through
+the public one-state API, oracles come from one sign stack, and each sweep's
+steps are validated once, as ``StateVector`` validates one state."""
+
+import re
+
+import numpy as np
+import pytest
+
+import qparity.algorithms
+import qparity.linalg
+from qparity import (
+    DJVerdict,
+    StateVector,
+    apply,
+    basis_state,
+    build_oracle,
+    enumerate_functions,
+    hadamard_both,
+    hadamard_second,
+    run_all_checks,
+)
+from qparity.algorithms import (
+    DJ_BALANCED_CUT,
+    DJ_CONSTANT_CUT,
+    run_deutsch_jozsa_sweep,
+    run_even_odd_sweep,
+)
+from qparity.cli import TOLERANCE_ENV_VAR, main
+from qparity.linalg import validated_state_stack
+from qparity.reports import all_reports
+
+
+def reference_steps(f):
+    """The even/odd circuit on f, one validated ``apply`` per gate."""
+    h12, h2, oracle = hadamard_both(), hadamard_second(), build_oracle(f)
+    steps = [basis_state("00")]
+    for gate in (h12, oracle, h2, oracle, h12):
+        steps.append(apply(gate, steps[-1]))
+    return steps
+
+
+def reference_dj_verdict(f):
+    h12 = hadamard_both()
+    final = apply(h12, apply(build_oracle(f), apply(h12, basis_state("00"))))
+    magnitude = abs(final.amplitudes[0])
+    if magnitude > DJ_CONSTANT_CUT:
+        return DJVerdict.CONSTANT
+    if magnitude < DJ_BALANCED_CUT:
+        return DJVerdict.BALANCED
+    return DJVerdict.NEITHER
+
+
+def test_every_step_equals_the_gate_by_gate_route():
+    # Values must match exactly; signed zeros may differ, and `==` ignores them.
+    functions = enumerate_functions()
+    for f, result in zip(functions, run_even_odd_sweep(functions)):
+        reference = reference_steps(f)
+        assert len(result.per_step_states) == len(reference) == 6
+        for swept, expected in zip(result.per_step_states, reference):
+            assert np.all(swept.amplitudes == expected.amplitudes), f.to_string()
+
+
+def test_dj_verdicts_equal_the_one_query_route():
+    functions = enumerate_functions()
+    assert run_deutsch_jozsa_sweep(functions) == [reference_dj_verdict(f) for f in functions]
+
+
+def test_flipped_oracle_sign_fails_verification(capsys, monkeypatch):
+    # One wrong sign in one function's oracle row must fail that function alone.
+    honest = qparity.algorithms.oracle_signs
+
+    def flip_0110(functions):
+        functions = tuple(functions)
+        signs = honest(functions)
+        for row, f in zip(signs, functions):
+            if f.to_string() == "0110":
+                row[0] = -row[0]
+        return signs
+
+    monkeypatch.setattr(qparity.algorithms, "oracle_signs", flip_0110)
+    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+    code = main(["verify"])
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert code == 1
+    assert any(line.startswith("FAIL final_state_sign_law: 0110: ") for line in failed)
+    assert set(re.findall(r"\b[01]{4}\b", "\n".join(failed))) == {"0110"}
+    assert lines[-1] == "15/16 functions verified, classical_min_queries=4"
+
+
+def test_sweeps_build_no_state_vector_and_one_oracle_per_probe(monkeypatch):
+    # The circuits' states are rows of one validated stack, and their oracles
+    # are sign rows; only verify's oracle_properties probe builds oracles.
+    honest_init = qparity.linalg.StateVector.__init__
+    state_inits = 0
+
+    def counting_init(self, amplitudes):
+        nonlocal state_inits
+        state_inits += 1
+        honest_init(self, amplitudes)
+
+    honest_build = qparity.oracles.build_oracle
+    oracle_builds = {}
+    for name, module in list(vars(qparity).items()):
+        if getattr(module, "build_oracle", None) is honest_build:
+            def counting_build(f, where=name):
+                oracle_builds[where] = oracle_builds.get(where, 0) + 1
+                return honest_build(f)
+
+            monkeypatch.setattr(module, "build_oracle", counting_build)
+    monkeypatch.setattr(qparity.linalg.StateVector, "__init__", counting_init)
+    all_reports()
+    assert run_all_checks().passed
+    assert state_inits == 0
+    assert oracle_builds == {"verification": 16}
+
+
+class TestStateStackValidation:
+    """``validated_state_stack`` checks with ``StateVector``'s messages."""
+
+    def stack(self):
+        rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]], dtype=complex)
+        return np.repeat(rows[:, None, :], 3, axis=1)  # (2 runs, 3 steps, 4)
+
+    def test_non_finite_row_has_the_state_vector_message(self):
+        steps = self.stack()
+        steps[1, 2, 3] = np.nan
+        with pytest.raises(ValueError) as one:
+            StateVector(steps[1, 2])
+        with pytest.raises(ValueError, match="finite") as stacked:
+            validated_state_stack(steps)
+        assert str(stacked.value) == str(one.value)
+
+    def test_unnormalized_row_has_the_state_vector_message(self):
+        steps = self.stack()
+        steps[0, 1] *= 1.1
+        with pytest.raises(ValueError) as one:
+            StateVector(steps[0, 1])
+        with pytest.raises(ValueError, match="not normalized") as stacked:
+            validated_state_stack(steps)
+        assert str(stacked.value) == str(one.value)
+
+    def test_stack_is_returned_read_only(self):
+        steps = validated_state_stack(self.stack())
+        with pytest.raises(ValueError):
+            steps[0, 0, 0] = 0.0
+
+    def test_every_per_step_state_is_read_only(self):
+        for result in run_even_odd_sweep(enumerate_functions()):
+            assert result.final_state is result.per_step_states[-1]
+            for state in result.per_step_states:
+                assert state.num_qubits == 2
+                with pytest.raises(ValueError):
+                    state.amplitudes[0] = 0.0

@@ -142,3 +142,53 @@ def test_sweeps_construct_no_density_matrix(monkeypatch):
     all_reports()
     assert run_all_checks().passed
     assert calls == 0
+
+
+STACK_FORMS = {
+    "partial_trace_stack": lambda rhos: partial_trace_stack(rhos, 1),
+    "purity_stack": purity_stack,
+    "is_idempotent_stack": is_idempotent_stack,
+    "decompose_coherences_stack": decompose_coherences_stack,
+    "observability_stack": observability_stack,
+    "transverse_magnetization_stack": lambda rhos: transverse_magnetization_stack(rhos, 1),
+}
+
+
+def one_sided(rhos):
+    rhos[1, 0, 1] = 0.1  # <00|rho|01>: traced out by keeping qubit 1
+
+
+def one_sided_double_quantum(rhos):
+    rhos[1, 0, 3] = 0.1  # <00|rho|11>: traced out by keeping either qubit
+
+
+def non_finite(rhos):
+    rhos[0, 2, 2] = np.nan
+
+
+def off_trace(rhos):
+    rhos[1] *= 1.1
+
+
+@pytest.mark.parametrize("name", sorted(STACK_FORMS))
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (one_sided, "not Hermitian"),
+        (one_sided_double_quantum, "not Hermitian"),
+        (non_finite, "finite"),
+        (off_trace, "trace differs from 1"),
+    ],
+)
+def test_stack_forms_check_their_input(name, fault, message):
+    rhos = random_mixed_densities(np.random.default_rng(4), 3)
+    fault(rhos)
+    with pytest.raises(ValueError, match=message):
+        STACK_FORMS[name](rhos)
+
+
+@pytest.mark.parametrize("name", sorted(STACK_FORMS))
+def test_stack_forms_leave_the_input_writable(name):
+    rhos = random_mixed_densities(np.random.default_rng(5), 3)
+    STACK_FORMS[name](rhos)
+    assert rhos.flags.writeable
