@@ -4,11 +4,7 @@ classical query-count baseline they are measured against.
 The main circuit decides whether a function is even or odd with two oracle
 queries. A deterministic classical strategy needs all four input points, a
 fact :func:`classical_min_queries` establishes by exhaustive search over
-adaptive decision trees.
-
-Each sweep simulates all its functions as one (n, 4) array: a gate acts on
-each row as ``gate @ state``, rounding as ``apply`` does, and an oracle query
-multiplies each row by its function's :func:`~qparity.oracles.oracle_signs`.
+adaptive decision trees. Each sweep simulates all its functions as one array.
 """
 
 from __future__ import annotations
@@ -59,7 +55,8 @@ class AlgorithmResult:
 def _circuit_steps(signs: np.ndarray, sequence: tuple[UnitaryOperator | None, ...]) -> np.ndarray:
     """Every state, from |00> on, of one circuit run per row of an (n, 4) sign
     stack, as one validated (n, len(sequence) + 1, 4) stack: each gate acts as
-    ``gate @ state`` and each ``None`` queries the oracle, a sign multiply."""
+    ``gate @ state``, rounding as ``apply`` does bit for bit, and each ``None``
+    queries the oracle, multiplying each state by its row of signs."""
     state = np.zeros(signs.shape, dtype=np.complex128)
     state[:, 0] = 1.0
     steps = [state]

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DensityMatrix, IDEMPOTENCY_TOL, StateVector, _check_densities, _partial_trace, _purity,
-    density_from_state_stack,
+    DensityMatrix, IDEMPOTENCY_TOL, StateVector, _check_densities, density_from_state_stack,
+    partial_trace_stack, purity_stack,
 )
 
 ENTANGLEMENT_THRESHOLD = 1e-10
@@ -50,7 +50,7 @@ def analyze_pure_state_stack(amplitudes) -> list[EntanglementReport]:
     a, b, c, d = amps.T
     concurrence = 2.0 * np.abs(a * d - b * c)
     rhos = density_from_state_stack(amps)
-    reduced1 = _partial_trace(rhos, 1)
+    reduced1 = partial_trace_stack(rhos, 1)
     # The squared Schmidt coefficients are the eigenvalues (1 +- spread)/2 of
     # the trace-normalized reduced matrix [[p, q], [q*, 1 - p]], with
     # spread = hypot(2p - 1, 2|q|), and lam1 * lam2 = |ad - bc|. Unlike
@@ -59,8 +59,8 @@ def analyze_pure_state_stack(amplitudes) -> list[EntanglementReport]:
     p, q = reduced1[:, 0, 0].real / norm, np.abs(reduced1[:, 0, 1]) / norm
     lam1 = np.sqrt((1.0 + np.hypot(2.0 * p - 1.0, 2.0 * q)) / 2.0)
     lam2 = concurrence / (2.0 * norm * lam1)
-    purity1 = _purity(reduced1)
-    purity2 = _purity(_partial_trace(rhos, 2))
+    purity1 = purity_stack(reduced1)
+    purity2 = purity_stack(partial_trace_stack(rhos, 2))
     columns = (concurrence, lam1, lam2, purity1, purity2)
     return [
         EntanglementReport(conc, (l1, l2), conc > ENTANGLEMENT_THRESHOLD, p1, p2)

@@ -22,7 +22,7 @@ MAX_QUBITS = 12
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must have finite entries (no NaN or infinity)")
     return arr
 
@@ -91,7 +91,8 @@ def validated_state_stack(amplitudes: np.ndarray) -> np.ndarray:
     read-only after checking as ``StateVector`` does that every entry is
     finite and every row has unit norm within ``DEFAULT_TOL``."""
     _check_finite(amplitudes, "state vector")
-    norm_error = float(np.abs((np.abs(amplitudes) ** 2).sum(axis=-1) - 1.0).max(initial=0.0))
+    norms = np.sum(np.abs(amplitudes) ** 2, axis=-1)
+    norm_error = float(np.max(np.abs(norms - 1.0), initial=0.0))
     if norm_error > DEFAULT_TOL:
         raise ValueError(
             f"state vector is not normalized: |sum(|a|^2) - 1| = {norm_error:.3e}"
@@ -104,13 +105,13 @@ def _check_densities(arr: np.ndarray) -> np.ndarray:
     """Check that a matrix, or each matrix of a stack, has finite entries, is
     Hermitian and has unit trace within ``DEFAULT_TOL``; returns ``arr``."""
     _check_finite(arr, "density matrix")
-    hermiticity_error = float(np.abs(arr - arr.conj().swapaxes(-1, -2)).max(initial=0.0))
+    hermiticity_error = float(np.max(np.abs(arr - arr.conj().swapaxes(-1, -2)), initial=0.0))
     if hermiticity_error > DEFAULT_TOL:
         raise ValueError(
             f"density matrix is not Hermitian: max deviation {hermiticity_error:.3e}"
             f" > {DEFAULT_TOL:.3e}"
         )
-    trace_error = float(np.abs(arr.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
+    trace_error = float(np.max(np.abs(np.trace(arr, axis1=-2, axis2=-1) - 1.0), initial=0.0))
     if trace_error > DEFAULT_TOL:
         raise ValueError(
             f"density matrix trace differs from 1 by {trace_error:.3e} > {DEFAULT_TOL:.3e}"
@@ -247,12 +248,7 @@ def partial_trace_stack(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:
         raise ValueError("partial_trace expects a two-qubit density matrix")
     if keep_qubit not in (1, 2):
         raise ValueError(f"keep_qubit must be 1 or 2, got {keep_qubit!r}")
-    return _partial_trace(_check_densities(rhos), keep_qubit)
-
-
-def _partial_trace(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:
-    """:func:`partial_trace_stack` of a stack that is already checked."""
-    blocks = rhos.reshape(-1, 2, 2, 2, 2)  # [n, i1, i2, j1, j2]
+    blocks = _check_densities(rhos).reshape(-1, 2, 2, 2, 2)  # [n, i1, i2, j1, j2]
     reduced = np.einsum("nakbk->nab" if keep_qubit == 1 else "nkakb->nab", blocks)
     return _frozen(_check_densities(reduced))
 
@@ -266,12 +262,8 @@ def purity_stack(rhos: np.ndarray) -> np.ndarray:
     """Tr(rho^2) of every matrix of an (n, d, d) stack, checked as
     ``DensityMatrix`` checks one; 1 for pure states, 1/d for the maximally
     mixed state."""
-    return _purity(_check_densities(rhos))
-
-
-def _purity(rhos: np.ndarray) -> np.ndarray:
-    """:func:`purity_stack` of a stack that is already checked."""
-    return np.real((rhos @ rhos).trace(axis1=-2, axis2=-1))
+    _check_densities(rhos)
+    return np.real(np.trace(rhos @ rhos, axis1=-2, axis2=-1))
 
 
 def purity(rho: DensityMatrix) -> float:

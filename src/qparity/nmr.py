@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import DensityMatrix, _check_densities, _partial_trace, partial_trace_stack
+from .linalg import DensityMatrix, _check_densities, partial_trace_stack
 from .oracles import Parity
 
 if TYPE_CHECKING:
@@ -116,12 +116,11 @@ def _weight(components: np.ndarray) -> np.ndarray:
 
 def observability_stack(rhos: np.ndarray) -> list[ObservabilityReport]:
     """Spectral observability summaries of an (n, 4, 4) stack of two-qubit
-    density matrices, one report per matrix. The stack is checked once, by
-    the decomposition."""
+    density matrices, one report per matrix."""
     orders = decompose_coherences_stack(rhos).orders
     single = _weight(orders[1]) + _weight(orders[-1])
     zero_quantum = _weight(np.where(np.eye(4, dtype=bool), 0.0 + 0.0j, orders[0]))
-    magnetizations = [np.abs(_partial_trace(rhos, qubit)[:, 0, 1]) for qubit in (1, 2)]
+    magnetizations = [transverse_magnetization_stack(rhos, qubit) for qubit in (1, 2)]
     columns = (single, zero_quantum, *magnetizations)
     return [
         ObservabilityReport(s > OBSERVABLE_THRESHOLD, s, z, m1, m2)

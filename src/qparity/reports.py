@@ -50,8 +50,7 @@ def _assemble_reports(
     circuits: Sequence[AlgorithmResult],
     dj_verdicts: Sequence[DJVerdict],
 ) -> list[ClassificationReport]:
-    """Bundle the reports, analysing all the final states as one stack and
-    deciding separability from the stack of oracle signs."""
+    """Bundle the reports, analysing all final states and oracle signs as stacks."""
     finals = np.array([c.final_state.amplitudes for c in circuits]).reshape(len(circuits), 4)
     entanglements = analyze_pure_state_stack(finals)
     observabilities = observability_stack(density_from_state_stack(finals))
