@@ -7,6 +7,10 @@ verification failure, 2 usage error. The environment variable
 (default 1e-12). Every command rejects a value that is not finite or is below
 1e-13 as a usage error; no other command reads it, and no verdict depends on
 it.
+
+The argument parser is built once, when this module is imported, and only
+read afterwards, so ``main`` may be called repeatedly and concurrently in
+one process; ``QPARITY_TOLERANCE`` is still read on every call.
 """
 
 from __future__ import annotations
@@ -262,10 +266,12 @@ _HANDLERS = {
 }
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
 

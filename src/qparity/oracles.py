@@ -132,6 +132,10 @@ def is_separable_oracle(u: UnitaryOperator) -> bool:
     return bool(separable_signs(diag[None])[0])
 
 
+_ALL_FUNCTIONS = tuple(TruthTable(bits) for bits in itertools.product((0, 1), repeat=4))
+
+
 def enumerate_functions() -> list[TruthTable]:
-    """All 16 functions in ascending binary order of (f(00), f(01), f(10), f(11))."""
-    return [TruthTable(bits) for bits in itertools.product((0, 1), repeat=4)]
+    """All 16 functions in ascending binary order of (f(00), f(01), f(10), f(11)),
+    as a new list the caller owns."""
+    return list(_ALL_FUNCTIONS)

@@ -1,11 +1,14 @@
 """Command-line behavior: output formats, exit codes, JSON stability."""
 
+import argparse
+import collections
 import contextlib
 import functools
 import io
 import json
 import os
 import re
+import sys
 import threading
 from unittest import mock
 
@@ -25,7 +28,9 @@ from qparity import (
     run_all_checks,
     to_canonical_json,
 )
-from qparity.cli import main
+from qparity.cli import TOLERANCE_ENV_VAR, build_parser, main
+
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 
 
 def run_cli(capsys, *args):
@@ -359,3 +364,114 @@ class TestUsage:
     def test_unknown_command_is_a_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
+
+
+PARSE_EXITS = [
+    [],
+    ["frobnicate"],
+    ["classify"],
+    ["classify", "01x1"],
+    ["run", "0001", "--bogus"],
+    ["table", "extra"],
+    ["--help"],
+    ["classify", "--help"],
+]
+
+
+@functools.cache
+def golden_entry(*argv):
+    with open(GOLDEN_PATH) as fh:
+        return next(entry for entry in json.load(fh) if entry["argv"] == list(argv))
+
+
+class _PerThreadStream:
+    """A text stream that keeps each thread's writes apart. ``print`` writes a
+    line and its newline in two calls, so in one shared stream another
+    thread's output could land in the middle of a line."""
+
+    def __init__(self):
+        self.writes = collections.defaultdict(list)
+
+    def write(self, text):
+        self.writes[threading.current_thread()].append(text)
+        return len(text)
+
+    def text(self, thread):
+        return "".join(self.writes[thread])
+
+
+class TestSharedParser:
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argvs = [
+            ["classify", "0110"],
+            ["run", "0110", "--trace"],
+            ["dj", "0110"],
+            ["table", "--json"],
+            ["verify", "--json"],
+            ["dj", "01x1"],
+            ["--help"],
+        ]
+        assert [main(argv) for argv in argvs] == [0, 0, 0, 0, 0, 2, 0]
+        assert built == []
+
+    @pytest.mark.parametrize("argv", PARSE_EXITS, ids=lambda argv: " ".join(argv) or "none")
+    def test_shared_parser_matches_a_fresh_one(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+        shared = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        fresh = capsys.readouterr()
+        assert shared == (exc.value.code, fresh.out, fresh.err)
+        # A failed parse leaves nothing behind for the next call.
+        golden = golden_entry("classify", "0110", "--json")
+        assert run_cli(capsys, *golden["argv"]) == (golden["exit_code"], golden["stdout"], "")
+
+    def test_concurrent_main_calls_equal_a_serial_run(self, monkeypatch):
+        monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+        argvs = [["dj", format(i % 16, "04b")] for i in range(50)]
+        argvs.insert(25, ["dj", "01x1"])
+        stdout, stderr = _PerThreadStream(), _PerThreadStream()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", stderr)
+
+        def run_all():
+            return [main(argv) for argv in argvs]
+
+        serial_codes = run_all()
+        main_thread = threading.current_thread()
+        results, errors = {}, []
+
+        def work():
+            try:
+                results[threading.current_thread()] = run_all()
+            except Exception as exc:  # surfaced below; a thread cannot fail the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert serial_codes.count(2) == 1 and serial_codes.count(0) == 50
+        assert [results[t] for t in threads] == [serial_codes] * 4
+        for stream in (stdout, stderr):
+            serial = stream.text(main_thread)
+            assert [stream.text(t) for t in threads] == [serial] * 4
+        assert "truth table must be 4 bits" in stderr.text(main_thread)
