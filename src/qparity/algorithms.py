@@ -9,6 +9,7 @@ adaptive decision trees. Each sweep simulates all its functions as one array.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -153,35 +154,36 @@ def classical_min_queries(
     """
     pool = tuple(enumerate_functions() if functions is None else functions)
     # Candidate sets are bitmasks over pool positions: bit k stands for pool[k].
+    labels = [label(f) for f in pool]
     label_masks: dict[object, int] = {}
-    for k, f in enumerate(pool):
-        value = label(f)
+    for k, value in enumerate(labels):
         label_masks[value] = label_masks.get(value, 0) | 1 << k
+    same_label = [label_masks[value] for value in labels]  # pool[k]'s label class
     zero_masks = [
         sum(1 << k for k, f in enumerate(pool) if f.evaluate(point) == 0)
         for point in range(4)
     ]
-    memo: dict[int, int] = {}
 
+    @functools.cache  # every candidate set, pure ones included
     def depth(candidates: int) -> int:
-        cached = memo.get(candidates)
-        if cached is not None:
-            return cached
-        if sum(1 for mask in label_masks.values() if candidates & mask) <= 1:
-            return 0
+        lowest = (candidates & -candidates).bit_length() - 1
+        if not candidates & ~same_label[lowest]:
+            return 0  # every candidate shares the label of the lowest one
         best: int | None = None
         for zeros in zero_masks:
             answers_zero = candidates & zeros
             answers_one = candidates & ~zeros
             if not answers_zero or not answers_one:
                 continue  # uninformative point: every candidate agrees here
-            cost = 1 + max(depth(answers_zero), depth(answers_one))
+            cost = 1 + depth(answers_zero)
+            if best is not None and cost >= best:
+                continue  # the other branch can only raise this split's cost
+            cost = max(cost, 1 + depth(answers_one))
             if best is None or cost < best:
                 best = cost
         # A mixed-label set always contains two functions differing at some
         # point, so at least one informative split exists.
         assert best is not None
-        memo[candidates] = best
         return best
 
-    return depth((1 << len(pool)) - 1)
+    return depth((1 << len(pool)) - 1) if pool else 0

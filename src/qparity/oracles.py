@@ -93,14 +93,22 @@ def oracle_signs(functions: Iterable[TruthTable]) -> np.ndarray:
     return 1.0 - 2.0 * outputs
 
 
+_ALL_FUNCTIONS = tuple(TruthTable(bits) for bits in itertools.product((0, 1), repeat=4))
+# One validated, immutable oracle per function, shared by every caller and thread.
+_ORACLES = {
+    f: UnitaryOperator(np.diag(d)) for f, d in zip(_ALL_FUNCTIONS, oracle_signs(_ALL_FUNCTIONS))
+}
+
+
 def build_oracle(f: TruthTable) -> UnitaryOperator:
     """Phase oracle of f: the diagonal unitary with entries (-1)^f(x).
 
     The diagonal follows the basis order |00>, |01>, |10>, |11>, so the
     matrix is diag((-1)^f(00), (-1)^f(01), (-1)^f(10), (-1)^f(11)), the row
-    of :func:`oracle_signs`. Every oracle is self-inverse.
+    of :func:`oracle_signs`. Every oracle is self-inverse. Each call returns
+    the one read-only oracle of f, validated when the module was imported.
     """
-    return UnitaryOperator(np.diag(oracle_signs((f,))[0]))
+    return _ORACLES[f]
 
 
 def separable_signs(diagonals: np.ndarray) -> np.ndarray:
@@ -130,9 +138,6 @@ def is_separable_oracle(u: UnitaryOperator) -> bool:
     if np.max(np.minimum(np.abs(diag - 1.0), np.abs(diag + 1.0))) > DEFAULT_TOL:
         raise ValueError("separability test expects diagonal entries +1 or -1")
     return bool(separable_signs(diag[None])[0])
-
-
-_ALL_FUNCTIONS = tuple(TruthTable(bits) for bits in itertools.product((0, 1), repeat=4))
 
 
 def enumerate_functions() -> list[TruthTable]:

@@ -2,15 +2,16 @@
 
 Complex numbers serialize as two-element [re, im] arrays. JSON output is
 canonical: keys sorted, two-space indent, floats in Python's shortest
-round-trip form, so parsing and re-serializing reproduces the bytes.
+round-trip form, so parsing and re-serializing reproduces the bytes. They
+are ``json.dumps(data, indent=2, sort_keys=True)``'s, written in one pass.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .oracles import (
 )
 
 CLASS_ORDER = (0, 1, 2, 3, 4)  # number of ones, i.e. [0,4] .. [4,0]
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,29 @@ def class_summary_rows(reports: list[ClassificationReport]) -> list[dict]:
     return rows
 
 
+def _canonical(x, indent: str) -> str:
+    """JSON text of ``x`` after ``indent``, a newline and the outer spaces."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _NON_FINITE.get(text := float.__repr__(x), text)
+    inner = indent + "  "
+    if isinstance(x, (list, tuple)):
+        items = [_canonical(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(x, dict):
+        items = [encode_basestring_ascii(k) + ": " + _canonical(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def to_canonical_json(data) -> str:
-    """Serialize with sorted keys and fixed layout; loads/dumps is byte-stable."""
-    return json.dumps(data, indent=2, sort_keys=True)
+    """Serialize as ``json.dumps(data, indent=2, sort_keys=True)`` would, so
+    loads/dumps is byte-stable. ``data`` nests str-keyed dicts, lists, tuples,
+    str, int, float (NaN and infinities too), bool and None; anything else,
+    unlike in ``json`` a non-``str`` key too, raises TypeError."""
+    return _canonical(data, "\n")

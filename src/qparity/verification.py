@@ -127,15 +127,15 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
     def sweep(name: str):
         """Run the decorated probe now as check ``name``. It returns rules
         (mask, template, *columns); function i gets the note
-        ``template.format(column[i], ...)`` of each rule whose mask[i] is true."""
+        ``template.format(column[i], ...)`` of each rule whose mask[i] is true,
+        in rule order, and only those notes are formatted."""
 
         def run(probe) -> None:
             try:
-                rules = probe()
-                per_function = [
-                    [t.format(*(c[i] for c in columns)) for mask, t, *columns in rules if mask[i]]
-                    for i in range(len(reports))
-                ]
+                per_function = [[] for _ in reports]
+                for mask, t, *columns in probe():
+                    for i in np.flatnonzero(mask).tolist():
+                        per_function[i].append(t.format(*(c[i] for c in columns)))
             except Exception as exc:
                 per_function = [[f"check raised {exc!r}"]] * len(reports)
             failed_functions.update(b for b, msgs in zip(bits, per_function) if msgs)

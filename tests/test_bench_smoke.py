@@ -1,9 +1,12 @@
 """Smoke test of the benchmark's in-process entry points.
 
-Runs ``bench/worker.py`` briefly for the ``calls`` and ``batch`` workloads,
-which call ``classification_report``, ``report_to_jsonable``,
-``TruthTable.from_string`` and ``run_even_odd`` and check every answer. No
-assertion depends on a timing.
+Runs ``bench/worker.py`` briefly for each workload and checks every answer
+with ``bench/checker.py``: ``calls`` and ``batch`` call
+``classification_report``, ``report_to_jsonable``, ``TruthTable.from_string``,
+``run_even_odd`` and ``cli.main`` in-process; ``cli`` runs each of the five
+commands as a real ``python -m qparity.cli`` subprocess, so an import-time
+failure or an output difference that only the command line shows fails here.
+No assertion depends on a timing.
 """
 
 import json
@@ -16,7 +19,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["calls", "batch"])
+@pytest.mark.parametrize("workload", ["calls", "batch", "cli"])
 def test_worker_runs_and_every_op_passes(workload):
     done = subprocess.run(
         [

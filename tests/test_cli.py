@@ -475,3 +475,40 @@ class TestSharedParser:
             serial = stream.text(main_thread)
             assert [stream.text(t) for t in threads] == [serial] * 4
         assert "truth table must be 4 bits" in stderr.text(main_thread)
+
+    def test_concurrent_batch_pairs_equal_a_serial_run(self, monkeypatch):
+        # The table + verify pair of the batch path shares the oracle table,
+        # the parser and the JSON writer between threads.
+        monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+        argvs = [["table", "--json"], ["verify", "--json"]] * 5
+        stdout, stderr = _PerThreadStream(), _PerThreadStream()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        serial_codes = [main(argv) for argv in argvs]
+        main_thread = threading.current_thread()
+        results, errors = {}, []
+
+        def work():
+            try:
+                results[threading.current_thread()] = [main(argv) for argv in argvs]
+            except Exception as exc:  # surfaced below; a thread cannot fail the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert serial_codes == [0] * 10
+        assert [results[t] for t in threads] == [serial_codes] * 4
+        serial = stdout.text(main_thread)
+        assert serial.count('"functions_verified": 16') == 5
+        assert [stdout.text(t) for t in threads] == [serial] * 4
+        assert [stderr.text(t) for t in [main_thread, *threads]] == [""] * 5

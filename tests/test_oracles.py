@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qparity.linalg
 from qparity import (
     Parity,
     TruthTable,
@@ -14,7 +15,10 @@ from qparity import (
     enumerate_functions,
     hadamard_both,
     is_separable_oracle,
+    run_all_checks,
 )
+from qparity.oracles import oracle_signs
+from qparity.reports import all_reports
 
 
 def table(bits: str) -> TruthTable:
@@ -72,6 +76,40 @@ class TestBuildOracle:
             m = build_oracle(f).entries
             assert np.max(np.abs(m - np.diag(np.diagonal(m)))) == 0
             np.testing.assert_allclose(m @ m, np.eye(4), atol=1e-12)
+
+
+class TestOracleTable:
+    """The 16 oracles are built and validated once, at import, and shared."""
+
+    def test_every_oracle_equals_a_fresh_build_and_is_read_only(self):
+        for f in enumerate_functions():
+            shared = build_oracle(f).entries
+            fresh = UnitaryOperator(np.diag(oracle_signs((f,))[0])).entries
+            assert shared.dtype == fresh.dtype and shared.tobytes() == fresh.tobytes()
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0, 0] = -shared[0, 0]
+
+    def test_repeated_calls_return_the_same_object(self):
+        for f in enumerate_functions():
+            oracle = build_oracle(f)
+            assert build_oracle(f) is oracle
+            assert build_oracle(table(f.to_string())) is oracle
+
+    def test_verify_constructs_only_the_reports_gates(self, monkeypatch):
+        honest_init = qparity.linalg.UnitaryOperator.__init__
+        inits = 0
+
+        def counting_init(self, entries):
+            nonlocal inits
+            inits += 1
+            honest_init(self, entries)
+
+        monkeypatch.setattr(qparity.linalg.UnitaryOperator, "__init__", counting_init)
+        all_reports()
+        report_inits, inits = inits, 0
+        assert run_all_checks().passed
+        assert inits == report_inits > 0
 
 
 class TestClassify:
