@@ -6,6 +6,7 @@ encoded as the diagonal unitary that multiplies basis state |x> by
 (-1)^f(x); functions with an even number of ones in the output are called
 even, the rest odd. :func:`oracle_signs` states that sign law once, as one
 diagonal row per function, for the circuits, oracles and separability test.
+The 16 oracles are built from those rows and validated once, at import.
 """
 
 from __future__ import annotations

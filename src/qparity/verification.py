@@ -126,14 +126,16 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
 
     def sweep(name: str):
         """Run the decorated probe now as check ``name``. It returns rules
-        (mask, template, *columns); function i gets the note
-        ``template.format(column[i], ...)`` of each rule whose mask[i] is true,
-        in rule order, and only those notes are formatted."""
+        (mask, template, *columns), each mask with one row per report; function
+        i gets the note ``template.format(column[i], ...)`` of each rule whose
+        mask[i] is true, in rule order, and only those notes are formatted."""
 
         def run(probe) -> None:
             try:
                 per_function = [[] for _ in reports]
                 for mask, t, *columns in probe():
+                    if len(mask) != len(reports):
+                        raise ValueError(f"rule {t!r} has {len(mask)} rows, not {len(reports)}")
                     for i in np.flatnonzero(mask).tolist():
                         per_function[i].append(t.format(*(c[i] for c in columns)))
             except Exception as exc:

@@ -104,6 +104,24 @@ def test_cancelling_schmidt_formula_is_caught(capsys, monkeypatch):
     assert summary == "8/16 functions verified, classical_min_queries=4"
 
 
+def test_probe_rule_missing_a_row_fails_its_check(capsys, monkeypatch):
+    # Only the qubit-1 trace rule reads the short stack, so its mask misses
+    # the last function; a rule must cover every report or the check fails.
+    honest = qparity.verification.partial_trace_stack
+    monkeypatch.setattr(
+        qparity.verification,
+        "partial_trace_stack",
+        lambda rhos, keep: honest(rhos, keep)[:-1] if keep == 1 else honest(rhos, keep),
+    )
+    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+    code = main(["verify"])
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert code == 1
+    assert len(failed) == 1 and failed[0].startswith("FAIL reduced_density_forms: 0000: check raised")
+    assert lines[-1] == "0/16 functions verified, classical_min_queries=4"
+
+
 def snapshot():
     reports = to_canonical_json([report_to_jsonable(r) for r in all_reports()])
     outcome = run_all_checks()
