@@ -4,9 +4,9 @@ Commands: ``classify``, ``run``, ``dj``, ``table``, ``verify``. All results
 go to stdout; diagnostics go to stderr. Exit codes: 0 success, 1
 verification failure, 2 usage error. The environment variable
 ``QPARITY_TOLERANCE`` sets the tolerance of the checks of ``verify``
-(default 1e-12). Every command rejects a value that is not finite or is below
-1e-13 as a usage error; no other command reads it, and no verdict depends on
-it.
+(default ``linalg.DEFAULT_TOL``). Every command rejects a value that
+``linalg.checked_tolerance`` rejects as a usage error; no other command reads
+it, and no verdict depends on it.
 
 The argument parser is built once, when this module is imported, and only
 read afterwards, so ``main`` may be called repeatedly and concurrently in
@@ -16,7 +16,6 @@ one process; ``QPARITY_TOLERANCE`` is still read on every call.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -26,7 +25,7 @@ from .algorithms import (
     run_deutsch_jozsa_2bit,
     run_even_odd,
 )
-from .linalg import DEFAULT_TOL, StateVector
+from .linalg import DEFAULT_TOL, DISPLAY_FLOOR, StateVector, checked_tolerance
 from .oracles import MALFORMED_TABLE_MESSAGE, TruthTable, classify
 from .reports import (
     all_reports,
@@ -36,7 +35,7 @@ from .reports import (
     state_to_jsonable,
     to_canonical_json,
 )
-from .verification import MIN_TOLERANCE, run_all_checks
+from .verification import run_all_checks
 
 TOLERANCE_ENV_VAR = "QPARITY_TOLERANCE"
 
@@ -97,9 +96,9 @@ def format_state(s: StateVector) -> str:
     """Render a state as a signed sum of kets, e.g. 0.707107|01> - 0.707107|10>."""
     parts: list[str] = []
     for label, amp in zip(s.basis_labels(), s.amplitudes):
-        if abs(amp) <= 1e-9:
+        if abs(amp) <= DISPLAY_FLOOR:
             continue
-        if abs(amp.imag) <= 1e-9:
+        if abs(amp.imag) <= DISPLAY_FLOOR:
             value = amp.real
             sign = "-" if value < 0 else "+"
             coefficient = format_float(abs(value))
@@ -275,24 +274,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
 
-    args.tolerance = DEFAULT_TOL
-    raw_tolerance = os.environ.get(TOLERANCE_ENV_VAR)
-    if raw_tolerance is not None:
-        try:
-            args.tolerance = float(raw_tolerance)
-        except ValueError:
-            print(
-                f"error: {TOLERANCE_ENV_VAR} must be a number, got {raw_tolerance!r}",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
-        if not (math.isfinite(args.tolerance) and args.tolerance >= MIN_TOLERANCE):
-            print(
-                f"error: {TOLERANCE_ENV_VAR} must be finite and at least "
-                f"{MIN_TOLERANCE:g}, got {raw_tolerance!r}",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
+    raw_tolerance = os.environ.get(TOLERANCE_ENV_VAR, repr(DEFAULT_TOL))
+    try:
+        args.tolerance = checked_tolerance(float(raw_tolerance))
+    except ValueError as exc:
+        print(f"error: {TOLERANCE_ENV_VAR}={raw_tolerance!r}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
     return _HANDLERS[args.command](args)
 

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DensityMatrix, IDEMPOTENCY_TOL, StateVector, _check_densities, density_from_state_stack,
-    partial_trace_stack, purity_stack,
+    DensityMatrix, IDEMPOTENCY_TOL, StateVector, ZERO_FLOOR, _check_densities,
+    density_from_state_stack, partial_trace_stack, purity_stack,
 )
-
-ENTANGLEMENT_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,7 @@ def analyze_pure_state_stack(amplitudes) -> list[EntanglementReport]:
     purity2 = purity_stack(partial_trace_stack(rhos, 2))
     columns = (concurrence, lam1, lam2, purity1, purity2)
     return [
-        EntanglementReport(conc, (l1, l2), conc > ENTANGLEMENT_THRESHOLD, p1, p2)
+        EntanglementReport(conc, (l1, l2), conc > ZERO_FLOOR, p1, p2)
         for conc, l1, l2, p1, p2 in zip(*(x.tolist() for x in columns))
     ]
 

@@ -5,20 +5,35 @@ so for two qubits the amplitude order is |00>, |01>, |10>, |11>. All
 arithmetic is double-precision complex; validity checks run at construction
 time and fail fast with ValueError.
 
-``DEFAULT_TOL`` is the entrywise tolerance of every constructor's validation
-and of ``states_equal``. It and the other tolerances below are constants:
-nothing rebinds them, so validation is the same in every thread. Only the
-checks of ``qparity verify`` take a tolerance as an argument.
+The table below states every tolerance of the package once. They are
+constants: nothing rebinds them, so validation is the same in every thread.
+Only the checks of ``qparity verify`` take a tolerance as an argument, and
+:func:`checked_tolerance` states the rule for it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-DEFAULT_TOL = 1e-12
-PSD_TOL = 1e-10
-IDEMPOTENCY_TOL = 1e-11
+# The tolerance table; rounding errors are a few 1e-15. Decision cuts (the verdict's 0.5,
+# DJ's 0.75 and 0.25, the separability minor's < 1, verify's 0.25 readout cut) are not
+# tolerances: each sits beside the exact values it splits, at least 0.2 from every one.
+DEFAULT_TOL = 1e-12  # validation of states and operators, states_equal, verify's default
+MIN_TOLERANCE = 1e-13  # least for verify: at 1e-15 correct results fail 8 of 16 functions
+IDEMPOTENCY_TOL = 1e-11  # rho @ rho - rho is a product, so it carries twice the rounding
+ZERO_FLOOR = 1e-10  # smaller concurrences, weights, magnetizations, eigenvalues are rounding
+DISPLAY_FLOOR = 1e-9  # text output leaves out amplitudes and imaginary parts this small
+
 MAX_QUBITS = 12
+
+
+def checked_tolerance(tol: float) -> float:
+    """``tol`` if it is finite and at least ``MIN_TOLERANCE``; raises ValueError otherwise."""
+    if not (math.isfinite(tol) and tol >= MIN_TOLERANCE):
+        raise ValueError(f"tolerance must be finite and at least {MIN_TOLERANCE:g}, got {tol!r}")
+    return tol
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -81,7 +96,7 @@ class StateVector:
         terms = ", ".join(
             f"{label}: {amp:.6g}"
             for label, amp in zip(self.basis_labels(), self._amplitudes)
-            if abs(amp) > 1e-9
+            if abs(amp) > DISPLAY_FLOOR
         )
         return f"StateVector({terms})"
 
@@ -149,7 +164,7 @@ class DensityMatrix:
         return np.linalg.eigvalsh(self._entries)
 
     def is_positive_semidefinite(self) -> bool:
-        return bool(np.all(self.eigenvalues() >= -PSD_TOL))
+        return bool(np.all(self.eigenvalues() >= -ZERO_FLOOR))
 
     def __repr__(self) -> str:
         return f"DensityMatrix(num_qubits={self._num_qubits})"

@@ -18,15 +18,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import DensityMatrix, _check_densities, partial_trace_stack
+from .linalg import DensityMatrix, ZERO_FLOOR, _check_densities, partial_trace_stack
 from .oracles import Parity
 
 if TYPE_CHECKING:
     from .reports import ClassificationReport
 
 COHERENCE_ORDERS = (-2, -1, 0, 1, 2)
-
-OBSERVABLE_THRESHOLD = 1e-10
 
 
 def coherence_order(i: int, j: int) -> int:
@@ -123,7 +121,7 @@ def observability_stack(rhos: np.ndarray) -> list[ObservabilityReport]:
     magnetizations = [transverse_magnetization_stack(rhos, qubit) for qubit in (1, 2)]
     columns = (single, zero_quantum, *magnetizations)
     return [
-        ObservabilityReport(s > OBSERVABLE_THRESHOLD, s, z, m1, m2)
+        ObservabilityReport(s > ZERO_FLOOR, s, z, m1, m2)
         for s, z, m1, m2 in zip(*(x.tolist() for x in columns))
     ]
 
@@ -137,14 +135,14 @@ def observability(rho: DensityMatrix) -> ObservabilityReport:
 def threshold_separates(values_a: Sequence[float], values_b: Sequence[float]) -> bool:
     """Whether some cut point puts the two value families on opposite sides.
 
-    Requires a gap of more than ``OBSERVABLE_THRESHOLD`` between the
-    families; two empty or overlapping families cannot be separated.
+    Requires a gap of more than ``ZERO_FLOOR`` between the families; two
+    empty or overlapping families cannot be separated.
     """
     if not values_a or not values_b:
         return False
     return (
-        min(values_b) - max(values_a) > OBSERVABLE_THRESHOLD
-        or min(values_a) - max(values_b) > OBSERVABLE_THRESHOLD
+        min(values_b) - max(values_a) > ZERO_FLOOR
+        or min(values_a) - max(values_b) > ZERO_FLOOR
     )
 
 
@@ -163,7 +161,7 @@ def parity_magnetization_values(
         value = getattr(report.observability, f"transverse_magnetization_q{qubit}")
         # Below the detection floor there is no signal.
         odd = report.function_class.parity is not Parity.EVEN
-        families[odd].append(value if value > OBSERVABLE_THRESHOLD else 0.0)
+        families[odd].append(value if value > ZERO_FLOOR else 0.0)
     return families
 
 

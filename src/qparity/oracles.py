@@ -35,11 +35,11 @@ class TruthTable:
     outputs: tuple[int, int, int, int]
 
     def __post_init__(self):
-        # A tuple keeps equality and hashing well defined; a bool bit would
-        # print as "True" in the text form.
+        # A tuple keeps equality and hashing well defined; a bool or float bit
+        # would print as "True" or "1.0" in the text form.
         if not isinstance(self.outputs, tuple) or len(self.outputs) != 4:
             raise ValueError(MALFORMED_TABLE_MESSAGE)
-        if any(isinstance(bit, bool) or bit not in (0, 1) for bit in self.outputs):
+        if not all(type(bit) is int and bit in (0, 1) for bit in self.outputs):
             raise ValueError(MALFORMED_TABLE_MESSAGE)
 
     @classmethod
@@ -54,7 +54,7 @@ class TruthTable:
 
     def evaluate(self, point: int) -> int:
         """Output bit at input point 0..3, indexed as the binary value of (x1 x2)."""
-        if isinstance(point, bool) or point not in (0, 1, 2, 3):
+        if type(point) is not int or point not in (0, 1, 2, 3):
             raise ValueError(f"input point must be 0..3, got {point!r}")
         return self.outputs[point]
 

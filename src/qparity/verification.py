@@ -7,9 +7,9 @@ function; ``qparity verify`` prints the results and exits nonzero on any
 failure. The per-function checks are array probes over one stack of the
 reports' amplitudes and fields (one density stack, one eigvalsh call, one
 even-by-odd overlap product), each applying the library function it checks
-to the whole stack. Checks trap exceptions, so a broken build degrades to
-failed checks instead of a crash; a probe that raises fails its check for
-every function.
+to the whole stack. One runner runs every check after the analysis and traps
+exceptions, so a broken build degrades to failed checks instead of a crash:
+a probe that raises fails its check for every function.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 from .algorithms import DJVerdict, classical_min_queries, constant_balanced_promise_functions
 from .entanglement import is_idempotent_stack
 from .linalg import (
-    DEFAULT_TOL, PSD_TOL, density_from_state_stack, partial_trace_stack, purity_stack
+    DEFAULT_TOL, ZERO_FLOOR, checked_tolerance, density_from_state_stack, partial_trace_stack,
+    purity_stack,
 )
 from .nmr import (
     decompose_coherences_stack, magnetization_classifies_parity, spin1_indistinguishability_check
@@ -32,12 +33,6 @@ from .oracles import Parity, build_oracle, classify, enumerate_functions
 from .reports import ClassificationReport, classification_report, classification_report_sweep
 
 _QUARTER_AMP = 1.0 / (2.0 * math.sqrt(2.0))
-
-# Correctly computed states and reduced matrices deviate from their exact
-# values by rounding errors of up to a few 1e-15, so a check tolerance must
-# stay well above that: at 1e-15, correct results fail reduced_density_forms
-# for 8 of the 16 functions.
-MIN_TOLERANCE = 1e-13
 
 
 @dataclass
@@ -95,10 +90,9 @@ def _deviation(actual: np.ndarray, expected) -> np.ndarray:
 def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
     """Run every named check, comparing computed values with ``tol``.
 
-    Raises ValueError unless ``tol`` is finite and at least ``MIN_TOLERANCE``.
+    Raises ValueError unless :func:`~qparity.linalg.checked_tolerance` accepts ``tol``.
     """
-    if not (math.isfinite(tol) and tol >= MIN_TOLERANCE):
-        raise ValueError(f"tolerance must be finite and at least {MIN_TOLERANCE:g}, got {tol!r}")
+    checked_tolerance(tol)
     functions = enumerate_functions()
     reports: list[ClassificationReport] = []
     failed_functions: set[str] = set()
@@ -121,43 +115,52 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
     even = np.array([r.function_class.parity is Parity.EVEN for r in reports], dtype=bool)
     outputs = np.array([r.function.outputs for r in reports], dtype=int).reshape(-1, 4)
     numerators = _final_state_numerators(outputs)
-    finals = np.array([r.circuit.final_state.amplitudes for r in reports]).reshape(-1, 4)
-    densities = functools.cache(lambda: density_from_state_stack(finals))
+    # Stacked by the first probe that reads them, so a misshapen state fails checks.
+    amplitudes = [r.circuit.final_state.amplitudes for r in reports]
+    finals = functools.cache(lambda: np.array(amplitudes).reshape(-1, 4))
+    densities = functools.cache(lambda: density_from_state_stack(finals()))
+    classical_queries: int | None = None
 
     def sweep(name: str):
-        """Run the decorated probe now as check ``name``. It returns rules
-        (mask, template, *columns), each mask with one row per report; function
-        i gets the note ``template.format(column[i], ...)`` of each rule whose
-        mask[i] is true, in rule order, and only those notes are formatted."""
+        """Run the decorated probe now as check ``name``. Its items are notes on
+        the whole sweep (``str``) and rules (mask, template, *columns), each mask
+        with one row per report: function i gets the note ``template.format(
+        column[i], ...)`` of each rule with mask[i] true, in rule order, and only
+        those notes are formatted. A probe that raises fails it for every function."""
 
         def run(probe) -> None:
+            whole, per_function = [], [[] for _ in reports]
             try:
-                per_function = [[] for _ in reports]
-                for mask, t, *columns in probe():
+                for rule in probe():
+                    if isinstance(rule, str):
+                        whole.append(rule)
+                        continue
+                    mask, t, *columns = rule
                     if len(mask) != len(reports):
                         raise ValueError(f"rule {t!r} has {len(mask)} rows, not {len(reports)}")
                     for i in np.flatnonzero(mask).tolist():
                         per_function[i].append(t.format(*(c[i] for c in columns)))
             except Exception as exc:
-                per_function = [[f"check raised {exc!r}"]] * len(reports)
+                # With no report to fail, the whole sweep carries the note.
+                raised = f"check raised {exc!r}"
+                whole, per_function = [] if reports else [raised], [[raised]] * len(reports)
             failed_functions.update(b for b, msgs in zip(bits, per_function) if msgs)
-            notes = [f"{b}: {msg}" for b, msgs in zip(bits, per_function) for msg in msgs]
+            notes = whole + [f"{b}: {msg}" for b, msgs in zip(bits, per_function) for msg in msgs]
             checks.append(_check(name, notes))
 
         return run
 
-    # Enumeration structure: counts per class and parity split.
-    notes = []
-    bit_strings = [f.to_string() for f in functions]
-    if len(set(bit_strings)) != 16 or bit_strings != sorted(bit_strings):
-        notes.append(f"enumeration: expected 16 distinct ascending tables, got {bit_strings}")
-    histogram = {ones: sum(1 for f in functions if f.ones() == ones) for ones in range(5)}
-    if histogram != {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}:
-        notes.append(f"enumeration: class histogram {histogram} != {{1,4,6,4,1}}")
-    even_count = sum(1 for f in functions if classify(f).parity is Parity.EVEN)
-    if even_count != 8:
-        notes.append(f"enumeration: expected 8 even functions, found {even_count}")
-    checks.append(_check("function_enumeration", notes))
+    @sweep("function_enumeration")
+    def probe_enumeration():
+        bit_strings = [f.to_string() for f in functions]
+        if len(set(bit_strings)) != 16 or bit_strings != sorted(bit_strings):
+            yield f"enumeration: expected 16 distinct ascending tables, got {bit_strings}"
+        histogram = {ones: sum(1 for f in functions if f.ones() == ones) for ones in range(5)}
+        if histogram != {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}:
+            yield f"enumeration: class histogram {histogram} != {{1,4,6,4,1}}"
+        even_count = sum(1 for f in functions if classify(f).parity is Parity.EVEN)
+        if even_count != 8:
+            yield f"enumeration: expected 8 even functions, found {even_count}"
 
     @sweep("oracle_properties")
     def probe_oracle():
@@ -191,7 +194,7 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
     @sweep("step_normalization")
     def probe_norms():
         # One column per step; steps a circuit lacks stay NaN and never fail.
-        counts = np.array([len(r.circuit.per_step_states) for r in reports])
+        counts = np.array([len(r.circuit.per_step_states) for r in reports], dtype=int)
         steps = np.array([s.amplitudes for r in reports for s in r.circuit.per_step_states])
         errors = np.full((len(reports), counts.max(initial=0)), np.nan)
         norms = np.sum(np.abs(steps.reshape(-1, 4)) ** 2, axis=1)
@@ -200,13 +203,13 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
 
     @sweep("final_state_sign_law")
     def probe_sign_law():
-        err = _deviation(finals, numerators * _QUARTER_AMP)
+        err = _deviation(finals(), numerators * _QUARTER_AMP)
         return [(err > tol, "final state deviates from sign law by {:.3e}", err)]
 
     @sweep("final_state_patterns")
     def probe_pattern():
         # Equality up to a global phase, a weaker route than the sign law.
-        inner = np.abs(np.sum(numerators * _QUARTER_AMP * finals, axis=1))
+        inner = np.abs(np.sum(numerators * _QUARTER_AMP * finals(), axis=1))
         return [(np.abs(inner - 1.0) > tol, "|overlap with expected pattern| = {!r} != 1",
                  inner.tolist())]
 
@@ -216,7 +219,7 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         err = _deviation(rhos, numerators[:, :, None] * numerators[:, None, :] / 8.0)
         return [
             (err > tol, "density matrix deviates by {:.3e}", err),
-            (np.linalg.eigvalsh(rhos).min(axis=1) < -PSD_TOL,
+            (np.linalg.eigvalsh(rhos).min(axis=1) < -ZERO_FLOOR,
              "density matrix has a negative eigenvalue"),
         ]
 
@@ -248,10 +251,13 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         purity1 = np.array([e.reduced_purity_q1 for e in ent])
         purity2 = np.array([e.reduced_purity_q2 for e in ent])
         return [
-            (np.abs(c - expected_c) > 1e-10, "concurrence {!r} != {}", concurrence, expected_c),
+            (np.abs(c - expected_c) > ZERO_FLOOR, "concurrence {!r} != {}", concurrence,
+             expected_c),
             (np.array(entangled) == even, "is_entangled={} but even={}", entangled, even),
-            (np.abs(purity2 - (1.0 - c**2 / 2.0)) > 1e-10, "purity/concurrence relation violated"),
-            (np.abs(purity1 - purity2) > 1e-10, "reduced purities of the two qubits disagree"),
+            (np.abs(purity2 - (1.0 - c**2 / 2.0)) > ZERO_FLOOR,
+             "purity/concurrence relation violated"),
+            (np.abs(purity1 - purity2) > ZERO_FLOOR,
+             "reduced purities of the two qubits disagree"),
         ]
 
     @sweep("schmidt_coefficients")
@@ -262,9 +268,10 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         expected_pairs = [tuple(e) for e in expected.tolist()]
         return [(err > tol, "schmidt coefficients {!r} != {!r}", pairs, expected_pairs)]
 
-    overlaps = np.abs(finals[even].conj() @ finals[~even].T).ravel().tolist()
-    notes = [f"overlap: |<even|odd>| = {v!r} != 0.5" for v in overlaps if abs(v - 0.5) > tol]
-    checks.append(_check("even_odd_overlap", notes))
+    @sweep("even_odd_overlap")
+    def probe_overlap():
+        overlaps = np.abs(finals()[even].conj() @ finals()[~even].T).ravel().tolist()
+        return [f"overlap: |<even|odd>| = {v!r} != 0.5" for v in overlaps if abs(v - 0.5) > tol]
 
     @sweep("nmr_observability")
     def probe_nmr():
@@ -299,36 +306,30 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         verdicts = [r.dj_verdict.value for r in reports]
         return [(np.array(verdicts) != expected, "DJ verdict {} != {}", verdicts, expected)]
 
-    notes = []
-    try:
+    @sweep("spin_readout_separation")
+    def probe_spin_readout():
         if not spin1_indistinguishability_check(reports):
-            notes.append("spin-1 readout unexpectedly separates even from odd")
+            yield "spin-1 readout unexpectedly separates even from odd"
         if not magnetization_classifies_parity(reports, 2, 0.25):
-            notes.append("qubit-2 magnetization threshold 0.25 fails to classify parity")
-    except Exception as exc:
-        notes.append(f"spin readout checks raised {exc!r}")
-    checks.append(_check("spin_readout_separation", notes))
+            yield "qubit-2 magnetization threshold 0.25 fails to classify parity"
 
-    notes = []
-    classical_queries: int | None = None
-    try:
+    @sweep("query_separation")
+    def probe_queries():
+        nonlocal classical_queries
         classical_queries = classical_min_queries(lambda f: classify(f).parity)
         if classical_queries != 4:
-            notes.append(f"classical parity queries = {classical_queries}, expected 4")
+            yield f"classical parity queries = {classical_queries}, expected 4"
         promise_queries = classical_min_queries(
             lambda f: classify(f).ones in (0, 4),
             constant_balanced_promise_functions(),
         )
         if promise_queries != 3:
-            notes.append(f"classical promise queries = {promise_queries}, expected 3")
+            yield f"classical promise queries = {promise_queries}, expected 3"
         quantum_calls = {r.circuit.oracle_calls for r in reports}
         if quantum_calls != {2}:
-            notes.append(f"quantum circuits used {quantum_calls} oracle calls, expected 2")
-        elif classical_queries is not None and not 2 < classical_queries:
-            notes.append("no quantum/classical separation")
-    except Exception as exc:
-        notes.append(f"query counting raised {exc!r}")
-    checks.append(_check("query_separation", notes))
+            yield f"quantum circuits used {quantum_calls} oracle calls, expected 2"
+        elif not 2 < classical_queries:
+            yield "no quantum/classical separation"
 
     return VerificationOutcome(
         checks=checks,

@@ -1,5 +1,8 @@
 """Core linear algebra: constructor invariants and the state/operator ops."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,3 +294,41 @@ def test_norm_preserved_under_gate_sequences(seed, length):
     for _ in range(length):
         s = apply(ops[rng.integers(len(ops))], s)
         assert abs(np.sum(np.abs(s.amplitudes) ** 2) - 1.0) < 1e-12
+
+
+SOURCES = sorted((pathlib.Path(__file__).parents[1] / "src" / "qparity").glob("*.py"))
+
+
+def test_every_tolerance_is_stated_once_in_the_linalg_table():
+    # The table is linalg's module-level NAME = <float> assignments; any other
+    # float literal below 1e-3 is a tolerance stated outside it.
+    table, strays = {}, []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        in_table = set()
+        if path.name == "linalg.py":
+            for node in tree.body:
+                if (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, float)
+                ):
+                    table[node.targets[0].id] = node.value.value
+                    in_table.add(node.value)
+        strays += [
+            f"{path.name}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and type(node.value) is float
+            and 0.0 < node.value < 1e-3
+            and node not in in_table
+        ]
+    assert len(SOURCES) > 5
+    assert strays == []
+    assert table == {
+        "DEFAULT_TOL": 1e-12,
+        "MIN_TOLERANCE": 1e-13,
+        "IDEMPOTENCY_TOL": 1e-11,
+        "ZERO_FLOOR": 1e-10,
+        "DISPLAY_FLOOR": 1e-9,
+    }

@@ -39,6 +39,8 @@ class TestTruthTable:
             table("0001").evaluate(4)
         with pytest.raises(ValueError, match="0..3"):
             table("0001").evaluate(True)
+        with pytest.raises(ValueError, match="0..3"):
+            table("0001").evaluate(1.0)
 
     @pytest.mark.parametrize("bad", ["001", "00011", "002a", "", "01x1"])
     def test_malformed_strings_rejected(self, bad):
@@ -56,6 +58,10 @@ class TestTruthTable:
             TruthTable([0, 1, 1, 0])
         with pytest.raises(ValueError):
             TruthTable(np.array([0, 1, 1, 0]))
+        with pytest.raises(ValueError):
+            TruthTable((1.0, 0, 0, 1))
+        with pytest.raises(ValueError):
+            TruthTable((0, 1, 1, 0.0))
 
 
 class TestBuildOracle:

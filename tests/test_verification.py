@@ -104,6 +104,22 @@ def test_cancelling_schmidt_formula_is_caught(capsys, monkeypatch):
     assert summary == "8/16 functions verified, classical_min_queries=4"
 
 
+def test_misshapen_final_state_fails_the_checks_that_read_it(capsys, monkeypatch):
+    def one_qubit_final(report):
+        if report.function.to_string() != "0110":
+            return report
+        circuit = dataclasses.replace(report.circuit, final_state=StateVector([1.0, 0.0]))
+        return dataclasses.replace(report, circuit=circuit)
+
+    code, failed, summary = verify_with(one_qubit_final, capsys, monkeypatch)
+    readers = ["final_state_sign_law", "final_state_patterns", "density_matrix_forms",
+               "reduced_density_forms", "even_odd_overlap", "coherence_resum"]
+    assert code == 1
+    assert [line.split(":")[0] for line in failed] == [f"FAIL {name}" for name in readers]
+    assert all(": 0000: check raised ValueError(" in line for line in failed)
+    assert summary == "0/16 functions verified, classical_min_queries=4"
+
+
 def test_probe_rule_missing_a_row_fails_its_check(capsys, monkeypatch):
     # Only the qubit-1 trace rule reads the short stack, so its mask misses
     # the last function; a rule must cover every report or the check fails.
@@ -120,6 +136,41 @@ def test_probe_rule_missing_a_row_fails_its_check(capsys, monkeypatch):
     assert code == 1
     assert len(failed) == 1 and failed[0].startswith("FAIL reduced_density_forms: 0000: check raised")
     assert lines[-1] == "0/16 functions verified, classical_min_queries=4"
+
+
+RAISED = "check raised RuntimeError('injected fault')"
+
+
+@pytest.mark.parametrize(
+    "modules, analysis_failed, enumeration_note",
+    [
+        (("verification",), False, f"0000: {RAISED}; 0001: {RAISED}; 0010: {RAISED}; "
+         f"0011: {RAISED}; and 12 more"),
+        # With the reports' classify raising too, no report is left to fail.
+        (("verification", "reports"), True, RAISED),
+    ],
+    ids=["probes", "probes-and-analysis"],
+)
+def test_raising_probe_fails_its_check_without_a_crash(
+    modules, analysis_failed, enumeration_note, capsys, monkeypatch
+):
+    # function_enumeration and query_separation call classify themselves.
+    def broken(f):
+        raise RuntimeError("injected fault")
+
+    for module in modules:
+        monkeypatch.setattr(getattr(qparity, module), "classify", broken)
+    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+    code = main(["verify"])
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split(":")[0] for line in lines if line.startswith("FAIL")]
+    assert code == 1
+    assert len(lines) == 19
+    assert failed == ["FAIL function_analysis"] * analysis_failed + [
+        "FAIL function_enumeration", "FAIL query_separation"
+    ]
+    assert lines[1] == f"FAIL function_enumeration: {enumeration_note}"
+    assert lines[-1] == "0/16 functions verified, classical_min_queries=?"
 
 
 def snapshot():
