@@ -32,9 +32,6 @@ from .nmr import (
 from .oracles import Parity, build_oracle, classify, enumerate_functions
 from .reports import ClassificationReport, classification_report, classification_report_sweep
 
-_QUARTER_AMP = 1.0 / (2.0 * math.sqrt(2.0))
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -61,17 +58,18 @@ class VerificationOutcome:
         )
 
 
-def _final_state_numerators(outputs: np.ndarray) -> np.ndarray:
-    """The closed form of the even/odd circuit's final states, times 2*sqrt(2).
-
-    For each row of output bits (f(00), f(01), f(10), f(11)), the final state
-    is ((a+b), 2, (a-b), 0)/(2*sqrt(2)) with a = (-1)^(f(00) xor f(01)) and
-    b = (-1)^(f(10) xor f(11)). The integer numerators keep every expectation
-    derived from them exact.
-    """
-    a = 1 - 2 * (outputs[:, 0] ^ outputs[:, 1])
-    b = 1 - 2 * (outputs[:, 2] ^ outputs[:, 3])
-    return np.stack([a + b, np.full_like(a, 2), a - b, np.zeros_like(a)], axis=1).astype(float)
+def _algebra(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact route to every expectation, from rows of bits (f(00), f(01), f(10), f(11)).
+    By the Moebius transform f = c0 ^ c1 x2 ^ c2 x1 ^ c12 x1 x2, so the oracle
+    (-1)^c0 (Z^c2 (x) Z^c1) CZ^c12 entangles iff c12 = 1, the parity. Returns c12, the
+    Walsh sum W = sum_x (-1)^f(x) = 4 - 2 ones (4 times DJ's |00> amplitude) and the final
+    states times 2 sqrt(2), ((a+b), 2, (a-b), 0) with a = (-1)^c1 and b = (-1)^(c1 ^ c12)."""
+    c1 = outputs[:, 0] ^ outputs[:, 1]
+    c12 = c1 ^ outputs[:, 2] ^ outputs[:, 3]
+    walsh = (1 - 2 * outputs).sum(axis=1)
+    a, b = 1 - 2 * c1, 1 - 2 * (c1 ^ c12)
+    numerators = np.stack([a + b, np.full_like(a, 2), a - b, np.zeros_like(a)], axis=1)
+    return c12, walsh, numerators.astype(float)
 
 
 def _check(name: str, notes: list[str]) -> CheckResult:
@@ -112,9 +110,12 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
     checks.append(_check("function_analysis", build_notes))
 
     bits = [r.function.to_string() for r in reports]
-    even = np.array([r.function_class.parity is Parity.EVEN for r in reports], dtype=bool)
     outputs = np.array([r.function.outputs for r in reports], dtype=int).reshape(-1, 4)
-    numerators = _final_state_numerators(outputs)
+    c12, walsh, numerators = _algebra(outputs)
+    even, expected_finals = c12 == 0, numerators / math.sqrt(8.0)
+    parity = [Parity.EVEN.value if e else Parity.ODD.value for e in even]
+    m = numerators.reshape(-1, 2, 2)  # [function, qubit 1, qubit 2]
+    expected2 = m.swapaxes(1, 2) @ m / 8.0  # qubit 2's reduced matrix
     # Stacked by the first probe that reads them, so a misshapen state fails checks.
     amplitudes = [r.circuit.final_state.amplitudes for r in reports]
     finals = functools.cache(lambda: np.array(amplitudes).reshape(-1, 4))
@@ -161,6 +162,9 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         even_count = sum(1 for f in functions if classify(f).parity is Parity.EVEN)
         if even_count != 8:
             yield f"enumeration: expected 8 even functions, found {even_count}"
+        got = [f"{r.function_class.label} {r.function_class.parity.value}" for r in reports]
+        want = [f"[{(4 - w) // 2},{(4 + w) // 2}] {p}" for w, p in zip(walsh.tolist(), parity)]
+        yield np.array(got) != want, "classify gives {}, the ANF and W give {}", got, want
 
     @sweep("oracle_properties")
     def probe_oracle():
@@ -182,11 +186,10 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
     @sweep("circuit_verdicts")
     def probe_verdict():
         verdicts = [r.circuit.verdict.value for r in reports]
-        expected = [Parity.EVEN.value if e else Parity.ODD.value for e in even]
         calls = [r.circuit.oracle_calls for r in reports]
         steps = [len(r.circuit.per_step_states) for r in reports]
         return [
-            (np.array(verdicts) != expected, "expected verdict {}, got {}", expected, verdicts),
+            (np.array(verdicts) != parity, "expected verdict {}, got {}", parity, verdicts),
             (np.array(calls) != 2, "expected 2 oracle calls, counted {}", calls),
             (np.array(steps) != 6, "expected 6 per-step states, got {}", steps),
         ]
@@ -203,13 +206,13 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
 
     @sweep("final_state_sign_law")
     def probe_sign_law():
-        err = _deviation(finals(), numerators * _QUARTER_AMP)
+        err = _deviation(finals(), expected_finals)
         return [(err > tol, "final state deviates from sign law by {:.3e}", err)]
 
     @sweep("final_state_patterns")
     def probe_pattern():
         # Equality up to a global phase, a weaker route than the sign law.
-        inner = np.abs(np.sum(numerators * _QUARTER_AMP * finals(), axis=1))
+        inner = np.abs(np.sum(expected_finals * finals(), axis=1))
         return [(np.abs(inner - 1.0) > tol, "|overlap with expected pattern| = {!r} != 1",
                  inner.tolist())]
 
@@ -225,10 +228,7 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
 
     @sweep("reduced_density_forms")
     def probe_reduced():
-        m = numerators.reshape(-1, 2, 2)  # [function, qubit 1, qubit 2]
-        expected2 = m.swapaxes(1, 2) @ m / 8.0
-        expected_purity = np.trace(expected2 @ expected2, axis1=1, axis2=2)
-        expected_idempotent = np.all(expected2 @ expected2 == expected2, axis=(1, 2))
+        expected_purity = 1.0 - c12 / 2.0  # 1 - C^2/2 at C = c12
         rhos = densities()
         reduced1, reduced2 = partial_trace_stack(rhos, 1), partial_trace_stack(rhos, 2)
         err = _deviation(reduced2, expected2)
@@ -238,8 +238,7 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
             (err > tol, "qubit-2 reduced matrix deviates by {:.3e}", err),
             (np.abs(purities - expected_purity) > tol, "qubit-2 reduced purity {!r} != {}",
              purities.tolist(), expected_purity),
-            (is_idempotent_stack(reduced2) != expected_idempotent,
-             "qubit-2 reduced idempotency != {}", expected_idempotent),
+            (is_idempotent_stack(reduced2) != even, "qubit-2 reduced idempotency != {}", even),
             (trace_err > tol, "qubit-1 reduced trace off by {:.3e}", trace_err),
         ]
 
@@ -247,7 +246,7 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
     def probe_entanglement():
         ent = [r.entanglement for r in reports]
         concurrence, entangled = [e.concurrence for e in ent], [e.is_entangled for e in ent]
-        c, expected_c = np.array(concurrence), np.where(even, 0.0, 1.0)
+        c, expected_c = np.array(concurrence), c12.astype(float)
         purity1 = np.array([e.reduced_purity_q1 for e in ent])
         purity2 = np.array([e.reduced_purity_q2 for e in ent])
         return [
@@ -263,7 +262,7 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
     @sweep("schmidt_coefficients")
     def probe_schmidt():
         pairs = [r.entanglement.schmidt_coefficients for r in reports]
-        expected = np.where(even[:, None], [1.0, 0.0], math.sqrt(0.5))
+        expected = np.sqrt(np.stack([2 - c12, c12], axis=1) / 2.0)  # (1 +- sqrt(1-C^2))/2, C=c12
         err = _deviation(np.array(pairs).reshape(-1, 2), expected)
         expected_pairs = [tuple(e) for e in expected.tolist()]
         return [(err > tol, "schmidt coefficients {!r} != {!r}", pairs, expected_pairs)]
@@ -276,13 +275,13 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
     @sweep("nmr_observability")
     def probe_nmr():
         obs = [r.observability for r in reports]
-        line, expected2 = [o.observable_line for o in obs], np.where(even, 0.5, 0.0)
+        line, expected_m2 = [o.observable_line for o in obs], np.abs(expected2[:, 0, 1])
         magnetization1 = [o.transverse_magnetization_q1 for o in obs]
         magnetization2 = [o.transverse_magnetization_q2 for o in obs]
         return [
             (np.array(line) != even, "observable_line={} but even={}", line, even),
-            (np.abs(np.array(magnetization2) - expected2) > tol,
-             "qubit-2 magnetization {!r} != {}", magnetization2, expected2),
+            (np.abs(np.array(magnetization2) - expected_m2) > tol,
+             "qubit-2 magnetization {!r} != {}", magnetization2, expected_m2),
             (np.abs(np.array(magnetization1)) > tol, "qubit-1 magnetization {!r} != 0",
              magnetization1),
         ]
@@ -301,8 +300,8 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
 
     @sweep("dj_verdicts")
     def probe_dj():
-        by_ones = {0: DJVerdict.CONSTANT, 2: DJVerdict.BALANCED, 4: DJVerdict.CONSTANT}
-        expected = [by_ones.get(k, DJVerdict.NEITHER).value for k in outputs.sum(axis=1)]
+        by_walsh = (DJVerdict.BALANCED, DJVerdict.NEITHER, DJVerdict.CONSTANT)  # |W| = 0, 2, 4
+        expected = [by_walsh[abs(w) // 2].value for w in walsh.tolist()]
         verdicts = [r.dj_verdict.value for r in reports]
         return [(np.array(verdicts) != expected, "DJ verdict {} != {}", verdicts, expected)]
 

@@ -7,8 +7,10 @@ import threading
 
 import pytest
 
+import qparity.reports
 import qparity.verification
 from qparity import StateVector, run_all_checks, to_canonical_json
+from qparity.oracles import Parity, classify
 from qparity.cli import TOLERANCE_ENV_VAR, main
 from qparity.reports import all_reports, report_to_jsonable
 
@@ -135,6 +137,38 @@ def test_probe_rule_missing_a_row_fails_its_check(capsys, monkeypatch):
     failed = [line for line in lines if line.startswith("FAIL")]
     assert code == 1
     assert len(failed) == 1 and failed[0].startswith("FAIL reduced_density_forms: 0000: check raised")
+    assert lines[-1] == "0/16 functions verified, classical_min_queries=4"
+
+
+def test_parity_flipped_classify_is_blamed_on_classify(capsys, monkeypatch):
+    # The expectations come from the truth-table bits, not from classify, so
+    # a wrong classify fails the class rule and the readout that trusts it,
+    # and the physics checks keyed by the bits pass.
+    def flipped(f):
+        c = classify(f)
+        parity = Parity.ODD if c.parity is Parity.EVEN else Parity.EVEN
+        return dataclasses.replace(c, parity=parity)
+
+    for module in (qparity.reports, qparity.verification):
+        monkeypatch.setattr(module, "classify", flipped)
+    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+    code = main(["verify"])
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert code == 1
+    assert [line.split(":")[0] for line in failed] == [
+        "FAIL function_enumeration", "FAIL spin_readout_separation"
+    ]
+    assert failed[0] == (
+        "FAIL function_enumeration: "
+        "0000: classify gives [0,4] odd, the ANF and W give [0,4] even; "
+        "0001: classify gives [1,3] even, the ANF and W give [1,3] odd; "
+        "0010: classify gives [1,3] even, the ANF and W give [1,3] odd; "
+        "0011: classify gives [2,2] odd, the ANF and W give [2,2] even; and 12 more"
+    )
+    for name in ("separability_parity_theorem", "circuit_verdicts",
+                 "entanglement_correspondence", "schmidt_coefficients", "nmr_observability"):
+        assert f"ok   {name}" in lines
     assert lines[-1] == "0/16 functions verified, classical_min_queries=4"
 
 
