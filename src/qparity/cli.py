@@ -2,8 +2,10 @@
 
 Commands: ``classify``, ``run``, ``dj``, ``table``, ``verify``. All results
 go to stdout; diagnostics go to stderr. Exit codes: 0 success, 1
-verification failure, 2 usage error. The environment variable
-``QPARITY_TOLERANCE`` sets the tolerance of the checks of ``verify``
+verification failure, 2 usage error, 3 internal error (an exception escaped
+a command; its traceback goes to stderr), 141 stdout closed by its reader
+(nothing is printed; a shell reports a process killed by SIGPIPE so). The
+environment variable ``QPARITY_TOLERANCE`` sets the tolerance of the checks of ``verify``
 (default ``linalg.DEFAULT_TOL``). Every command rejects a value that
 ``linalg.checked_tolerance`` rejects as a usage error; no other command reads
 it, and no verdict depends on it.
@@ -16,8 +18,10 @@ one process; ``QPARITY_TOLERANCE`` is still read on every call.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+import traceback
 
 from .algorithms import (
     STEP_LABELS,
@@ -40,6 +44,8 @@ from .verification import run_all_checks
 TOLERANCE_ENV_VAR = "QPARITY_TOLERANCE"
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
+CLOSED_STDOUT = 141  # 128 + SIGPIPE
 
 
 def _truth_table_argument(text: str) -> TruthTable:
@@ -281,7 +287,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {TOLERANCE_ENV_VAR}={raw_tolerance!r}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    return _HANDLERS[args.command](args)
+    try:
+        code = _HANDLERS[args.command](args)
+        if hasattr(sys.stdout, "flush"):  # so that a closed stdout fails here, not at exit
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so that flushing what is still buffered at exit cannot fail.
+        with open(os.devnull, "w") as devnull, contextlib.suppress(OSError, ValueError):
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return CLOSED_STDOUT
+    except Exception:
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -13,8 +13,6 @@ Only the checks of ``qparity verify`` take a tolerance as an argument, and
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # The tolerance table; rounding errors are a few 1e-15. Decision cuts (the verdict's 0.5,
@@ -30,9 +28,14 @@ MAX_QUBITS = 12
 
 
 def checked_tolerance(tol: float) -> float:
-    """``tol`` if it is finite and at least ``MIN_TOLERANCE``; raises ValueError otherwise."""
-    if not (math.isfinite(tol) and tol >= MIN_TOLERANCE):
-        raise ValueError(f"tolerance must be finite and at least {MIN_TOLERANCE:g}, got {tol!r}")
+    """``tol`` if ``MIN_TOLERANCE <= tol < ZERO_FLOOR``; raises ValueError otherwise.
+
+    From ``ZERO_FLOOR`` up, the checks would accept as equal values that the library
+    itself tells apart, and a loose enough tolerance passes a wrong build."""
+    if not MIN_TOLERANCE <= tol < ZERO_FLOOR:
+        raise ValueError(
+            f"tolerance must be at least {MIN_TOLERANCE:g} and below {ZERO_FLOOR:g}, got {tol!r}"
+        )
     return tol
 
 

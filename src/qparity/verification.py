@@ -127,7 +127,8 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         the whole sweep (``str``) and rules (mask, template, *columns), each mask
         with one row per report: function i gets the note ``template.format(
         column[i], ...)`` of each rule with mask[i] true, in rule order, and only
-        those notes are formatted. A probe that raises fails it for every function."""
+        those notes are formatted. A probe that raises fails it for every function,
+        and with no report at all the check fails rather than pass vacuously."""
 
         def run(probe) -> None:
             whole, per_function = [], [[] for _ in reports]
@@ -145,6 +146,8 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
                 # With no report to fail, the whole sweep carries the note.
                 raised = f"check raised {exc!r}"
                 whole, per_function = [] if reports else [raised], [[raised]] * len(reports)
+            if not (reports or whole):
+                whole = ["no report to check"]  # every analysis raised; nothing was examined
             failed_functions.update(b for b, msgs in zip(bits, per_function) if msgs)
             notes = whole + [f"{b}: {msg}" for b, msgs in zip(bits, per_function) for msg in msgs]
             checks.append(_check(name, notes))

@@ -1,0 +1,113 @@
+"""Count budgets: upper bounds on the work each entry point does.
+
+Timings on a small shared machine resolve a few percent at best, but call
+counts repeat exactly, and most of the package's speed comes from doing
+less: gates built once per sweep, oracles built at import, one parser, no
+per-state wrapper objects, one density stack per analysis. These tests
+count calls of public functions and constructors, wrapped from outside the
+package the way ``bench/tracer.py`` wraps them.
+
+The budgets are a ratchet, so each count must equal its budget. A count
+above it is a regression. A count below it fails too, until the change
+that lowered the count lowers the budget with it. Raising a budget loosens
+a check and needs a reason in CHANGES.md.
+"""
+
+import argparse
+import collections
+import contextlib
+import functools
+import io
+import sys
+
+import pytest
+
+import qparity
+from qparity import TruthTable, classification_report
+from qparity.cli import TOLERANCE_ENV_VAR, main
+from qparity.reports import all_reports
+
+FUNCTIONS = {  # name: the module that defines it
+    "build_oracle": qparity.oracles,
+    "density_from_state_stack": qparity.linalg,
+    "partial_trace_stack": qparity.linalg,
+    "to_canonical_json": qparity.reports,
+}
+CONSTRUCTORS = {
+    "UnitaryOperator": qparity.linalg.UnitaryOperator,
+    "StateVector": qparity.linalg.StateVector,
+    "DensityMatrix": qparity.linalg.DensityMatrix,
+    "ArgumentParser": argparse.ArgumentParser,
+}
+
+REPORT_BUDGET = {
+    "UnitaryOperator": 9,
+    "StateVector": 0,
+    "DensityMatrix": 0,
+    "density_from_state_stack": 2,
+    "partial_trace_stack": 4,
+}
+BATCH_BUDGET = {
+    "UnitaryOperator": 18,
+    "StateVector": 0,
+    "DensityMatrix": 0,
+    "build_oracle": 16,
+    "ArgumentParser": 0,
+    "to_canonical_json": 2,
+    "density_from_state_stack": 5,
+    "partial_trace_stack": 10,
+}
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """A Counter of calls, by name, of the functions in FUNCTIONS (wherever a
+    qparity module binds them) and of the constructors in CONSTRUCTORS."""
+    counter = collections.Counter()
+
+    def counted(fn, name):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counter[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items() if n.startswith("qparity.") and m is not None]
+    for name, home in FUNCTIONS.items():
+        original = getattr(home, name)
+        wrapper = counted(original, name)
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    for name, cls in CONSTRUCTORS.items():
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__, name))
+    return counter
+
+
+def per_call(counter, budget, per):
+    """The counts of the names in ``budget``, divided by ``per`` calls."""
+    return {name: counter[name] / per for name in budget}
+
+
+@pytest.mark.parametrize("bits", ["0000", "0001", "0110", "1111"])
+def test_classification_report_budget(bits, counts):
+    classification_report(TruthTable.from_string(bits))
+    assert per_call(counts, REPORT_BUDGET, 1) == REPORT_BUDGET
+
+
+def test_all_reports_budget(counts):
+    all_reports()
+    assert per_call(counts, REPORT_BUDGET, 1) == REPORT_BUDGET
+
+
+def test_batch_pair_budget(counts, monkeypatch):
+    # The benchmark's batch op: table --json, then verify --json.
+    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+    pairs = 3
+    with contextlib.redirect_stdout(io.StringIO()):
+        for _ in range(pairs):
+            assert main(["table", "--json"]) == 0
+            assert main(["verify", "--json"]) == 0
+    assert per_call(counts, BATCH_BUDGET, pairs) == BATCH_BUDGET
+

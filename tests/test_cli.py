@@ -6,8 +6,10 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import re
+import subprocess
 import sys
 import threading
 from unittest import mock
@@ -29,6 +31,9 @@ from qparity import (
     to_canonical_json,
 )
 from qparity.cli import TOLERANCE_ENV_VAR, build_parser, main
+
+# The loosest tolerance verify accepts.
+LARGEST_TOLERANCE = math.nextafter(qparity.linalg.ZERO_FLOOR, 0.0)
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 
@@ -290,7 +295,7 @@ class TestToleranceOverride:
         assert code == 2
 
     def test_looser_tolerance_still_verifies(self, capsys, monkeypatch):
-        monkeypatch.setenv("QPARITY_TOLERANCE", "1e-9")
+        monkeypatch.setenv("QPARITY_TOLERANCE", repr(LARGEST_TOLERANCE))
         code, _, _ = run_cli(capsys, "verify")
         assert code == 0
 
@@ -312,9 +317,18 @@ class TestToleranceOverride:
         assert "QPARITY_TOLERANCE" in err
         assert "at least 1e-13" in err
 
-    @given(st.floats(min_value=1e-12, max_value=1e6))
-    @example(0.6)
-    @example(3.0)
+    @pytest.mark.parametrize("value", ["1e-10", "1e-9", "1e6"])
+    def test_value_from_zero_floor_up_is_a_usage_error(self, capsys, monkeypatch, value):
+        # So loose a tolerance lets verify pass a wrong build.
+        monkeypatch.setenv("QPARITY_TOLERANCE", value)
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 2
+        assert out == ""
+        assert f"QPARITY_TOLERANCE={value!r}" in err
+        assert "below 1e-10" in err
+
+    @given(st.floats(min_value=1e-12, max_value=LARGEST_TOLERANCE))
+    @example(LARGEST_TOLERANCE)
     @settings(max_examples=10, deadline=None)
     def test_tolerance_never_changes_a_verdict(self, tolerance):
         with mock.patch.dict(os.environ, {"QPARITY_TOLERANCE": repr(tolerance)}):
@@ -322,7 +336,7 @@ class TestToleranceOverride:
         assert tuned == untuned_verdict_outputs()
 
     def test_default_restored_after_command(self, capsys, monkeypatch):
-        monkeypatch.setenv("QPARITY_TOLERANCE", "1e-6")
+        monkeypatch.setenv("QPARITY_TOLERANCE", repr(LARGEST_TOLERANCE))
         before = qparity.linalg.DEFAULT_TOL
         run_cli(capsys, "classify", "0000")
         assert qparity.linalg.DEFAULT_TOL == before
@@ -336,7 +350,7 @@ class TestToleranceOverride:
             return run_all_checks(*args)
 
         monkeypatch.setattr(qparity.cli, "run_all_checks", paused_run_all_checks)
-        monkeypatch.setenv("QPARITY_TOLERANCE", "1e6")
+        monkeypatch.setenv("QPARITY_TOLERANCE", repr(LARGEST_TOLERANCE))
         codes = []
         worker = threading.Thread(target=lambda: codes.append(main(["verify"])))
         worker.start()
@@ -350,10 +364,44 @@ class TestToleranceOverride:
             worker.join(timeout=60)
         assert codes == [0]
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e-15])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 1e-15, 1e-10, 1e-9, 1e6]
+    )
     def test_check_tolerance_is_validated(self, value):
         with pytest.raises(ValueError, match="at least 1e-13"):
             run_all_checks(value)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [["table", "--json"], ["dj", "1100"]])
+    def test_closed_stdout_exits_141_quietly(self, argv):
+        # The read end closes before the command writes, as in `qparity ... | head -c 0`.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qparity.cli.__file__)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "qparity.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert done.stderr == b""
+
+    def test_internal_error_exits_3_with_its_traceback(self, capsys, monkeypatch):
+        def broken(f):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(qparity.cli, "classification_report", broken)
+        code, out, err = run_cli(capsys, "classify", "0001")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("RuntimeError: injected fault\n")
 
 
 class TestUsage:

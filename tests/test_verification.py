@@ -2,6 +2,7 @@
 faults, and concurrent use."""
 
 import dataclasses
+import math
 import sys
 import threading
 
@@ -12,6 +13,7 @@ import qparity.verification
 from qparity import StateVector, run_all_checks, to_canonical_json
 from qparity.oracles import Parity, classify
 from qparity.cli import TOLERANCE_ENV_VAR, main
+from qparity.linalg import ZERO_FLOOR
 from qparity.reports import all_reports, report_to_jsonable
 
 
@@ -61,16 +63,20 @@ FAULTS = {
 }
 
 
-def verify_with(fault, capsys, monkeypatch) -> tuple[int, list[str], str]:
-    """Run ``qparity verify`` on the sweep's reports passed through ``fault``;
-    returns the exit code, the FAIL lines and the summary line."""
+def verify_with(fault, capsys, monkeypatch, tolerance=None) -> tuple[int, list[str], str]:
+    """Run ``qparity verify`` on the sweep's reports passed through ``fault``,
+    at ``tolerance`` (the default if None); returns the exit code, the FAIL
+    lines and the summary line."""
     honest = qparity.verification.classification_report_sweep
     monkeypatch.setattr(
         qparity.verification,
         "classification_report_sweep",
         lambda functions: [fault(r) for r in honest(functions)],
     )
-    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+    if tolerance is None:
+        monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(TOLERANCE_ENV_VAR, repr(tolerance))
     code = main(["verify"])
     lines = capsys.readouterr().out.splitlines()
     return code, [line for line in lines if line.startswith("FAIL")], lines[-1]
@@ -81,6 +87,18 @@ def test_one_function_fault_is_attributed_to_it(bits, capsys, monkeypatch):
     fault, expected_failures = FAULTS[bits]
     code, failed, summary = verify_with(
         lambda r: fault(r) if r.function.to_string() == bits else r, capsys, monkeypatch
+    )
+    assert code == 1
+    assert failed == expected_failures
+    assert summary == "15/16 functions verified, classical_min_queries=4"
+
+
+@pytest.mark.parametrize("bits", sorted(FAULTS))
+def test_one_function_fault_is_caught_at_the_largest_tolerance(bits, capsys, monkeypatch):
+    fault, expected_failures = FAULTS[bits]
+    code, failed, summary = verify_with(
+        lambda r: fault(r) if r.function.to_string() == bits else r, capsys, monkeypatch,
+        tolerance=math.nextafter(ZERO_FLOOR, 0.0),
     )
     assert code == 1
     assert failed == expected_failures
@@ -200,9 +218,13 @@ def test_raising_probe_fails_its_check_without_a_crash(
     failed = [line.split(":")[0] for line in lines if line.startswith("FAIL")]
     assert code == 1
     assert len(lines) == 19
-    assert failed == ["FAIL function_analysis"] * analysis_failed + [
-        "FAIL function_enumeration", "FAIL query_separation"
-    ]
+    if analysis_failed:
+        # With no report left, no check passes vacuously: all 18 fail, and the
+        # 15 that found nothing else say that they had nothing to check.
+        assert failed == [line.split(":")[0] for line in lines[:-1]]
+        assert [line for line in lines if line.endswith(": no report to check")] == lines[2:-2]
+    else:
+        assert failed == ["FAIL function_enumeration", "FAIL query_separation"]
     assert lines[1] == f"FAIL function_enumeration: {enumeration_note}"
     assert lines[-1] == "0/16 functions verified, classical_min_queries=?"
 
