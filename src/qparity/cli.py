@@ -5,8 +5,8 @@ go to stdout; diagnostics go to stderr. Exit codes: 0 success, 1
 verification failure, 2 usage error, 3 internal error (an exception escaped
 a command; its traceback goes to stderr), 141 stdout closed by its reader
 (nothing is printed; a shell reports a process killed by SIGPIPE so). The
-environment variable ``QPARITY_TOLERANCE`` sets the tolerance of the checks of ``verify``
-(default ``linalg.DEFAULT_TOL``). Every command rejects a value that
+environment variable ``QPARITY_TOLERANCE`` sets the tolerance of the checks
+of ``verify`` (default ``linalg.DEFAULT_TOL``). Every command rejects a value that
 ``linalg.checked_tolerance`` rejects as a usage error; no other command reads
 it, and no verdict depends on it.
 
@@ -21,7 +21,6 @@ import argparse
 import contextlib
 import os
 import sys
-import traceback
 
 from .algorithms import (
     STEP_LABELS,
@@ -298,6 +297,8 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return CLOSED_STDOUT
     except Exception:
+        import traceback  # here, so that only a failing command pays for the import
+
         traceback.print_exc()
         return INTERNAL_ERROR
 

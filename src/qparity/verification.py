@@ -4,7 +4,9 @@ One classification report is built per two-bit function, by the same sweep
 that ``qparity table`` prints from. Each named check covers those 16 reports
 (or a global property) and notes expected-vs-actual for each failing
 function; ``qparity verify`` prints the results and exits nonzero on any
-failure. The per-function checks are array probes over one stack of the
+failure. Every expectation comes from each function's truth-table bits by
+one exact route (``_algebra``), never from ``classify``, which is checked
+like the rest. The per-function checks are array probes over one stack of the
 reports' amplitudes and fields (one density stack, one eigvalsh call, one
 even-by-odd overlap product), each applying the library function it checks
 to the whole stack. One runner runs every check after the analysis and traps

@@ -364,9 +364,7 @@ class TestToleranceOverride:
             worker.join(timeout=60)
         assert codes == [0]
 
-    @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf"), 1e-15, 1e-10, 1e-9, 1e6]
-    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e-15, 1e-10, 1e-9, 1e6])
     def test_check_tolerance_is_validated(self, value):
         with pytest.raises(ValueError, match="at least 1e-13"):
             run_all_checks(value)

@@ -11,9 +11,9 @@ import pytest
 import qparity.reports
 import qparity.verification
 from qparity import StateVector, run_all_checks, to_canonical_json
-from qparity.oracles import Parity, classify
 from qparity.cli import TOLERANCE_ENV_VAR, main
 from qparity.linalg import ZERO_FLOOR
+from qparity.oracles import Parity, classify
 from qparity.reports import all_reports, report_to_jsonable
 
 
