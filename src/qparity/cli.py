@@ -288,8 +288,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         code = _HANDLERS[args.command](args)
-        if hasattr(sys.stdout, "flush"):  # so that a closed stdout fails here, not at exit
-            sys.stdout.flush()
+        if hasattr(sys.stdout, "flush"):  # a bare writer passed in as stdout has none
+            sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:
         # Point stdout at devnull, so that flushing what is still buffered at exit cannot fail.
