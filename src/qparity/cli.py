@@ -4,15 +4,13 @@ Commands: ``classify``, ``run``, ``dj``, ``table``, ``verify``. All results
 go to stdout; diagnostics go to stderr. Exit codes: 0 success, 1
 verification failure, 2 usage error, 3 internal error (an exception escaped
 a command; its traceback goes to stderr), 141 stdout closed by its reader
-(nothing is printed; a shell reports a process killed by SIGPIPE so). The
-environment variable ``QPARITY_TOLERANCE`` sets the tolerance of the checks
-of ``verify`` (default ``linalg.DEFAULT_TOL``). Every command rejects a value that
-``linalg.checked_tolerance`` rejects as a usage error; no other command reads
-it, and no verdict depends on it.
+(nothing is printed; a shell reports a process killed by SIGPIPE so), the
+help text included. No command reads the environment: ``verify`` compares at
+the constants of the ``linalg`` tolerance table.
 
 The argument parser is built once, when this module is imported, and only
 read afterwards, so ``main`` may be called repeatedly and concurrently in
-one process; ``QPARITY_TOLERANCE`` is still read on every call.
+one process.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from .algorithms import (
     run_deutsch_jozsa_2bit,
     run_even_odd,
 )
-from .linalg import DEFAULT_TOL, DISPLAY_FLOOR, StateVector, checked_tolerance
+from .linalg import DISPLAY_FLOOR, StateVector
 from .oracles import MALFORMED_TABLE_MESSAGE, TruthTable, classify
 from .reports import (
     all_reports,
@@ -39,8 +37,6 @@ from .reports import (
     to_canonical_json,
 )
 from .verification import run_all_checks
-
-TOLERANCE_ENV_VAR = "QPARITY_TOLERANCE"
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -54,8 +50,14 @@ def _truth_table_argument(text: str) -> TruthTable:
         raise argparse.ArgumentTypeError(MALFORMED_TABLE_MESSAGE)
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own writer drops an OSError, and with it a closed stdout.
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qparity",
         description=(
             "Classify two-bit Boolean functions as even or odd by exact "
@@ -236,7 +238,7 @@ def _print_table(args: argparse.Namespace) -> int:
 
 
 def _print_verify(args: argparse.Namespace) -> int:
-    outcome = run_all_checks(args.tolerance)
+    outcome = run_all_checks()
     if args.json:
         payload = {
             "passed": outcome.passed,
@@ -275,19 +277,12 @@ _PARSER = build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-
-    raw_tolerance = os.environ.get(TOLERANCE_ENV_VAR, repr(DEFAULT_TOL))
-    try:
-        args.tolerance = checked_tolerance(float(raw_tolerance))
-    except ValueError as exc:
-        print(f"error: {TOLERANCE_ENV_VAR}={raw_tolerance!r}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
-    try:
-        code = _HANDLERS[args.command](args)
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:  # argparse is done: help printed, or a usage error
+            code = exc.code if isinstance(exc.code, int) else USAGE_ERROR
+        else:
+            code = _HANDLERS[args.command](args)
         if hasattr(sys.stdout, "flush"):  # a bare writer passed in as stdout has none
             sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code

@@ -6,9 +6,8 @@ arithmetic is double-precision complex; validity checks run at construction
 time and fail fast with ValueError.
 
 The table below states every tolerance of the package once. They are
-constants: nothing rebinds them, so validation is the same in every thread.
-Only the checks of ``qparity verify`` take a tolerance as an argument, and
-:func:`checked_tolerance` states the rule for it.
+constants: nothing rebinds them and nothing takes a tolerance as an argument,
+so every comparison is the same in every thread and every call.
 """
 
 from __future__ import annotations
@@ -18,25 +17,12 @@ import numpy as np
 # The tolerance table; rounding errors are a few 1e-15. Decision cuts (the verdict's 0.5,
 # DJ's 0.75 and 0.25, the separability minor's < 1, verify's 0.25 readout cut) are not
 # tolerances: each sits beside the exact values it splits, at least 0.2 from every one.
-DEFAULT_TOL = 1e-12  # validation of states and operators, states_equal, verify's default
-MIN_TOLERANCE = 1e-13  # least for verify: at 1e-15 correct results fail 8 of 16 functions
+DEFAULT_TOL = 1e-12  # validation of states and operators, states_equal, verify's checks
 IDEMPOTENCY_TOL = 1e-11  # rho @ rho - rho is a product, so it carries twice the rounding
 ZERO_FLOOR = 1e-10  # smaller concurrences, weights, magnetizations, eigenvalues are rounding
 DISPLAY_FLOOR = 1e-9  # text output leaves out amplitudes and imaginary parts this small
 
 MAX_QUBITS = 12
-
-
-def checked_tolerance(tol: float) -> float:
-    """``tol`` if ``MIN_TOLERANCE <= tol < ZERO_FLOOR``; raises ValueError otherwise.
-
-    From ``ZERO_FLOOR`` up, the checks would accept as equal values that the library
-    itself tells apart, and a loose enough tolerance passes a wrong build."""
-    if not MIN_TOLERANCE <= tol < ZERO_FLOOR:
-        raise ValueError(
-            f"tolerance must be at least {MIN_TOLERANCE:g} and below {ZERO_FLOOR:g}, got {tol!r}"
-        )
-    return tol
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -264,7 +250,7 @@ def partial_trace_stack(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:
     (n, 2, 2) result is read-only and validated likewise."""
     if rhos.shape[1:] != (4, 4):
         raise ValueError("partial_trace expects a two-qubit density matrix")
-    if keep_qubit not in (1, 2):
+    if type(keep_qubit) is not int or keep_qubit not in (1, 2):
         raise ValueError(f"keep_qubit must be 1 or 2, got {keep_qubit!r}")
     blocks = _check_densities(rhos).reshape(-1, 2, 2, 2, 2)  # [n, i1, i2, j1, j2]
     reduced = np.einsum("nakbk->nab" if keep_qubit == 1 else "nkakb->nab", blocks)

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .linalg import DensityMatrix, ZERO_FLOOR, _check_densities, partial_trace_stack
-from .oracles import Parity
 
 if TYPE_CHECKING:
     from .reports import ClassificationReport
@@ -151,17 +150,16 @@ def parity_magnetization_values(
 ) -> tuple[list[float], list[float]]:
     """Transverse magnetization of one qubit across the reports' final states.
 
-    Returns the values grouped as (even-function family, odd-function
-    family), read from each report's observability analysis.
+    Returns the values as (even-function family, odd-function family) by the
+    truth table's ones count, read from each report's observability analysis.
     """
-    if qubit not in (1, 2):
+    if type(qubit) is not int or qubit not in (1, 2):
         raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
     families: tuple[list[float], list[float]] = ([], [])
     for report in reports:
         value = getattr(report.observability, f"transverse_magnetization_q{qubit}")
         # Below the detection floor there is no signal.
-        odd = report.function_class.parity is not Parity.EVEN
-        families[odd].append(value if value > ZERO_FLOOR else 0.0)
+        families[report.function.ones() % 2].append(value if value > ZERO_FLOOR else 0.0)
     return families
 
 

@@ -11,7 +11,8 @@ reports' amplitudes and fields (one density stack, one eigvalsh call, one
 even-by-odd overlap product), each applying the library function it checks
 to the whole stack. One runner runs every check after the analysis and traps
 exceptions, so a broken build degrades to failed checks instead of a crash:
-a probe that raises fails its check for every function.
+a probe that raises fails its check for every function. Every comparison is at
+a constant of the ``linalg`` tolerance table; no argument or setting changes it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import numpy as np
 from .algorithms import DJVerdict, classical_min_queries, constant_balanced_promise_functions
 from .entanglement import is_idempotent_stack
 from .linalg import (
-    DEFAULT_TOL, ZERO_FLOOR, checked_tolerance, density_from_state_stack, partial_trace_stack,
-    purity_stack,
+    DEFAULT_TOL, ZERO_FLOOR, density_from_state_stack, partial_trace_stack, purity_stack,
 )
 from .nmr import (
     decompose_coherences_stack, magnetization_classifies_parity, spin1_indistinguishability_check
@@ -87,12 +87,8 @@ def _deviation(actual: np.ndarray, expected) -> np.ndarray:
     return diff.max(axis=tuple(range(1, diff.ndim)))
 
 
-def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
-    """Run every named check, comparing computed values with ``tol``.
-
-    Raises ValueError unless :func:`~qparity.linalg.checked_tolerance` accepts ``tol``.
-    """
-    checked_tolerance(tol)
+def run_all_checks() -> VerificationOutcome:
+    """Run every named check, comparing at the tolerances of the ``linalg`` table."""
     functions = enumerate_functions()
     reports: list[ClassificationReport] = []
     failed_functions: set[str] = set()
@@ -177,9 +173,9 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         diag = np.diagonal(m, axis1=1, axis2=2)
         expected = (-1.0) ** outputs
         return [
-            (_deviation(m, diag[:, :, None] * np.eye(4)) > tol, "oracle is not diagonal"),
-            (_deviation(m @ m, np.eye(4)) > tol, "oracle is not self-inverse"),
-            (_deviation(diag, expected) > tol, "oracle diagonal {} != {}", diag.tolist(),
+            (_deviation(m, diag[:, :, None] * np.eye(4)) > DEFAULT_TOL, "oracle is not diagonal"),
+            (_deviation(m @ m, np.eye(4)) > DEFAULT_TOL, "oracle is not self-inverse"),
+            (_deviation(diag, expected) > DEFAULT_TOL, "oracle diagonal {} != {}", diag.tolist(),
              expected.tolist()),
         ]
 
@@ -207,18 +203,19 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         errors = np.full((len(reports), counts.max(initial=0)), np.nan)
         norms = np.sum(np.abs(steps.reshape(-1, 4)) ** 2, axis=1)
         errors[np.arange(errors.shape[1]) < counts[:, None]] = np.abs(norms - 1.0)
-        return [(e > tol, f"step {k} norm error {{:.3e}}", e) for k, e in enumerate(errors.T)]
+        return [(e > DEFAULT_TOL, f"step {k} norm error {{:.3e}}", e)
+                for k, e in enumerate(errors.T)]
 
     @sweep("final_state_sign_law")
     def probe_sign_law():
         err = _deviation(finals(), expected_finals)
-        return [(err > tol, "final state deviates from sign law by {:.3e}", err)]
+        return [(err > DEFAULT_TOL, "final state deviates from sign law by {:.3e}", err)]
 
     @sweep("final_state_patterns")
     def probe_pattern():
         # Equality up to a global phase, a weaker route than the sign law.
         inner = np.abs(np.sum(expected_finals * finals(), axis=1))
-        return [(np.abs(inner - 1.0) > tol, "|overlap with expected pattern| = {!r} != 1",
+        return [(np.abs(inner - 1.0) > DEFAULT_TOL, "|overlap with expected pattern| = {!r} != 1",
                  inner.tolist())]
 
     @sweep("density_matrix_forms")
@@ -226,7 +223,7 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         rhos = densities()
         err = _deviation(rhos, numerators[:, :, None] * numerators[:, None, :] / 8.0)
         return [
-            (err > tol, "density matrix deviates by {:.3e}", err),
+            (err > DEFAULT_TOL, "density matrix deviates by {:.3e}", err),
             (np.linalg.eigvalsh(rhos).min(axis=1) < -ZERO_FLOOR,
              "density matrix has a negative eigenvalue"),
         ]
@@ -240,11 +237,11 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         purities = purity_stack(reduced2)
         trace_err = np.abs(np.trace(reduced1, axis1=1, axis2=2) - 1.0)
         return [
-            (err > tol, "qubit-2 reduced matrix deviates by {:.3e}", err),
-            (np.abs(purities - expected_purity) > tol, "qubit-2 reduced purity {!r} != {}",
+            (err > DEFAULT_TOL, "qubit-2 reduced matrix deviates by {:.3e}", err),
+            (np.abs(purities - expected_purity) > DEFAULT_TOL, "qubit-2 reduced purity {!r} != {}",
              purities.tolist(), expected_purity),
             (is_idempotent_stack(reduced2) != even, "qubit-2 reduced idempotency != {}", even),
-            (trace_err > tol, "qubit-1 reduced trace off by {:.3e}", trace_err),
+            (trace_err > DEFAULT_TOL, "qubit-1 reduced trace off by {:.3e}", trace_err),
         ]
 
     @sweep("entanglement_correspondence")
@@ -270,12 +267,13 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         expected = np.sqrt(np.stack([2 - c12, c12], axis=1) / 2.0)  # (1 +- sqrt(1-C^2))/2, C=c12
         err = _deviation(np.array(pairs).reshape(-1, 2), expected)
         expected_pairs = [tuple(e) for e in expected.tolist()]
-        return [(err > tol, "schmidt coefficients {!r} != {!r}", pairs, expected_pairs)]
+        return [(err > DEFAULT_TOL, "schmidt coefficients {!r} != {!r}", pairs, expected_pairs)]
 
     @sweep("even_odd_overlap")
     def probe_overlap():
         overlaps = np.abs(finals()[even].conj() @ finals()[~even].T).ravel().tolist()
-        return [f"overlap: |<even|odd>| = {v!r} != 0.5" for v in overlaps if abs(v - 0.5) > tol]
+        return [f"overlap: |<even|odd>| = {v!r} != 0.5"
+                for v in overlaps if abs(v - 0.5) > DEFAULT_TOL]
 
     @sweep("nmr_observability")
     def probe_nmr():
@@ -285,9 +283,9 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         magnetization2 = [o.transverse_magnetization_q2 for o in obs]
         return [
             (np.array(line) != even, "observable_line={} but even={}", line, even),
-            (np.abs(np.array(magnetization2) - expected_m2) > tol,
+            (np.abs(np.array(magnetization2) - expected_m2) > DEFAULT_TOL,
              "qubit-2 magnetization {!r} != {}", magnetization2, expected_m2),
-            (np.abs(np.array(magnetization1)) > tol, "qubit-1 magnetization {!r} != 0",
+            (np.abs(np.array(magnetization1)) > DEFAULT_TOL, "qubit-1 magnetization {!r} != 0",
              magnetization1),
         ]
 
@@ -297,8 +295,8 @@ def run_all_checks(tol: float = DEFAULT_TOL) -> VerificationOutcome:
         decomposition = decompose_coherences_stack(rhos)
         orders = decomposition.orders
         err = _deviation(decomposition.total(), rhos)
-        return [(err > tol, "coherence components re-sum off by {:.3e}", err)] + [
-            (_deviation(orders[order], orders[-order].conj().swapaxes(1, 2)) > tol,
+        return [(err > DEFAULT_TOL, "coherence components re-sum off by {:.3e}", err)] + [
+            (_deviation(orders[order], orders[-order].conj().swapaxes(1, 2)) > DEFAULT_TOL,
              f"order +-{order} components are not conjugate transposes")
             for order in (1, 2)
         ]

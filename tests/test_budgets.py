@@ -24,7 +24,7 @@ import pytest
 
 import qparity
 from qparity import TruthTable, classification_report
-from qparity.cli import TOLERANCE_ENV_VAR, main
+from qparity.cli import main
 from qparity.reports import all_reports
 
 FUNCTIONS = {  # name: the module that defines it
@@ -101,9 +101,8 @@ def test_all_reports_budget(counts):
     assert per_call(counts, REPORT_BUDGET, 1) == REPORT_BUDGET
 
 
-def test_batch_pair_budget(counts, monkeypatch):
+def test_batch_pair_budget(counts):
     # The benchmark's batch op: table --json, then verify --json.
-    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
     pairs = 3
     with contextlib.redirect_stdout(io.StringIO()):
         for _ in range(pairs):

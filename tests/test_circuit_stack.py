@@ -26,7 +26,7 @@ from qparity.algorithms import (
     run_deutsch_jozsa_sweep,
     run_even_odd_sweep,
 )
-from qparity.cli import TOLERANCE_ENV_VAR, main
+from qparity.cli import main
 from qparity.linalg import validated_state_stack
 from qparity.reports import all_reports
 
@@ -79,7 +79,6 @@ def test_flipped_oracle_sign_fails_verification(capsys, monkeypatch):
         return signs
 
     monkeypatch.setattr(qparity.algorithms, "oracle_signs", flip_0110)
-    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
     code = main(["verify"])
     lines = capsys.readouterr().out.splitlines()
     failed = [line for line in lines if line.startswith("FAIL")]

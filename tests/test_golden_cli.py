@@ -18,7 +18,7 @@ import os
 import pytest
 
 from qparity import to_canonical_json
-from qparity.cli import TOLERANCE_ENV_VAR, main
+from qparity.cli import main
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 
@@ -54,8 +54,7 @@ def test_golden_file_covers_every_invocation(golden):
 @pytest.mark.parametrize(
     "index,argv", enumerate(invocations()), ids=[" ".join(a) for a in invocations()]
 )
-def test_output_matches_golden(index, argv, golden, monkeypatch):
-    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
+def test_output_matches_golden(index, argv, golden):
     assert capture(argv) == golden[index]
 
 
@@ -100,7 +99,6 @@ def test_schmidt_correction_changed_only_the_schmidt_values(golden):
 
 
 if __name__ == "__main__":
-    os.environ.pop(TOLERANCE_ENV_VAR, None)
     records = [capture(argv) for argv in invocations()]
     with open(GOLDEN_PATH, "w") as fh:
         json.dump(records, fh, indent=1)

@@ -154,6 +154,11 @@ class TestParityReadout:
         for threshold in (-0.1, 0.0, 0.1, 0.25, 0.4):
             assert magnetization_classifies_parity(reports, 1, threshold) is False
 
+    @pytest.mark.parametrize("qubit", [0, 3, True, 1.0, 2.0])
+    def test_qubit_must_be_the_int_1_or_2(self, qubit):
+        with pytest.raises(ValueError, match="qubit must be 1 or 2"):
+            magnetization_classifies_parity(all_reports(), qubit, 0.25)
+
     def test_threshold_separates_needs_a_gap(self):
         assert threshold_separates([0.0, 0.0], [0.5, 0.6])
         assert threshold_separates([0.5], [0.0])

@@ -2,7 +2,6 @@
 faults, and concurrent use."""
 
 import dataclasses
-import math
 import sys
 import threading
 
@@ -11,8 +10,7 @@ import pytest
 import qparity.reports
 import qparity.verification
 from qparity import StateVector, run_all_checks, to_canonical_json
-from qparity.cli import TOLERANCE_ENV_VAR, main
-from qparity.linalg import ZERO_FLOOR
+from qparity.cli import main
 from qparity.oracles import Parity, classify
 from qparity.reports import all_reports, report_to_jsonable
 
@@ -63,20 +61,15 @@ FAULTS = {
 }
 
 
-def verify_with(fault, capsys, monkeypatch, tolerance=None) -> tuple[int, list[str], str]:
-    """Run ``qparity verify`` on the sweep's reports passed through ``fault``,
-    at ``tolerance`` (the default if None); returns the exit code, the FAIL
-    lines and the summary line."""
+def verify_with(fault, capsys, monkeypatch) -> tuple[int, list[str], str]:
+    """Run ``qparity verify`` on the sweep's reports passed through ``fault``;
+    returns the exit code, the FAIL lines and the summary line."""
     honest = qparity.verification.classification_report_sweep
     monkeypatch.setattr(
         qparity.verification,
         "classification_report_sweep",
         lambda functions: [fault(r) for r in honest(functions)],
     )
-    if tolerance is None:
-        monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
-    else:
-        monkeypatch.setenv(TOLERANCE_ENV_VAR, repr(tolerance))
     code = main(["verify"])
     lines = capsys.readouterr().out.splitlines()
     return code, [line for line in lines if line.startswith("FAIL")], lines[-1]
@@ -94,11 +87,13 @@ def test_one_function_fault_is_attributed_to_it(bits, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("bits", sorted(FAULTS))
-def test_one_function_fault_is_caught_at_the_largest_tolerance(bits, capsys, monkeypatch):
+def test_one_function_fault_is_caught_with_qparity_tolerance_set(bits, capsys, monkeypatch):
+    # No command reads the variable; it once set verify's tolerance, and at 1e6
+    # let every fault pass.
+    monkeypatch.setenv("QPARITY_TOLERANCE", "1e6")
     fault, expected_failures = FAULTS[bits]
     code, failed, summary = verify_with(
-        lambda r: fault(r) if r.function.to_string() == bits else r, capsys, monkeypatch,
-        tolerance=math.nextafter(ZERO_FLOOR, 0.0),
+        lambda r: fault(r) if r.function.to_string() == bits else r, capsys, monkeypatch
     )
     assert code == 1
     assert failed == expected_failures
@@ -149,7 +144,6 @@ def test_probe_rule_missing_a_row_fails_its_check(capsys, monkeypatch):
         "partial_trace_stack",
         lambda rhos, keep: honest(rhos, keep)[:-1] if keep == 1 else honest(rhos, keep),
     )
-    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
     code = main(["verify"])
     lines = capsys.readouterr().out.splitlines()
     failed = [line for line in lines if line.startswith("FAIL")]
@@ -159,9 +153,9 @@ def test_probe_rule_missing_a_row_fails_its_check(capsys, monkeypatch):
 
 
 def test_parity_flipped_classify_is_blamed_on_classify(capsys, monkeypatch):
-    # The expectations come from the truth-table bits, not from classify, so
-    # a wrong classify fails the class rule and the readout that trusts it,
-    # and the physics checks keyed by the bits pass.
+    # The expectations and the readout's even/odd split come from the
+    # truth-table bits, not from classify, so a wrong classify fails the class
+    # rule alone, and the physics checks keyed by the bits pass.
     def flipped(f):
         c = classify(f)
         parity = Parity.ODD if c.parity is Parity.EVEN else Parity.EVEN
@@ -169,14 +163,11 @@ def test_parity_flipped_classify_is_blamed_on_classify(capsys, monkeypatch):
 
     for module in (qparity.reports, qparity.verification):
         monkeypatch.setattr(module, "classify", flipped)
-    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
     code = main(["verify"])
     lines = capsys.readouterr().out.splitlines()
     failed = [line for line in lines if line.startswith("FAIL")]
     assert code == 1
-    assert [line.split(":")[0] for line in failed] == [
-        "FAIL function_enumeration", "FAIL spin_readout_separation"
-    ]
+    assert [line.split(":")[0] for line in failed] == ["FAIL function_enumeration"]
     assert failed[0] == (
         "FAIL function_enumeration: "
         "0000: classify gives [0,4] odd, the ANF and W give [0,4] even; "
@@ -184,8 +175,8 @@ def test_parity_flipped_classify_is_blamed_on_classify(capsys, monkeypatch):
         "0010: classify gives [1,3] even, the ANF and W give [1,3] odd; "
         "0011: classify gives [2,2] odd, the ANF and W give [2,2] even; and 12 more"
     )
-    for name in ("separability_parity_theorem", "circuit_verdicts",
-                 "entanglement_correspondence", "schmidt_coefficients", "nmr_observability"):
+    for name in ("separability_parity_theorem", "circuit_verdicts", "entanglement_correspondence",
+                 "schmidt_coefficients", "nmr_observability", "spin_readout_separation"):
         assert f"ok   {name}" in lines
     assert lines[-1] == "0/16 functions verified, classical_min_queries=4"
 
@@ -212,7 +203,6 @@ def test_raising_probe_fails_its_check_without_a_crash(
 
     for module in modules:
         monkeypatch.setattr(getattr(qparity, module), "classify", broken)
-    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
     code = main(["verify"])
     lines = capsys.readouterr().out.splitlines()
     failed = [line.split(":")[0] for line in lines if line.startswith("FAIL")]
