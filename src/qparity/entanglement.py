@@ -1,11 +1,12 @@
 """Entanglement analysis for two-qubit pure states.
 
 For amplitudes (a, b, c, d) in basis order |00>, |01>, |10>, |11>, the
-concurrence is 2|ad - bc|: zero exactly for product states, one for
-maximally entangled states. The Schmidt coefficients are the singular
-values of the 2x2 amplitude matrix [[a, b], [c, d]]; they follow in closed
-form from the qubit-1 reduced matrix and |ad - bc| (Nielsen & Chuang, sec.
-2.5; Wootters, PRL 80, 2245, 1998), so no general SVD is needed. The
+amplitude matrix M = [[a, b], [c, d]] holds the state: the concurrence is
+2|det M| = 2|ad - bc|, zero exactly for product states and one for maximally
+entangled states, and the reduced matrices of qubits 1 and 2 are M M^dagger
+and M^T conj(M). The Schmidt coefficients, M's singular values, follow in
+closed form from the qubit-1 reduced matrix and |ad - bc| (Nielsen & Chuang,
+sec. 2.5; Wootters, PRL 80, 2245, 1998), so no general SVD is needed. The
 analyses run on stacks of states; the one-state forms are the stack of one.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix, IDEMPOTENCY_TOL, StateVector, ZERO_FLOOR, _check_densities,
-    density_from_state_stack, partial_trace_stack, purity_stack,
+    validated_state_stack,
 )
 
 
@@ -39,16 +40,17 @@ class EntanglementReport:
 
 def analyze_pure_state_stack(amplitudes) -> list[EntanglementReport]:
     """Concurrence, Schmidt coefficients and reduced purities of an (n, 4)
-    stack of two-qubit amplitudes, one report per row. The reduced purities
-    come from the partial trace of |s><s|, independently of the concurrence;
+    stack of two-qubit amplitudes, checked as ``StateVector`` checks one, one
+    report per row. The reduced purities come from the reduced matrices
+    M M^dagger and M^T conj(M), independently of the concurrence's det M;
     agreement between the two routes is a consistency check the tests rely on."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.shape[1:] != (4,):
         raise ValueError("entanglement analysis expects a two-qubit state")
-    a, b, c, d = amps.T
-    concurrence = 2.0 * np.abs(a * d - b * c)
-    rhos = density_from_state_stack(amps)
-    reduced1 = partial_trace_stack(rhos, 1)
+    m = validated_state_stack(amps.copy()).reshape(-1, 2, 2)
+    concurrence = 2.0 * np.abs(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
+    reduced1 = np.einsum("nak,nbk->nab", m, m.conj())
+    reduced2 = np.einsum("nka,nkb->nab", m, m.conj())
     # The squared Schmidt coefficients are the eigenvalues (1 +- spread)/2 of
     # the trace-normalized reduced matrix [[p, q], [q*, 1 - p]], with
     # spread = hypot(2p - 1, 2|q|), and lam1 * lam2 = |ad - bc|. Unlike
@@ -57,8 +59,7 @@ def analyze_pure_state_stack(amplitudes) -> list[EntanglementReport]:
     p, q = reduced1[:, 0, 0].real / norm, np.abs(reduced1[:, 0, 1]) / norm
     lam1 = np.sqrt((1.0 + np.hypot(2.0 * p - 1.0, 2.0 * q)) / 2.0)
     lam2 = concurrence / (2.0 * norm * lam1)
-    purity1 = purity_stack(reduced1)
-    purity2 = purity_stack(partial_trace_stack(rhos, 2))
+    purity1, purity2 = (np.real(np.trace(r @ r, axis1=1, axis2=2)) for r in (reduced1, reduced2))
     columns = (concurrence, lam1, lam2, purity1, purity2)
     return [
         EntanglementReport(conc, (l1, l2), conc > ZERO_FLOOR, p1, p2)

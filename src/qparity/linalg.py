@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small multi-qubit systems.
+"""Dense complex linear algebra for one- and two-qubit registers.
 
 Basis convention: qubit 1 is the most significant bit of the basis index,
 so for two qubits the amplitude order is |00>, |01>, |10>, |11>. All
@@ -22,8 +22,6 @@ IDEMPOTENCY_TOL = 1e-11  # rho @ rho - rho is a product, so it carries twice the
 ZERO_FLOOR = 1e-10  # smaller concurrences, weights, magnetizations, eigenvalues are rounding
 DISPLAY_FLOOR = 1e-9  # text output leaves out amplitudes and imaginary parts this small
 
-MAX_QUBITS = 12
-
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
@@ -37,18 +35,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _qubit_count(dim: int, what: str) -> int:
-    n = (dim - 1).bit_length()
-    if dim < 2 or dim != 2**n:
-        raise ValueError(f"{what} dimension {dim} is not a power of two >= 2")
-    if n > MAX_QUBITS:
-        raise ValueError(f"{what} exceeds the {MAX_QUBITS}-qubit cap")
-    return n
+    if dim not in (2, 4):
+        raise ValueError(f"{what} dimension {dim} is not 2 or 4 (one or two qubits)")
+    return dim // 2
 
 
 class StateVector:
     """Normalized pure state over the computational basis.
 
-    The amplitude array has length 2**num_qubits and satisfies
+    The amplitude array has length 2 or 4 (2**num_qubits) and satisfies
     sum(|a_i|^2) = 1 within tolerance. Instances are immutable; the
     underlying numpy array is marked read-only.
     """
@@ -66,7 +61,7 @@ class StateVector:
     def _trusted(cls, amplitudes: np.ndarray) -> "StateVector":
         """A state on a row of a ``validated_state_stack`` result, not copied."""
         s = object.__new__(cls)
-        s._amplitudes, s._num_qubits = amplitudes, (len(amplitudes) - 1).bit_length()
+        s._amplitudes, s._num_qubits = amplitudes, len(amplitudes) // 2
         return s
 
     @property
@@ -124,7 +119,7 @@ def _check_densities(arr: np.ndarray) -> np.ndarray:
 
 
 class DensityMatrix:
-    """Hermitian, trace-one operator on an n-qubit register.
+    """Hermitian, trace-one operator on a one- or two-qubit register.
 
     Hermiticity and unit trace are enforced at construction. Positive
     semidefiniteness is checked on demand through
@@ -160,7 +155,7 @@ class DensityMatrix:
 
 
 class UnitaryOperator:
-    """Complex square matrix U with U^dagger U = I within tolerance."""
+    """Complex 2x2 or 4x4 matrix U with U^dagger U = I within tolerance."""
 
     __slots__ = ("_entries", "_num_qubits")
 
@@ -194,8 +189,8 @@ class UnitaryOperator:
 
 def basis_state(bits: str) -> StateVector:
     """Computational basis state for a classical bit string, e.g. "00"."""
-    if not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"invalid basis label {bits!r}: expected a nonempty 0/1 string")
+    if len(bits) not in (1, 2) or any(c not in "01" for c in bits):
+        raise ValueError(f"invalid basis label {bits!r}: expected one or two 0/1 characters")
     amplitudes = np.zeros(2 ** len(bits), dtype=np.complex128)
     amplitudes[int(bits, 2)] = 1.0
     return StateVector(amplitudes)

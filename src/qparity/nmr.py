@@ -169,14 +169,14 @@ def magnetization_classifies_parity(
     """Whether "transverse magnetization above threshold" predicts parity.
 
     Predicts even when the chosen qubit's magnetization exceeds the
-    threshold; true iff that rule is correct for every report. Over all 16
-    functions, qubit 2 with threshold 0.25 classifies perfectly (even gives
-    1/2, odd gives 0); no threshold works on qubit 1.
+    threshold; true iff both parities occur and that rule is correct for every
+    report. Over all 16 functions, qubit 2 with threshold 0.25 classifies
+    perfectly (even gives 1/2, odd gives 0); no threshold works on qubit 1.
     """
-    even_values, odd_values = parity_magnetization_values(reports, qubit)
-    return all(v > threshold for v in even_values) and all(
-        v <= threshold for v in odd_values
-    )
+    even, odd = parity_magnetization_values(reports, qubit)
+    if not even or not odd:
+        return False
+    return all(v > threshold for v in even) and all(v <= threshold for v in odd)
 
 
 def spin1_indistinguishability_check(reports: Sequence[ClassificationReport]) -> bool:

@@ -4,8 +4,9 @@ Timings on a small shared machine resolve a few percent at best, but call
 counts repeat exactly, and most of the package's speed comes from doing
 less: gates built once per sweep, oracles built at import, one parser, no
 per-state wrapper objects, one density stack per analysis. These tests
-count calls of public functions and constructors, wrapped from outside the
-package the way ``bench/tracer.py`` wraps them.
+count calls of public functions and constructors, and of the density check
+``_check_densities`` that every density stack passes through, wrapped from
+outside the package the way ``bench/tracer.py`` wraps them.
 
 The budgets are a ratchet, so each count must equal its budget. A count
 above it is a regression. A count below it fails too, until the change
@@ -28,6 +29,7 @@ from qparity.cli import main
 from qparity.reports import all_reports
 
 FUNCTIONS = {  # name: the module that defines it
+    "_check_densities": qparity.linalg,
     "build_oracle": qparity.oracles,
     "density_from_state_stack": qparity.linalg,
     "partial_trace_stack": qparity.linalg,
@@ -44,8 +46,9 @@ REPORT_BUDGET = {
     "UnitaryOperator": 9,
     "StateVector": 0,
     "DensityMatrix": 0,
-    "density_from_state_stack": 2,
-    "partial_trace_stack": 4,
+    "density_from_state_stack": 1,
+    "partial_trace_stack": 2,
+    "_check_densities": 6,
 }
 BATCH_BUDGET = {
     "UnitaryOperator": 18,
@@ -54,8 +57,9 @@ BATCH_BUDGET = {
     "build_oracle": 16,
     "ArgumentParser": 0,
     "to_canonical_json": 2,
-    "density_from_state_stack": 5,
-    "partial_trace_stack": 10,
+    "density_from_state_stack": 3,
+    "partial_trace_stack": 6,
+    "_check_densities": 20,
 }
 
 

@@ -39,6 +39,16 @@ RHO_ODD_MINUS = 0.5 * np.array(
 )
 
 
+# Hadamard, identity, X, Z and the phase gate diag(1, i).
+ONE_QUBIT_GATES = [
+    INV_SQRT2 * np.array([[1, 1], [1, -1]]),
+    np.eye(2),
+    np.array([[0, 1], [1, 0]]),
+    np.diag([1, -1]),
+    np.diag([1, 1j]),
+]
+
+
 def state(*amps) -> StateVector:
     return StateVector(np.array(amps, dtype=complex))
 
@@ -55,16 +65,24 @@ class TestStateVector:
             StateVector([complex(0, np.inf), 0.0])
 
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError, match="power of two"):
+        with pytest.raises(ValueError, match="not 2 or 4"):
             StateVector([1.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="power of two"):
+        with pytest.raises(ValueError, match="not 2 or 4"):
             StateVector([1.0])
 
     def test_rejects_oversized_register(self):
-        amps = np.zeros(2**13)
-        amps[0] = 1.0
-        with pytest.raises(ValueError, match="cap"):
-            StateVector(amps)
+        # Registers have one or two qubits; three are rejected by every type.
+        eight = np.eye(8)
+        with pytest.raises(ValueError, match="one or two qubits"):
+            StateVector(eight[0])
+        with pytest.raises(ValueError, match="one or two qubits"):
+            DensityMatrix(eight / 8)
+        with pytest.raises(ValueError, match="one or two qubits"):
+            UnitaryOperator(eight)
+        with pytest.raises(ValueError, match="one or two 0/1 characters"):
+            basis_state("000")
+        with pytest.raises(ValueError, match="one or two qubits"):
+            tensor_product(hadamard_first(), hadamard())
 
     def test_amplitudes_are_read_only(self):
         s = basis_state("00")
@@ -137,17 +155,12 @@ class TestTensorProduct:
             np.diagonal(result.entries), [1, 1, -1, -1], atol=1e-12
         )
 
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
-            min_size=3,
-            max_size=3,
-        )
-    )
-    def test_associative_on_sign_diagonals(self, diagonals):
-        a, b, c = (UnitaryOperator(np.diag(list(d))) for d in diagonals)
-        left = tensor_product(tensor_product(a, b), c)
-        right = tensor_product(a, tensor_product(b, c))
+    @given(st.lists(st.sampled_from(ONE_QUBIT_GATES), min_size=4, max_size=4))
+    def test_mixed_product_rule_on_one_qubit_factors(self, factors):
+        # (A (x) B)(C (x) D) = AC (x) BD.
+        a, b, c, d = (UnitaryOperator(m) for m in factors)
+        left = compose(tensor_product(a, b), tensor_product(c, d))
+        right = tensor_product(compose(a, c), compose(b, d))
         assert np.max(np.abs(left.entries - right.entries)) < 1e-12
 
 

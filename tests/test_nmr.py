@@ -159,6 +159,12 @@ class TestParityReadout:
         with pytest.raises(ValueError, match="qubit must be 1 or 2"):
             magnetization_classifies_parity(all_reports(), qubit, 0.25)
 
+    def test_a_missing_parity_family_classifies_nothing(self):
+        even_reports = [r for r in all_reports() if r.function.ones() % 2 == 0]
+        assert len(even_reports) == 8
+        assert magnetization_classifies_parity([], 2, 0.25) is False
+        assert magnetization_classifies_parity(even_reports, 1, -1.0) is False
+
     def test_threshold_separates_needs_a_gap(self):
         assert threshold_separates([0.0, 0.0], [0.5, 0.6])
         assert threshold_separates([0.5], [0.0])

@@ -107,6 +107,18 @@ class TestStackValidation:
         with pytest.raises(ValueError, match="finite"):
             density_from_state_stack(amplitudes)
 
+    @pytest.mark.parametrize("factor, message", [(1.1, "not normalized"), (np.nan, "finite")])
+    def test_entanglement_analysis_checks_its_input(self, factor, message):
+        amplitudes = random_amplitudes(np.random.default_rng(6), 3)
+        amplitudes[1, 0] *= factor
+        with pytest.raises(ValueError, match=message):
+            analyze_pure_state_stack(amplitudes)
+
+    def test_entanglement_analysis_leaves_the_input_writable(self):
+        amplitudes = random_amplitudes(np.random.default_rng(7), 3)
+        analyze_pure_state_stack(amplitudes)
+        assert amplitudes.flags.writeable
+
     def test_non_hermitian_matrix_is_rejected(self):
         rhos = np.repeat(np.eye(4, dtype=complex)[None] / 4, 2, axis=0)
         rhos[1, 0, 2] = 0.1  # <00|rho|10>: survives tracing out qubit 2
