@@ -10,7 +10,8 @@ adaptive decision trees. Each sweep simulates all its functions as one array.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable
+import operator
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,6 +54,51 @@ class AlgorithmResult:
     per_step_states: tuple[StateVector, ...]
 
 
+class Sweep(Sequence):
+    """Results kept as columns: ``columns`` maps each field of ``row_type``, in
+    order, to its column (states as amplitude stacks); ``sweep[k]`` builds row k,
+    and a slice gives a list of rows."""
+
+    __slots__ = ("row_type", "columns")
+
+    def __init__(self, row_type: type, columns: dict):
+        self.row_type, self.columns = row_type, columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __getitem__(self, k: int | slice):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        return self._row(k)
+
+    def _row(self, k: int):
+        return self.row_type(*(column[k] for column in self.columns.values()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+class CircuitSweep(Sweep):
+    """Circuit runs, whose row k wraps the rows of ``per_step_states[k]`` as its states."""
+
+    __slots__ = ()
+
+    def _row(self, k: int) -> AlgorithmResult:
+        c = self.columns
+        states = tuple(StateVector._trusted(row) for row in c["per_step_states"][k])
+        return AlgorithmResult(states[-1], c["verdict"][k], c["oracle_calls"][k], states)
+
+
+def _column(records: Sequence, path: str):
+    """Field ``path`` (dotted, e.g. ``"circuit.verdict"``) of every record: a
+    column of a :class:`Sweep`, or read off each record of any other sequence."""
+    if not isinstance(records, Sweep):
+        return list(map(operator.attrgetter(path), records))
+    head, _, rest = path.partition(".")
+    return _column(records.columns[head], rest) if rest else records.columns[head]
+
+
 def _circuit_steps(signs: np.ndarray, sequence: tuple[UnitaryOperator | None, ...]) -> np.ndarray:
     """Every state, from |00> on, of one circuit run per row of an (n, 4) sign
     stack, as one validated (n, len(sequence) + 1, 4) stack: each gate acts as
@@ -67,7 +113,7 @@ def _circuit_steps(signs: np.ndarray, sequence: tuple[UnitaryOperator | None, ..
     return validated_state_stack(np.stack(steps, axis=1))
 
 
-def run_even_odd_sweep(functions: Iterable[TruthTable]) -> list[AlgorithmResult]:
+def run_even_odd_sweep(functions: Iterable[TruthTable]) -> CircuitSweep:
     """Classify each function as even or odd with two oracle queries.
 
     Starting from |00>, the circuit applies a Hadamard to both qubits, the
@@ -78,33 +124,32 @@ def run_even_odd_sweep(functions: Iterable[TruthTable]) -> list[AlgorithmResult]
     is read off from which of the |00> or |10> components carries the
     nonzero amplitude.
 
-    The gates are built once and all functions run as one stack, whose rows
-    are the per-step states; the results follow the order of ``functions``.
+    The gates are built once and all functions run as one stack, kept as
+    columns; the rows follow the order of ``functions``.
     """
     h12, h2 = gates.hadamard_both(), gates.hadamard_second()
     sequence = (h12, None, h2, None, h12)
-    oracle_calls = sequence.count(None)
-    results = []
-    for steps in _circuit_steps(oracle_signs(functions), sequence):
-        states = tuple(StateVector._trusted(row) for row in steps)
-        amplitudes = steps[-1]
-        if abs(amplitudes[0]) > VERDICT_AMPLITUDE_THRESHOLD:
-            verdict = Parity.EVEN
-        elif abs(amplitudes[2]) > VERDICT_AMPLITUDE_THRESHOLD:
-            verdict = Parity.ODD
-        else:
-            raise RuntimeError(
-                "final state matches neither parity pattern; "
-                f"amplitudes {amplitudes.tolist()}"
-            )
-        results.append(AlgorithmResult(states[-1], verdict, oracle_calls, states))
-    return results
+    steps = _circuit_steps(oracle_signs(functions), sequence)
+    verdicts = tuple(  # one test of the |00> and |10> amplitudes of every final state
+        Parity.EVEN if even else Parity.ODD if odd else None
+        for even, odd in (np.abs(steps[:, -1, ::2]) > VERDICT_AMPLITUDE_THRESHOLD).tolist()
+    )
+    if None in verdicts:
+        raise RuntimeError(
+            "final state matches neither parity pattern; "
+            f"amplitudes {steps[verdicts.index(None), -1].tolist()}"
+        )
+    return CircuitSweep(AlgorithmResult, {
+        "final_state": steps[:, -1],
+        "verdict": verdicts,
+        "oracle_calls": (sequence.count(None),) * len(steps),
+        "per_step_states": steps,
+    })
 
 
 def run_even_odd(f: TruthTable) -> AlgorithmResult:
     """The even/odd circuit of :func:`run_even_odd_sweep` on one function."""
-    (result,) = run_even_odd_sweep((f,))
-    return result
+    return run_even_odd_sweep((f,))[0]
 
 
 def run_deutsch_jozsa_sweep(functions: Iterable[TruthTable]) -> list[DJVerdict]:

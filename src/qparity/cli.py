@@ -33,7 +33,8 @@ from .reports import (
     class_summary_rows,
     classification_report,
     report_to_jsonable,
-    state_to_jsonable,
+    reports_to_jsonable,
+    states_to_jsonable,
     to_canonical_json,
 )
 from .verification import run_all_checks
@@ -162,19 +163,18 @@ def _print_classify(args: argparse.Namespace) -> int:
 def _print_run(args: argparse.Namespace) -> int:
     result = run_even_odd(args.function)
     if args.json:
+        states = states_to_jsonable(result.per_step_states)
         payload = {
             "function": args.function.to_string(),
             "class": classify(args.function).label,
             "verdict": result.verdict.value,
             "oracle_calls": result.oracle_calls,
-            "final_state": state_to_jsonable(result.final_state),
+            "final_state": states[-1],
         }
         if args.trace:
             payload["trace"] = [
-                {"step": i, "gate": label, "state": state_to_jsonable(state)}
-                for i, (label, state) in enumerate(
-                    zip(STEP_LABELS, result.per_step_states)
-                )
+                {"step": i, "gate": label, "state": state}
+                for i, (label, state) in enumerate(zip(STEP_LABELS, states))
             ]
         print(to_canonical_json(payload))
         return 0
@@ -210,28 +210,14 @@ def _print_table(args: argparse.Namespace) -> int:
     reports = all_reports()
     rows = class_summary_rows(reports)
     if args.json:
-        payload = {
-            "classes": [
-                {
-                    "class": row["class"],
-                    "count": row["count"],
-                    "parity": row["parity"],
-                    "oracle": "separable" if row["oracle_separable"] else "entangling",
-                    "dj": row["dj_verdict"],
-                }
-                for row in rows
-            ],
-            "functions": [report_to_jsonable(r) for r in reports],
-        }
-        print(to_canonical_json(payload))
+        print(to_canonical_json({"classes": rows, "functions": reports_to_jsonable(reports)}))
         return 0
     print(f"{'class':<7} {'count':>5}  {'nature':<6} {'oracle':<11} dj")
     for row in rows:
-        oracle = "Separable" if row["oracle_separable"] else "Entangling"
-        dj = _dj_status_text(DJVerdict(row["dj_verdict"]))
+        dj = _dj_status_text(DJVerdict(row["dj"]))
         print(
             f"{row['class']:<7} {row['count']:>5}  "
-            f"{row['parity'].capitalize():<6} {oracle:<11} {dj}"
+            f"{row['parity'].capitalize():<6} {row['oracle'].capitalize():<11} {dj}"
         )
     print(f"{'total':<7} {sum(row['count'] for row in rows):>5}")
     return 0

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algorithms import Sweep
 from .linalg import (
     DensityMatrix, IDEMPOTENCY_TOL, StateVector, ZERO_FLOOR, _check_densities,
     validated_state_stack,
@@ -38,12 +39,13 @@ class EntanglementReport:
     reduced_purity_q2: float
 
 
-def analyze_pure_state_stack(amplitudes) -> list[EntanglementReport]:
+def analyze_pure_state_stack(amplitudes) -> Sweep:
     """Concurrence, Schmidt coefficients and reduced purities of an (n, 4)
-    stack of two-qubit amplitudes, checked as ``StateVector`` checks one, one
-    report per row. The reduced purities come from the reduced matrices
-    M M^dagger and M^T conj(M), independently of the concurrence's det M;
-    agreement between the two routes is a consistency check the tests rely on."""
+    stack of two-qubit amplitudes, checked as ``StateVector`` checks one, as
+    report columns, one report per row. The reduced purities come from the
+    reduced matrices M M^dagger and M^T conj(M), independently of the
+    concurrence's det M; agreement between the two routes is a consistency
+    check the tests rely on."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.shape[1:] != (4,):
         raise ValueError("entanglement analysis expects a two-qubit state")
@@ -60,11 +62,14 @@ def analyze_pure_state_stack(amplitudes) -> list[EntanglementReport]:
     lam1 = np.sqrt((1.0 + np.hypot(2.0 * p - 1.0, 2.0 * q)) / 2.0)
     lam2 = concurrence / (2.0 * norm * lam1)
     purity1, purity2 = (np.real(np.trace(r @ r, axis1=1, axis2=2)) for r in (reduced1, reduced2))
-    columns = (concurrence, lam1, lam2, purity1, purity2)
-    return [
-        EntanglementReport(conc, (l1, l2), conc > ZERO_FLOOR, p1, p2)
-        for conc, l1, l2, p1, p2 in zip(*(x.tolist() for x in columns))
-    ]
+    concurrence = concurrence.tolist()
+    return Sweep(EntanglementReport, {
+        "concurrence": concurrence,
+        "schmidt_coefficients": list(zip(lam1.tolist(), lam2.tolist())),
+        "is_entangled": [c > ZERO_FLOOR for c in concurrence],
+        "reduced_purity_q1": purity1.tolist(),
+        "reduced_purity_q2": purity2.tolist(),
+    })
 
 
 def analyze_pure_state(s: StateVector) -> EntanglementReport:

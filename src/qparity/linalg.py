@@ -68,6 +68,10 @@ class StateVector:
     def amplitudes(self) -> np.ndarray:
         return self._amplitudes
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The amplitudes, so that a sequence of states stacks as one array."""
+        return np.array(self._amplitudes, dtype=dtype, copy=copy)
+
     @property
     def num_qubits(self) -> int:
         return self._num_qubits
@@ -247,9 +251,12 @@ def partial_trace_stack(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:
         raise ValueError("partial_trace expects a two-qubit density matrix")
     if type(keep_qubit) is not int or keep_qubit not in (1, 2):
         raise ValueError(f"keep_qubit must be 1 or 2, got {keep_qubit!r}")
-    blocks = _check_densities(rhos).reshape(-1, 2, 2, 2, 2)  # [n, i1, i2, j1, j2]
-    reduced = np.einsum("nakbk->nab" if keep_qubit == 1 else "nkakb->nab", blocks)
-    return _frozen(_check_densities(reduced))
+    return _frozen(_check_densities(_partial_trace(_check_densities(rhos), keep_qubit)))
+
+
+def _partial_trace(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:
+    blocks = rhos.reshape(-1, 2, 2, 2, 2)  # [n, i1, i2, j1, j2]
+    return np.einsum("nakbk->nab" if keep_qubit == 1 else "nkakb->nab", blocks)
 
 
 def partial_trace(rho: DensityMatrix, keep_qubit: int) -> DensityMatrix:

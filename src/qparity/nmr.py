@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import DensityMatrix, ZERO_FLOOR, _check_densities, partial_trace_stack
+from .algorithms import Sweep, _column
+from .linalg import DensityMatrix, ZERO_FLOOR, _check_densities, _partial_trace, partial_trace_stack
 
 if TYPE_CHECKING:
     from .reports import ClassificationReport
@@ -111,18 +112,21 @@ def _weight(components: np.ndarray) -> np.ndarray:
     return np.abs(components).reshape(len(components), 16).sum(axis=1)
 
 
-def observability_stack(rhos: np.ndarray) -> list[ObservabilityReport]:
+def observability_stack(rhos: np.ndarray) -> Sweep:
     """Spectral observability summaries of an (n, 4, 4) stack of two-qubit
-    density matrices, one report per matrix."""
+    density matrices, checked once by the decomposition, as report columns,
+    one report per matrix."""
     orders = decompose_coherences_stack(rhos).orders
-    single = _weight(orders[1]) + _weight(orders[-1])
-    zero_quantum = _weight(np.where(np.eye(4, dtype=bool), 0.0 + 0.0j, orders[0]))
-    magnetizations = [transverse_magnetization_stack(rhos, qubit) for qubit in (1, 2)]
-    columns = (single, zero_quantum, *magnetizations)
-    return [
-        ObservabilityReport(s > ZERO_FLOOR, s, z, m1, m2)
-        for s, z, m1, m2 in zip(*(x.tolist() for x in columns))
-    ]
+    single = (_weight(orders[1]) + _weight(orders[-1])).tolist()
+    zero_quantum = _weight(np.where(np.eye(4, dtype=bool), 0.0 + 0.0j, orders[0])).tolist()
+    m1, m2 = (np.abs(_partial_trace(rhos, qubit)[:, 0, 1]).tolist() for qubit in (1, 2))
+    return Sweep(ObservabilityReport, {
+        "observable_line": [s > ZERO_FLOOR for s in single],
+        "single_quantum_weight": single,
+        "zero_quantum_weight": zero_quantum,
+        "transverse_magnetization_q1": m1,
+        "transverse_magnetization_q2": m2,
+    })
 
 
 def observability(rho: DensityMatrix) -> ObservabilityReport:
@@ -156,10 +160,10 @@ def parity_magnetization_values(
     if type(qubit) is not int or qubit not in (1, 2):
         raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
     families: tuple[list[float], list[float]] = ([], [])
-    for report in reports:
-        value = getattr(report.observability, f"transverse_magnetization_q{qubit}")
+    values = _column(reports, f"observability.transverse_magnetization_q{qubit}")
+    for f, value in zip(_column(reports, "function"), values):
         # Below the detection floor there is no signal.
-        families[report.function.ones() % 2].append(value if value > ZERO_FLOOR else 0.0)
+        families[f.ones() % 2].append(value if value > ZERO_FLOOR else 0.0)
     return families
 
 

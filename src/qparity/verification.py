@@ -6,13 +6,14 @@ that ``qparity table`` prints from. Each named check covers those 16 reports
 function; ``qparity verify`` prints the results and exits nonzero on any
 failure. Every expectation comes from each function's truth-table bits by
 one exact route (``_algebra``), never from ``classify``, which is checked
-like the rest. The per-function checks are array probes over one stack of the
-reports' amplitudes and fields (one density stack, one eigvalsh call, one
-even-by-odd overlap product), each applying the library function it checks
-to the whole stack. One runner runs every check after the analysis and traps
-exceptions, so a broken build degrades to failed checks instead of a crash:
-a probe that raises fails its check for every function. Every comparison is at
-a constant of the ``linalg`` tolerance table; no argument or setting changes it.
+like the rest. The per-function checks are array probes over the sweep's
+columns (one density stack, one eigvalsh call, one even-by-odd overlap
+product), each applying the library function it checks to the whole stack; a
+list of reports, as the per-function fallback gives, is read column by column.
+One runner runs every check after the analysis and traps exceptions, so a
+broken build degrades to failed checks instead of a crash: a probe that raises
+fails its check for every function. Every comparison is at a constant of the
+``linalg`` tolerance table, and a NaN is within none of them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import DJVerdict, classical_min_queries, constant_balanced_promise_functions
+from .algorithms import (
+    DJVerdict, Sweep, _column, classical_min_queries, constant_balanced_promise_functions
+)
 from .entanglement import is_idempotent_stack
 from .linalg import (
     DEFAULT_TOL, ZERO_FLOOR, density_from_state_stack, partial_trace_stack, purity_stack,
@@ -81,16 +84,18 @@ def _check(name: str, notes: list[str]) -> CheckResult:
     return CheckResult(name=name, passed=not notes, detail=detail)
 
 
-def _deviation(actual: np.ndarray, expected) -> np.ndarray:
-    """Largest entrywise |actual - expected| in each row of a stack."""
-    diff = np.abs(actual - expected)
-    return diff.max(axis=tuple(range(1, diff.ndim)))
+def _deviation(actual, expected) -> np.ndarray:
+    """Largest entrywise |actual - expected| in each row of a stack, with NaN as
+    infinity, so that a rule's ``deviation > tol`` fails it rather than pass it."""
+    diff = np.abs(np.asarray(actual) - expected)
+    worst = diff.max(axis=tuple(range(1, diff.ndim))) if diff.ndim > 1 else diff
+    return np.where(np.isnan(worst), np.inf, worst)
 
 
 def run_all_checks() -> VerificationOutcome:
     """Run every named check, comparing at the tolerances of the ``linalg`` table."""
     functions = enumerate_functions()
-    reports: list[ClassificationReport] = []
+    reports: Sweep | list[ClassificationReport] = []
     failed_functions: set[str] = set()
     checks: list[CheckResult] = []
 
@@ -107,16 +112,18 @@ def run_all_checks() -> VerificationOutcome:
                 build_notes.append(f"{f.to_string()}: analysis raised {exc!r}")
     checks.append(_check("function_analysis", build_notes))
 
-    bits = [r.function.to_string() for r in reports]
-    outputs = np.array([r.function.outputs for r in reports], dtype=int).reshape(-1, 4)
+    column = functools.partial(_column, reports)
+    tables = column("function")
+    bits = [f.to_string() for f in tables]
+    outputs = np.array([f.outputs for f in tables], dtype=int).reshape(-1, 4)
     c12, walsh, numerators = _algebra(outputs)
     even, expected_finals = c12 == 0, numerators / math.sqrt(8.0)
     parity = [Parity.EVEN.value if e else Parity.ODD.value for e in even]
+    expected_rho = numerators[:, :, None] * numerators[:, None, :] / 8.0
     m = numerators.reshape(-1, 2, 2)  # [function, qubit 1, qubit 2]
     expected2 = m.swapaxes(1, 2) @ m / 8.0  # qubit 2's reduced matrix
     # Stacked by the first probe that reads them, so a misshapen state fails checks.
-    amplitudes = [r.circuit.final_state.amplitudes for r in reports]
-    finals = functools.cache(lambda: np.array(amplitudes).reshape(-1, 4))
+    finals = functools.cache(lambda: np.asarray(column("circuit.final_state")).reshape(-1, 4))
     densities = functools.cache(lambda: density_from_state_stack(finals()))
     classical_queries: int | None = None
 
@@ -129,22 +136,22 @@ def run_all_checks() -> VerificationOutcome:
         and with no report at all the check fails rather than pass vacuously."""
 
         def run(probe) -> None:
-            whole, per_function = [], [[] for _ in reports]
+            whole, per_function = [], [[] for _ in bits]
             try:
                 for rule in probe():
                     if isinstance(rule, str):
                         whole.append(rule)
                         continue
                     mask, t, *columns = rule
-                    if len(mask) != len(reports):
-                        raise ValueError(f"rule {t!r} has {len(mask)} rows, not {len(reports)}")
+                    if len(mask) != len(bits):
+                        raise ValueError(f"rule {t!r} has {len(mask)} rows, not {len(bits)}")
                     for i in np.flatnonzero(mask).tolist():
                         per_function[i].append(t.format(*(c[i] for c in columns)))
             except Exception as exc:
                 # With no report to fail, the whole sweep carries the note.
                 raised = f"check raised {exc!r}"
-                whole, per_function = [] if reports else [raised], [[raised]] * len(reports)
-            if not (reports or whole):
+                whole, per_function = [] if bits else [raised], [[raised]] * len(bits)
+            if not (bits or whole):
                 whole = ["no report to check"]  # every analysis raised; nothing was examined
             failed_functions.update(b for b, msgs in zip(bits, per_function) if msgs)
             notes = whole + [f"{b}: {msg}" for b, msgs in zip(bits, per_function) for msg in msgs]
@@ -163,13 +170,13 @@ def run_all_checks() -> VerificationOutcome:
         even_count = sum(1 for f in functions if classify(f).parity is Parity.EVEN)
         if even_count != 8:
             yield f"enumeration: expected 8 even functions, found {even_count}"
-        got = [f"{r.function_class.label} {r.function_class.parity.value}" for r in reports]
+        got = [f"{c.label} {c.parity.value}" for c in column("function_class")]
         want = [f"[{(4 - w) // 2},{(4 + w) // 2}] {p}" for w, p in zip(walsh.tolist(), parity)]
         yield np.array(got) != want, "classify gives {}, the ANF and W give {}", got, want
 
     @sweep("oracle_properties")
     def probe_oracle():
-        m = np.array([build_oracle(r.function).entries for r in reports]).reshape(-1, 4, 4)
+        m = np.array([build_oracle(f).entries for f in tables]).reshape(-1, 4, 4)
         diag = np.diagonal(m, axis1=1, axis2=2)
         expected = (-1.0) ** outputs
         return [
@@ -181,14 +188,14 @@ def run_all_checks() -> VerificationOutcome:
 
     @sweep("separability_parity_theorem")
     def probe_separability():
-        separable = [r.oracle_separable for r in reports]
+        separable = column("oracle_separable")
         return [(np.array(separable) != even, "separable={} but even={}", separable, even)]
 
     @sweep("circuit_verdicts")
     def probe_verdict():
-        verdicts = [r.circuit.verdict.value for r in reports]
-        calls = [r.circuit.oracle_calls for r in reports]
-        steps = [len(r.circuit.per_step_states) for r in reports]
+        verdicts = [v.value for v in column("circuit.verdict")]
+        calls = column("circuit.oracle_calls")
+        steps = [len(states) for states in column("circuit.per_step_states")]
         return [
             (np.array(verdicts) != parity, "expected verdict {}, got {}", parity, verdicts),
             (np.array(calls) != 2, "expected 2 oracle calls, counted {}", calls),
@@ -197,14 +204,9 @@ def run_all_checks() -> VerificationOutcome:
 
     @sweep("step_normalization")
     def probe_norms():
-        # One column per step; steps a circuit lacks stay NaN and never fail.
-        counts = np.array([len(r.circuit.per_step_states) for r in reports], dtype=int)
-        steps = np.array([s.amplitudes for r in reports for s in r.circuit.per_step_states])
-        errors = np.full((len(reports), counts.max(initial=0)), np.nan)
-        norms = np.sum(np.abs(steps.reshape(-1, 4)) ** 2, axis=1)
-        errors[np.arange(errors.shape[1]) < counts[:, None]] = np.abs(norms - 1.0)
-        return [(e > DEFAULT_TOL, f"step {k} norm error {{:.3e}}", e)
-                for k, e in enumerate(errors.T)]
+        steps = np.asarray(column("circuit.per_step_states")).reshape(-1, 6, 4)
+        errors = [_deviation(norms, 1.0) for norms in np.sum(np.abs(steps) ** 2, axis=2).T]
+        return [(e > DEFAULT_TOL, f"step {k} norm error {{:.3e}}", e) for k, e in enumerate(errors)]
 
     @sweep("final_state_sign_law")
     def probe_sign_law():
@@ -215,13 +217,13 @@ def run_all_checks() -> VerificationOutcome:
     def probe_pattern():
         # Equality up to a global phase, a weaker route than the sign law.
         inner = np.abs(np.sum(expected_finals * finals(), axis=1))
-        return [(np.abs(inner - 1.0) > DEFAULT_TOL, "|overlap with expected pattern| = {!r} != 1",
-                 inner.tolist())]
+        return [(_deviation(inner, 1.0) > DEFAULT_TOL,
+                 "|overlap with expected pattern| = {!r} != 1", inner.tolist())]
 
     @sweep("density_matrix_forms")
     def probe_density():
         rhos = densities()
-        err = _deviation(rhos, numerators[:, :, None] * numerators[:, None, :] / 8.0)
+        err = _deviation(rhos, expected_rho)
         return [
             (err > DEFAULT_TOL, "density matrix deviates by {:.3e}", err),
             (np.linalg.eigvalsh(rhos).min(axis=1) < -ZERO_FLOOR,
@@ -235,35 +237,35 @@ def run_all_checks() -> VerificationOutcome:
         reduced1, reduced2 = partial_trace_stack(rhos, 1), partial_trace_stack(rhos, 2)
         err = _deviation(reduced2, expected2)
         purities = purity_stack(reduced2)
-        trace_err = np.abs(np.trace(reduced1, axis1=1, axis2=2) - 1.0)
+        trace_err = _deviation(np.trace(reduced1, axis1=1, axis2=2), 1.0)
         return [
             (err > DEFAULT_TOL, "qubit-2 reduced matrix deviates by {:.3e}", err),
-            (np.abs(purities - expected_purity) > DEFAULT_TOL, "qubit-2 reduced purity {!r} != {}",
-             purities.tolist(), expected_purity),
+            (_deviation(purities, expected_purity) > DEFAULT_TOL,
+             "qubit-2 reduced purity {!r} != {}", purities.tolist(), expected_purity),
             (is_idempotent_stack(reduced2) != even, "qubit-2 reduced idempotency != {}", even),
             (trace_err > DEFAULT_TOL, "qubit-1 reduced trace off by {:.3e}", trace_err),
         ]
 
     @sweep("entanglement_correspondence")
     def probe_entanglement():
-        ent = [r.entanglement for r in reports]
-        concurrence, entangled = [e.concurrence for e in ent], [e.is_entangled for e in ent]
+        concurrence = column("entanglement.concurrence")
+        entangled = column("entanglement.is_entangled")
         c, expected_c = np.array(concurrence), c12.astype(float)
-        purity1 = np.array([e.reduced_purity_q1 for e in ent])
-        purity2 = np.array([e.reduced_purity_q2 for e in ent])
+        purity1 = np.array(column("entanglement.reduced_purity_q1"))
+        purity2 = np.array(column("entanglement.reduced_purity_q2"))
         return [
-            (np.abs(c - expected_c) > ZERO_FLOOR, "concurrence {!r} != {}", concurrence,
+            (_deviation(c, expected_c) > ZERO_FLOOR, "concurrence {!r} != {}", concurrence,
              expected_c),
             (np.array(entangled) == even, "is_entangled={} but even={}", entangled, even),
-            (np.abs(purity2 - (1.0 - c**2 / 2.0)) > ZERO_FLOOR,
+            (_deviation(purity2, 1.0 - c**2 / 2.0) > ZERO_FLOOR,
              "purity/concurrence relation violated"),
-            (np.abs(purity1 - purity2) > ZERO_FLOOR,
+            (_deviation(purity1, purity2) > ZERO_FLOOR,
              "reduced purities of the two qubits disagree"),
         ]
 
     @sweep("schmidt_coefficients")
     def probe_schmidt():
-        pairs = [r.entanglement.schmidt_coefficients for r in reports]
+        pairs = column("entanglement.schmidt_coefficients")
         expected = np.sqrt(np.stack([2 - c12, c12], axis=1) / 2.0)  # (1 +- sqrt(1-C^2))/2, C=c12
         err = _deviation(np.array(pairs).reshape(-1, 2), expected)
         expected_pairs = [tuple(e) for e in expected.tolist()]
@@ -273,20 +275,28 @@ def run_all_checks() -> VerificationOutcome:
     def probe_overlap():
         overlaps = np.abs(finals()[even].conj() @ finals()[~even].T).ravel().tolist()
         return [f"overlap: |<even|odd>| = {v!r} != 0.5"
-                for v in overlaps if abs(v - 0.5) > DEFAULT_TOL]
+                for v in overlaps if not abs(v - 0.5) <= DEFAULT_TOL]
 
     @sweep("nmr_observability")
     def probe_nmr():
-        obs = [r.observability for r in reports]
-        line, expected_m2 = [o.observable_line for o in obs], np.abs(expected2[:, 0, 1])
-        magnetization1 = [o.transverse_magnetization_q1 for o in obs]
-        magnetization2 = [o.transverse_magnetization_q2 for o in obs]
-        return [
-            (np.array(line) != even, "observable_line={} but even={}", line, even),
-            (np.abs(np.array(magnetization2) - expected_m2) > DEFAULT_TOL,
-             "qubit-2 magnetization {!r} != {}", magnetization2, expected_m2),
-            (np.abs(np.array(magnetization1)) > DEFAULT_TOL, "qubit-1 magnetization {!r} != 0",
-             magnetization1),
+        line = column("observability.observable_line")
+        # Sums of |rho_ij| over the entries of coherence order popcount(j) - popcount(i)
+        # +-1, and over the off-diagonal ones of order 0: (1, 0) if even, (0, 1) if odd.
+        popcount = np.array([0, 1, 1, 2])
+        order = popcount[None, :] - popcount[:, None]
+        single, zero = (np.abs(expected_rho)[:, mask].sum(axis=1)
+                        for mask in (np.abs(order) == 1, (order == 0) & ~np.eye(4, dtype=bool)))
+        rules = {  # field: (note template, expected value)
+            "transverse_magnetization_q2": ("qubit-2 magnetization {!r} != {}",
+                                            np.abs(expected2[:, 0, 1])),
+            "transverse_magnetization_q1": ("qubit-1 magnetization {!r} != 0", np.zeros(len(bits))),
+            "single_quantum_weight": ("single-quantum weight {!r} != {}", single),
+            "zero_quantum_weight": ("zero-quantum weight {!r} != {}", zero),
+        }
+        actual = {field: column(f"observability.{field}") for field in rules}
+        return [(np.array(line) != even, "observable_line={} but even={}", line, even)] + [
+            (_deviation(actual[field], want) > DEFAULT_TOL, t, actual[field], want)
+            for field, (t, want) in rules.items()
         ]
 
     @sweep("coherence_resum")
@@ -305,7 +315,7 @@ def run_all_checks() -> VerificationOutcome:
     def probe_dj():
         by_walsh = (DJVerdict.BALANCED, DJVerdict.NEITHER, DJVerdict.CONSTANT)  # |W| = 0, 2, 4
         expected = [by_walsh[abs(w) // 2].value for w in walsh.tolist()]
-        verdicts = [r.dj_verdict.value for r in reports]
+        verdicts = [v.value for v in column("dj_verdict")]
         return [(np.array(verdicts) != expected, "DJ verdict {} != {}", verdicts, expected)]
 
     @sweep("spin_readout_separation")
@@ -328,7 +338,7 @@ def run_all_checks() -> VerificationOutcome:
         )
         if promise_queries != 3:
             yield f"classical promise queries = {promise_queries}, expected 3"
-        quantum_calls = {r.circuit.oracle_calls for r in reports}
+        quantum_calls = set(column("circuit.oracle_calls"))
         if quantum_calls != {2}:
             yield f"quantum circuits used {quantum_calls} oracle calls, expected 2"
         elif not 2 < classical_queries:

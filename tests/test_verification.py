@@ -100,6 +100,65 @@ def test_one_function_fault_is_caught_with_qparity_tolerance_set(bits, capsys, m
     assert summary == "15/16 functions verified, classical_min_queries=4"
 
 
+def set_field(record, field, value):
+    """A fault that sets one field of a report's ``record`` (its entanglement or
+    observability analysis) to ``value``."""
+
+    def fault(report):
+        analysis = dataclasses.replace(getattr(report, record), **{field: value})
+        return dataclasses.replace(report, **{record: analysis})
+
+    return fault
+
+
+NAN = float("nan")
+# A NaN once passed every rule, since it compares false with any tolerance, and
+# the coherence weights that classify and table print had no rule at all.
+FIELD_FAULTS = {
+    ("0000", "entanglement", "concurrence", NAN): [
+        "FAIL entanglement_correspondence: 0000: concurrence nan != 0.0; "
+        "0000: purity/concurrence relation violated"
+    ],
+    ("0110", "entanglement", "reduced_purity_q1", NAN): [
+        "FAIL entanglement_correspondence: 0110: reduced purities of the two qubits disagree"
+    ],
+    ("0011", "entanglement", "schmidt_coefficients", (NAN, 0.0)): [
+        "FAIL schmidt_coefficients: 0011: schmidt coefficients (nan, 0.0) != (1.0, 0.0)"
+    ],
+    ("0001", "observability", "transverse_magnetization_q2", NAN): [
+        "FAIL nmr_observability: 0001: qubit-2 magnetization nan != 0.0"
+    ],
+    ("0000", "observability", "transverse_magnetization_q1", NAN): [
+        "FAIL nmr_observability: 0000: qubit-1 magnetization nan != 0"
+    ],
+    ("0000", "observability", "single_quantum_weight", NAN): [
+        "FAIL nmr_observability: 0000: single-quantum weight nan != 1.0"
+    ],
+    ("0000", "observability", "single_quantum_weight", 5.0): [
+        "FAIL nmr_observability: 0000: single-quantum weight 5.0 != 1.0"
+    ],
+    ("0111", "observability", "zero_quantum_weight", NAN): [
+        "FAIL nmr_observability: 0111: zero-quantum weight nan != 1.0"
+    ],
+    ("1001", "observability", "zero_quantum_weight", 5.0): [
+        "FAIL nmr_observability: 1001: zero-quantum weight 5.0 != 0.0"
+    ],
+}
+
+
+@pytest.mark.parametrize("bits, record, field, value", list(FIELD_FAULTS), ids=repr)
+def test_one_wrong_field_is_attributed_to_its_function(
+    bits, record, field, value, capsys, monkeypatch
+):
+    fault = set_field(record, field, value)
+    code, failed, summary = verify_with(
+        lambda r: fault(r) if r.function.to_string() == bits else r, capsys, monkeypatch
+    )
+    assert code == 1
+    assert failed == FIELD_FAULTS[bits, record, field, value]
+    assert summary == "15/16 functions verified, classical_min_queries=4"
+
+
 def test_cancelling_schmidt_formula_is_caught(capsys, monkeypatch):
     # The pair sqrt((1 +- sqrt(1 - C^2))/2) gave every odd function, 1.4e-8
     # from 1/sqrt(2) because 1 - C^2 cancels at C = 1 - 8e-16.
