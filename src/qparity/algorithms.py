@@ -113,21 +113,20 @@ def _circuit_steps(signs: np.ndarray, sequence: tuple[UnitaryOperator | None, ..
     return validated_state_stack(np.stack(steps, axis=1))
 
 
-def run_even_odd_sweep(functions: Iterable[TruthTable]) -> CircuitSweep:
+def run_even_odd_sweep(
+    functions: Iterable[TruthTable], h12: UnitaryOperator, h2: UnitaryOperator
+) -> CircuitSweep:
     """Classify each function as even or odd with two oracle queries.
 
-    Starting from |00>, the circuit applies a Hadamard to both qubits, the
-    phase oracle, a Hadamard to the second qubit alone, the oracle again,
-    and a final Hadamard to both qubits. The result is
+    Starting from |00>, the circuit applies ``h12``, a Hadamard on both
+    qubits, the phase oracle, ``h2``, a Hadamard on the second qubit alone,
+    the oracle again, and ``h12`` again. The result is
     (s|00> + |01>)/sqrt(2) for even functions and (s|10> + |01>)/sqrt(2)
     for odd ones, where the sign s is (-1)^(f(00) xor f(01)). The verdict
     is read off from which of the |00> or |10> components carries the
-    nonzero amplitude.
-
-    The gates are built once and all functions run as one stack, kept as
-    columns; the rows follow the order of ``functions``.
+    nonzero amplitude. All functions run as one stack, kept as columns; the
+    rows follow the order of ``functions``.
     """
-    h12, h2 = gates.hadamard_both(), gates.hadamard_second()
     sequence = (h12, None, h2, None, h12)
     steps = _circuit_steps(oracle_signs(functions), sequence)
     verdicts = tuple(  # one test of the |00> and |10> amplitudes of every final state
@@ -148,23 +147,22 @@ def run_even_odd_sweep(functions: Iterable[TruthTable]) -> CircuitSweep:
 
 
 def run_even_odd(f: TruthTable) -> AlgorithmResult:
-    """The even/odd circuit of :func:`run_even_odd_sweep` on one function."""
-    return run_even_odd_sweep((f,))[0]
+    """The even/odd circuit of :func:`run_even_odd_sweep` on one function and its own gates."""
+    return run_even_odd_sweep((f,), *gates.even_odd_gates())[0]
 
 
-def run_deutsch_jozsa_sweep(functions: Iterable[TruthTable]) -> list[DJVerdict]:
+def run_deutsch_jozsa_sweep(
+    functions: Iterable[TruthTable], h12: UnitaryOperator
+) -> list[DJVerdict]:
     """Constant-vs-balanced test with a single oracle query per function.
 
-    Applies Hadamards on both qubits, the phase oracle once, and Hadamards
-    again, starting from |00>. The |00> amplitude is the mean of (-1)^f(x),
+    Applies ``h12``, a Hadamard on both qubits, the phase oracle once, and
+    ``h12`` again, starting from |00>. The |00> amplitude is the mean of (-1)^f(x),
     so the function is reported constant when its magnitude is 1, balanced
     when it vanishes, and neither when it is 1/2 (functions with one or
-    three ones sit outside the promise).
-
-    The gate is built once and all functions run as one stack; the verdicts
-    follow the order of ``functions``.
+    three ones sit outside the promise). All functions run as one stack; the
+    verdicts follow the order of ``functions``.
     """
-    h12 = gates.hadamard_both()
     magnitudes = np.abs(_circuit_steps(oracle_signs(functions), (h12, None, h12))[:, -1, 0])
     return [
         DJVerdict.CONSTANT if m > DJ_CONSTANT_CUT else
@@ -174,8 +172,8 @@ def run_deutsch_jozsa_sweep(functions: Iterable[TruthTable]) -> list[DJVerdict]:
 
 
 def run_deutsch_jozsa_2bit(f: TruthTable) -> DJVerdict:
-    """The one-query test of :func:`run_deutsch_jozsa_sweep` on one function."""
-    (verdict,) = run_deutsch_jozsa_sweep((f,))
+    """The one-query test of :func:`run_deutsch_jozsa_sweep` on one function and its own H (x) H."""
+    (verdict,) = run_deutsch_jozsa_sweep((f,), gates.hadamard_both())
     return verdict
 
 

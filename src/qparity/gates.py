@@ -1,10 +1,10 @@
 """Gate constructors for the two-qubit circuits.
 
-These are functions rather than module-level constants so each call builds a
-fresh operator; the indirection keeps composite gates consistent with
-``hadamard()`` even if it is replaced under test. Each circuit sweep builds
-its gates once and applies each one to the whole (n, 4) stack of states, as
-``gate @ state`` per row.
+Each call builds fresh operators. No gate is built at import or kept across
+calls: that would speed the single-function calls past the benchmark's memory
+bound until its harness is fixed (ROADMAP item 1), and its tracer test pins a
+report to constructing a gate. The circuit sweeps take their gates as
+arguments, so a report sweep builds one set from one ``hadamard()``.
 """
 
 from __future__ import annotations
@@ -39,4 +39,11 @@ def hadamard_second() -> UnitaryOperator:
 
 def hadamard_both() -> UnitaryOperator:
     """Hadamard on both qubits: H (x) H."""
-    return tensor_product(hadamard(), hadamard())
+    h = hadamard()
+    return tensor_product(h, h)
+
+
+def even_odd_gates() -> tuple[UnitaryOperator, UnitaryOperator]:
+    """The even/odd circuit's gates H (x) H and I (x) H, from one Hadamard."""
+    h = hadamard()
+    return tensor_product(h, h), tensor_product(identity(), h)

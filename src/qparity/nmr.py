@@ -31,8 +31,10 @@ def coherence_order(i: int, j: int) -> int:
     """Coherence order m(i) - m(j) of two-qubit density-matrix entry (i, j).
 
     With m(basis index) = 1 - popcount(index), the difference simplifies to
-    popcount(j) - popcount(i).
+    popcount(j) - popcount(i). Both indices must be the int 0..3.
     """
+    if any(type(k) is not int or k not in (0, 1, 2, 3) for k in (i, j)):
+        raise ValueError(f"entry indices must be 0..3, got ({i!r}, {j!r})")
     return bin(j).count("1") - bin(i).count("1")
 
 
@@ -139,9 +141,9 @@ def threshold_separates(values_a: Sequence[float], values_b: Sequence[float]) ->
     """Whether some cut point puts the two value families on opposite sides.
 
     Requires a gap of more than ``ZERO_FLOOR`` between the families; two
-    empty or overlapping families cannot be separated.
+    empty or overlapping families, or any NaN, cannot be separated.
     """
-    if not values_a or not values_b:
+    if not values_a or not values_b or np.isnan([*values_a, *values_b]).any():
         return False
     return (
         min(values_b) - max(values_a) > ZERO_FLOOR
@@ -162,8 +164,8 @@ def parity_magnetization_values(
     families: tuple[list[float], list[float]] = ([], [])
     values = _column(reports, f"observability.transverse_magnetization_q{qubit}")
     for f, value in zip(_column(reports, "function"), values):
-        # Below the detection floor there is no signal.
-        families[f.ones() % 2].append(value if value > ZERO_FLOOR else 0.0)
+        # Below the detection floor there is no signal; a NaN stays NaN.
+        families[f.ones() % 2].append(0.0 if value <= ZERO_FLOOR else value)
     return families
 
 
@@ -173,9 +175,9 @@ def magnetization_classifies_parity(
     """Whether "transverse magnetization above threshold" predicts parity.
 
     Predicts even when the chosen qubit's magnetization exceeds the
-    threshold; true iff both parities occur and that rule is correct for every
-    report. Over all 16 functions, qubit 2 with threshold 0.25 classifies
-    perfectly (even gives 1/2, odd gives 0); no threshold works on qubit 1.
+    threshold; true iff both parities occur and the rule holds for every
+    report, which no NaN does. Over all 16 functions, qubit 2 with threshold
+    0.25 classifies perfectly (even 1/2, odd 0); no threshold works on qubit 1.
     """
     even, odd = parity_magnetization_values(reports, qubit)
     if not even or not odd:
@@ -189,7 +191,7 @@ def spin1_indistinguishability_check(reports: Sequence[ClassificationReport]) ->
 
     Over all 16 functions both families give exactly zero magnetization on
     qubit 1, so the value sets coincide and no observable spectral line
-    distinguishes them there.
+    distinguishes them there. A NaN shows nothing either way: False.
     """
-    even_values, odd_values = parity_magnetization_values(reports, 1)
-    return not threshold_separates(even_values, odd_values)
+    even, odd = parity_magnetization_values(reports, 1)
+    return not (np.isnan([*even, *odd]).any() or threshold_separates(even, odd))

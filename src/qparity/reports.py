@@ -19,6 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from . import gates
 from .algorithms import (
     AlgorithmResult, DJVerdict, Sweep, _column, run_deutsch_jozsa_2bit, run_deutsch_jozsa_sweep,
     run_even_odd, run_even_odd_sweep,
@@ -74,11 +75,12 @@ def _assemble_reports(
 def classification_report_sweep(functions: Iterable[TruthTable]) -> Sweep:
     """Run every analysis for each function and keep the results as columns,
     in the order of ``functions``. The even/odd circuits and the DJ tests run
-    as one sweep each, building their gates once, and the entanglement and
-    observability analyses take all the final states as one stack."""
+    as one sweep each on one gate set, and the entanglement and observability
+    analyses take all the final states as one stack."""
     functions = tuple(functions)
+    h12, h2 = gates.even_odd_gates()
     return _assemble_reports(
-        functions, run_even_odd_sweep(functions), run_deutsch_jozsa_sweep(functions)
+        functions, run_even_odd_sweep(functions, h12, h2), run_deutsch_jozsa_sweep(functions, h12)
     )
 
 

@@ -44,7 +44,7 @@ CONSTRUCTORS = {
 CLASSMETHODS = {"_trusted": qparity.linalg.StateVector}  # a state on a row of a checked stack
 
 REPORT_BUDGET = {
-    "UnitaryOperator": 9,
+    "UnitaryOperator": 6,  # H, I, H (x) H, I (x) H for the circuit; H, H (x) H for DJ
     "StateVector": 0,
     "_trusted": 6,  # the states of the one circuit run the report holds
     "DensityMatrix": 0,
@@ -52,9 +52,10 @@ REPORT_BUDGET = {
     "partial_trace_stack": 0,
     "_check_densities": 2,
 }
-SWEEP_BUDGET = {**REPORT_BUDGET, "_trusted": 0}  # a sweep keeps its states as one stack
+# A sweep keeps its states as one stack and runs both circuits on one gate set.
+SWEEP_BUDGET = {**REPORT_BUDGET, "UnitaryOperator": 4, "_trusted": 0}
 BATCH_BUDGET = {
-    "UnitaryOperator": 18,
+    "UnitaryOperator": 8,
     "StateVector": 0,
     "_trusted": 0,
     "DensityMatrix": 0,

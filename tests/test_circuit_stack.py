@@ -54,7 +54,8 @@ def reference_dj_verdict(f):
 def test_every_step_equals_the_gate_by_gate_route():
     # Values must match exactly; signed zeros may differ, and `==` ignores them.
     functions = enumerate_functions()
-    for f, result in zip(functions, run_even_odd_sweep(functions)):
+    swept = run_even_odd_sweep(functions, hadamard_both(), hadamard_second())
+    for f, result in zip(functions, swept):
         reference = reference_steps(f)
         assert len(result.per_step_states) == len(reference) == 6
         for swept, expected in zip(result.per_step_states, reference):
@@ -63,7 +64,8 @@ def test_every_step_equals_the_gate_by_gate_route():
 
 def test_dj_verdicts_equal_the_one_query_route():
     functions = enumerate_functions()
-    assert run_deutsch_jozsa_sweep(functions) == [reference_dj_verdict(f) for f in functions]
+    expected = [reference_dj_verdict(f) for f in functions]
+    assert run_deutsch_jozsa_sweep(functions, hadamard_both()) == expected
 
 
 def test_flipped_oracle_sign_fails_verification(capsys, monkeypatch):
@@ -146,7 +148,7 @@ class TestStateStackValidation:
             steps[0, 0, 0] = 0.0
 
     def test_every_per_step_state_is_read_only(self):
-        for result in run_even_odd_sweep(enumerate_functions()):
+        for result in run_even_odd_sweep(enumerate_functions(), hadamard_both(), hadamard_second()):
             assert result.final_state is result.per_step_states[-1]
             for state in result.per_step_states:
                 assert state.num_qubits == 2

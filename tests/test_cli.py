@@ -209,11 +209,11 @@ class TestVerify:
         # attributed to that function and to the DJ check alone.
         honest = qparity.reports.run_deutsch_jozsa_sweep
 
-        def mislabel_1100(functions):
+        def mislabel_1100(functions, h12):
             functions = tuple(functions)
             return [
                 DJVerdict.CONSTANT if f.to_string() == "1100" else verdict
-                for f, verdict in zip(functions, honest(functions))
+                for f, verdict in zip(functions, honest(functions, h12))
             ]
 
         monkeypatch.setattr(qparity.reports, "run_deutsch_jozsa_sweep", mislabel_1100)

@@ -1,5 +1,7 @@
 """Coherence-order decomposition and spectral observability."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from qparity import (
 from qparity.reports import all_reports
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+NAN = float("nan")
 
 RHO_EVEN = DensityMatrix(
     0.5 * np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
@@ -52,6 +55,11 @@ class TestCoherenceOrder:
     def test_range(self):
         orders = {coherence_order(i, j) for i in range(4) for j in range(4)}
         assert orders == set(COHERENCE_ORDERS)
+
+    @pytest.mark.parametrize("i, j", [(5, 0), (0, 4), (-1, 0), (True, 0), (0, 1.0), (0, "1")])
+    def test_indices_must_be_the_int_0_to_3(self, i, j):
+        with pytest.raises(ValueError, match="entry indices must be 0..3"):
+            coherence_order(i, j)
 
 
 class TestDecomposeCoherences:
@@ -171,3 +179,22 @@ class TestParityReadout:
         assert not threshold_separates([0.0], [0.0])
         assert not threshold_separates([0.0, 0.5], [0.25])
         assert not threshold_separates([], [0.5])
+
+    @pytest.mark.parametrize("values_a", [[0.0, NAN], [NAN, 0.0]])
+    def test_a_nan_separates_nothing_in_either_order(self, values_a):
+        # min and max depend on argument order when a NaN is present.
+        assert threshold_separates(values_a, [0.5]) is False
+        assert threshold_separates([0.5], values_a) is False
+
+    def test_a_nan_magnetization_decides_no_readout(self):
+        def with_nan(bits, field):
+            return [
+                dataclasses.replace(r, observability=dataclasses.replace(
+                    r.observability, **{field: NAN})) if r.function.to_string() == bits else r
+                for r in all_reports()
+            ]
+
+        assert magnetization_classifies_parity(
+            with_nan("0001", "transverse_magnetization_q2"), 2, 0.25) is False
+        assert spin1_indistinguishability_check(
+            with_nan("0000", "transverse_magnetization_q1")) is False

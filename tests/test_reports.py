@@ -2,7 +2,7 @@
 reports, and the sweep builds its gates once."""
 
 import qparity.gates
-from qparity import classification_report, enumerate_functions
+from qparity import classification_report, enumerate_functions, run_even_odd
 from qparity.reports import all_reports
 
 
@@ -28,6 +28,8 @@ def test_sweep_equals_one_report_per_function():
 
 
 def test_sweep_builds_gates_once(monkeypatch):
+    # A sweep builds one gate set from one Hadamard; the single-function paths
+    # build their own, one Hadamard per circuit.
     honest = qparity.gates.hadamard
     calls = 0
 
@@ -37,9 +39,9 @@ def test_sweep_builds_gates_once(monkeypatch):
         return honest()
 
     monkeypatch.setattr(qparity.gates, "hadamard", counting_hadamard)
-    classification_report(enumerate_functions()[6])
-    one_function = calls
-    calls = 0
-    all_reports()
-    assert one_function > 0
-    assert calls == one_function
+    f = enumerate_functions()[6]
+    for run, expected in ((all_reports, 1), (lambda: classification_report(f), 2),
+                          (lambda: run_even_odd(f), 1)):
+        calls = 0
+        run()
+        assert calls == expected

@@ -126,10 +126,13 @@ FIELD_FAULTS = {
         "FAIL schmidt_coefficients: 0011: schmidt coefficients (nan, 0.0) != (1.0, 0.0)"
     ],
     ("0001", "observability", "transverse_magnetization_q2", NAN): [
-        "FAIL nmr_observability: 0001: qubit-2 magnetization nan != 0.0"
+        "FAIL nmr_observability: 0001: qubit-2 magnetization nan != 0.0",
+        "FAIL spin_readout_separation: qubit-2 magnetization threshold 0.25 fails to classify "
+        "parity; 0001: qubit-2 magnetization nan cannot be read out",
     ],
     ("0000", "observability", "transverse_magnetization_q1", NAN): [
-        "FAIL nmr_observability: 0000: qubit-1 magnetization nan != 0"
+        "FAIL nmr_observability: 0000: qubit-1 magnetization nan != 0",
+        "FAIL spin_readout_separation: 0000: qubit-1 magnetization nan cannot be read out",
     ],
     ("0000", "observability", "single_quantum_weight", NAN): [
         "FAIL nmr_observability: 0000: single-quantum weight nan != 1.0"
