@@ -1,0 +1,132 @@
+"""Mutation tests of ``qparity verify`` (DeMillo, Lipton & Sayward, "Hints on
+test data selection", IEEE Computer 11(4), 1978): each mutant plants one fault
+in the program that ``verify`` checks, and ``verify`` must exit 1, fail exactly
+the checks that see the fault and lower ``functions_verified`` by the functions
+it affects. Faults enter only through explicit points: the gates the sweeps are
+given, ``qparity.verification.classification_report_sweep``, or a public name.
+No private name is patched."""
+
+import dataclasses
+import json
+
+import pytest
+
+import qparity.algorithms
+import qparity.gates
+import qparity.oracles
+import qparity.reports
+import qparity.verification
+from qparity import DJVerdict, TruthTable, UnitaryOperator
+from qparity.cli import main
+from qparity.nmr import COHERENCE_ORDERS, CoherenceDecomposition
+
+
+def swapped_gates(monkeypatch):
+    # The even/odd circuit runs I (x) H where it should run H (x) H, and back.
+    honest = qparity.gates.even_odd_gates
+    monkeypatch.setattr(qparity.gates, "even_odd_gates", lambda: honest()[::-1])
+
+
+def flipped_oracle_sign(monkeypatch):
+    # The circuits query 0110's oracle with its |11> sign flipped, i.e. 0111's oracle.
+    honest = qparity.algorithms.oracle_signs
+
+    def signs(functions):
+        functions = tuple(functions)
+        rows = honest(functions).copy()
+        for k, f in enumerate(functions):
+            if f == TruthTable.from_string("0110"):
+                rows[k, 3] *= -1
+        return rows
+
+    monkeypatch.setattr(qparity.algorithms, "oracle_signs", signs)
+
+
+def mislabelled_dj_verdict(monkeypatch):
+    # The DJ sweep calls the constant 1111 balanced.
+    honest = qparity.reports.run_deutsch_jozsa_sweep
+
+    def sweep(functions, h12):
+        functions = tuple(functions)
+        verdicts = honest(functions, h12)
+        return [DJVerdict.BALANCED if f.to_string() == "1111" else v
+                for f, v in zip(functions, verdicts)]
+
+    monkeypatch.setattr(qparity.reports, "run_deutsch_jozsa_sweep", sweep)
+
+
+def shifted_coherence_mask(monkeypatch):
+    # Component k holds the entries of order k + 1: every mask is one order off.
+    honest = qparity.verification.decompose_coherences_stack
+
+    def decompose(rhos):
+        orders = honest(rhos).orders
+        zero = 0.0 * orders[0]
+        return CoherenceDecomposition({k: orders.get(k + 1, zero) for k in COHERENCE_ORDERS})
+
+    monkeypatch.setattr(qparity.verification, "decompose_coherences_stack", decompose)
+
+
+def search_skipping_a_point(monkeypatch):
+    # The search learns f(11) without paying a query for it.
+    honest = qparity.verification.classical_min_queries
+
+    def search(label, functions=None):
+        pool = qparity.oracles.enumerate_functions() if functions is None else list(functions)
+        return max(honest(label, [f for f in pool if f.outputs[3] == bit]) for bit in (0, 1))
+
+    monkeypatch.setattr(qparity.verification, "classical_min_queries", search)
+
+
+def three_oracle_calls(monkeypatch):
+    # Every circuit claims a third oracle call, which no longer meets the bound.
+    honest = qparity.verification.classification_report_sweep
+
+    def sweep(functions):
+        return [dataclasses.replace(r, circuit=dataclasses.replace(r.circuit, oracle_calls=3))
+                for r in honest(functions)]
+
+    monkeypatch.setattr(qparity.verification, "classification_report_sweep", sweep)
+
+
+def sign_flipped_hadamard(monkeypatch):
+    honest = qparity.gates.hadamard
+    monkeypatch.setattr(qparity.gates, "hadamard",
+                        lambda: UnitaryOperator(-honest().entries))
+
+
+# mutant: (failing checks in order, functions_verified)
+EVERY_CHECK = [
+    "function_analysis", "function_enumeration", "oracle_properties", "separability_parity_theorem",
+    "circuit_verdicts", "step_normalization", "final_state_sign_law", "final_state_patterns",
+    "density_matrix_forms", "reduced_density_forms", "entanglement_correspondence",
+    "schmidt_coefficients", "even_odd_overlap", "nmr_observability", "coherence_resum",
+    "dj_verdicts", "spin_readout_separation", "query_separation",
+]
+MUTANTS = {
+    # No final state matches a parity pattern, so every analysis raises.
+    swapped_gates: (EVERY_CHECK, 0),
+    flipped_oracle_sign: (
+        ["circuit_verdicts", "final_state_sign_law", "final_state_patterns",
+         "density_matrix_forms", "reduced_density_forms", "entanglement_correspondence",
+         "schmidt_coefficients", "even_odd_overlap", "nmr_observability", "dj_verdicts",
+         "spin_readout_separation"],
+        15,
+    ),
+    mislabelled_dj_verdict: (["dj_verdicts"], 15),
+    shifted_coherence_mask: (["coherence_resum"], 0),
+    search_skipping_a_point: (["query_separation"], 16),
+    three_oracle_calls: (["circuit_verdicts", "query_separation"], 0),
+    sign_flipped_hadamard: (["final_state_sign_law"], 0),
+}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS), ids=lambda m: m.__name__)
+def test_verify_kills_the_mutant(mutant, capsys, monkeypatch):
+    mutant(monkeypatch)
+    expected_failures, verified = MUTANTS[mutant]
+    code = main(["verify", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [c["name"] for c in payload["checks"] if not c["passed"]] == expected_failures
+    assert payload["summary"]["functions_verified"] == verified
