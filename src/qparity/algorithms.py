@@ -203,8 +203,7 @@ def classical_min_queries(
         label_masks[value] = label_masks.get(value, 0) | 1 << k
     same_label = [label_masks[value] for value in labels]  # pool[k]'s label class
     zero_masks = [
-        sum(1 << k for k, f in enumerate(pool) if f.evaluate(point) == 0)
-        for point in range(4)
+        sum(1 << k for k, f in enumerate(pool) if not f.outputs[point]) for point in range(4)
     ]
 
     @functools.cache  # every candidate set, pure ones included

@@ -18,8 +18,7 @@ import numpy as np
 
 from .algorithms import Sweep
 from .linalg import (
-    DensityMatrix, IDEMPOTENCY_TOL, StateVector, ZERO_FLOOR, _check_densities,
-    validated_state_stack,
+    DensityMatrix, IDEMPOTENCY_TOL, StateVector, ZERO_FLOOR, _densities, validated_state_stack
 )
 
 
@@ -49,7 +48,12 @@ def analyze_pure_state_stack(amplitudes) -> Sweep:
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.shape[1:] != (4,):
         raise ValueError("entanglement analysis expects a two-qubit state")
-    m = validated_state_stack(amps.copy()).reshape(-1, 2, 2)
+    return _analyze(validated_state_stack(amps.copy()))
+
+
+def _analyze(amps: np.ndarray) -> Sweep:
+    """The analysis of an (n, 4) amplitude stack that is already checked."""
+    m = amps.reshape(-1, 2, 2)
     concurrence = 2.0 * np.abs(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
     reduced1 = np.einsum("nak,nbk->nab", m, m.conj())
     reduced2 = np.einsum("nka,nkb->nab", m, m.conj())
@@ -80,9 +84,9 @@ def analyze_pure_state(s: StateVector) -> EntanglementReport:
 
 def is_idempotent_stack(rhos: np.ndarray) -> np.ndarray:
     """Whether rho^2 = rho entrywise within ``IDEMPOTENCY_TOL`` for every
-    matrix of an (n, d, d) stack, checked as ``DensityMatrix`` checks one,
-    i.e. which are pure-state projectors."""
-    _check_densities(rhos)
+    matrix of an (n, d, d) stack, checked as ``DensityMatrix`` checks one unless
+    a stacked form made it, i.e. which are pure-state projectors."""
+    rhos = _densities(rhos)
     return np.max(np.abs(rhos @ rhos - rhos), axis=(-2, -1)) <= IDEMPOTENCY_TOL
 
 

@@ -105,21 +105,34 @@ def validated_state_stack(amplitudes: np.ndarray) -> np.ndarray:
 
 
 def _check_densities(arr: np.ndarray) -> np.ndarray:
-    """Check that a matrix, or each matrix of a stack, has finite entries, is
-    Hermitian and has unit trace within ``DEFAULT_TOL``; returns ``arr``."""
+    """Check that a matrix, or each of a stack, has finite entries, is Hermitian and has
+    unit trace within ``DEFAULT_TOL``; returns a read-only view the stacked forms trust."""
     _check_finite(arr, "density matrix")
-    hermiticity_error = float(np.max(np.abs(arr - arr.conj().swapaxes(-1, -2)), initial=0.0))
+    hermiticity_error = float(np.abs(arr - arr.conj().swapaxes(-1, -2)).max(initial=0.0))
     if hermiticity_error > DEFAULT_TOL:
         raise ValueError(
             f"density matrix is not Hermitian: max deviation {hermiticity_error:.3e}"
             f" > {DEFAULT_TOL:.3e}"
         )
-    trace_error = float(np.max(np.abs(np.trace(arr, axis1=-2, axis2=-1) - 1.0), initial=0.0))
+    trace_error = float(np.abs(arr.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
     if trace_error > DEFAULT_TOL:
         raise ValueError(
             f"density matrix trace differs from 1 by {trace_error:.3e} > {DEFAULT_TOL:.3e}"
         )
-    return arr
+    stack = arr.view(_Passed)
+    stack.flags.writeable, stack.passed = False, True
+    return stack
+
+
+class _Passed(np.ndarray):
+    """Only the view ``_check_densities`` returns is ``passed``, not arrays derived from it."""
+    passed = False
+
+
+def _densities(rhos: np.ndarray) -> np.ndarray:
+    """A stack given to a stacked form, as a plain array, checked unless it passed."""
+    passed = type(rhos) is _Passed and rhos.passed
+    return (rhos if passed else _check_densities(rhos)).view(np.ndarray)
 
 
 class DensityMatrix:
@@ -137,7 +150,8 @@ class DensityMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("density matrix must be square")
         self._num_qubits = _qubit_count(arr.shape[0], "density matrix")
-        self._entries = _frozen(_check_densities(arr))
+        _check_densities(arr)
+        self._entries = _frozen(arr)
 
     @property
     def entries(self) -> np.ndarray:
@@ -234,7 +248,7 @@ def density_from_state_stack(amplitudes) -> np.ndarray:
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 2:
         raise ValueError("expected an (n, d) stack of amplitudes")
-    return _frozen(_check_densities(amps[:, :, None] * amps[:, None, :].conj()))
+    return _check_densities(_frozen(amps[:, :, None] * amps[:, None, :].conj()))
 
 
 def density_from_state(s: StateVector) -> DensityMatrix:
@@ -245,13 +259,13 @@ def density_from_state(s: StateVector) -> DensityMatrix:
 def partial_trace_stack(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:
     """Reduced density matrices of qubit ``keep_qubit`` (1, the most significant
     bit of the basis index, or 2) of an (n, 4, 4) two-qubit stack, tracing out
-    the other. The input is checked as ``DensityMatrix`` checks one matrix; the
-    (n, 2, 2) result is read-only and validated likewise."""
+    the other. The input is checked as ``DensityMatrix`` checks one matrix, unless
+    a stacked form made it; the (n, 2, 2) result is read-only and validated likewise."""
     if rhos.shape[1:] != (4, 4):
         raise ValueError("partial_trace expects a two-qubit density matrix")
     if type(keep_qubit) is not int or keep_qubit not in (1, 2):
         raise ValueError(f"keep_qubit must be 1 or 2, got {keep_qubit!r}")
-    return _frozen(_check_densities(_partial_trace(_check_densities(rhos), keep_qubit)))
+    return _check_densities(_frozen(_partial_trace(_densities(rhos), keep_qubit)))
 
 
 def _partial_trace(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:
@@ -266,9 +280,9 @@ def partial_trace(rho: DensityMatrix, keep_qubit: int) -> DensityMatrix:
 
 def purity_stack(rhos: np.ndarray) -> np.ndarray:
     """Tr(rho^2) of every matrix of an (n, d, d) stack, checked as
-    ``DensityMatrix`` checks one; 1 for pure states, 1/d for the maximally
-    mixed state."""
-    _check_densities(rhos)
+    ``DensityMatrix`` checks one unless a stacked form made it; 1 for pure
+    states, 1/d for the maximally mixed state."""
+    rhos = _densities(rhos)
     return np.real(np.trace(rhos @ rhos, axis1=-2, axis2=-1))
 
 

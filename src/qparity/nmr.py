@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .algorithms import Sweep, _column
-from .linalg import DensityMatrix, ZERO_FLOOR, _check_densities, _partial_trace, partial_trace_stack
+from .linalg import DensityMatrix, ZERO_FLOOR, _densities, _partial_trace, partial_trace_stack
 
 if TYPE_CHECKING:
     from .reports import ClassificationReport
@@ -61,11 +61,11 @@ class CoherenceDecomposition:
 
 def decompose_coherences_stack(rhos: np.ndarray) -> CoherenceDecomposition:
     """Assign every entry of an (n, 4, 4) stack of two-qubit density matrices,
-    checked as ``DensityMatrix`` checks one, to its coherence order; each
-    component is an (n, 4, 4) stack too."""
+    checked as ``DensityMatrix`` checks one unless a stacked form made it, to its
+    coherence order; each component is an (n, 4, 4) stack too."""
     if rhos.shape[1:] != (4, 4):
         raise ValueError("coherence decomposition expects a two-qubit density matrix")
-    _check_densities(rhos)
+    rhos = _densities(rhos)
     orders = {k: np.where(_ORDER_MATRIX == k, rhos, 0.0 + 0.0j) for k in COHERENCE_ORDERS}
     return CoherenceDecomposition(orders=orders)
 
@@ -116,8 +116,8 @@ def _weight(components: np.ndarray) -> np.ndarray:
 
 def observability_stack(rhos: np.ndarray) -> Sweep:
     """Spectral observability summaries of an (n, 4, 4) stack of two-qubit
-    density matrices, checked once by the decomposition, as report columns,
-    one report per matrix."""
+    density matrices, checked by the decomposition, as report columns, one
+    report per matrix."""
     orders = decompose_coherences_stack(rhos).orders
     single = (_weight(orders[1]) + _weight(orders[-1])).tolist()
     zero_quantum = _weight(np.where(np.eye(4, dtype=bool), 0.0 + 0.0j, orders[0])).tolist()

@@ -81,10 +81,11 @@ class FunctionClass:
 
 def classify(f: TruthTable) -> FunctionClass:
     """Class and parity of a function: parity is even iff the output has an
-    even number (0, 2 or 4) of ones."""
-    ones = f.ones()
-    parity = Parity.EVEN if ones % 2 == 0 else Parity.ODD
-    return FunctionClass(ones=ones, zeros=4 - ones, parity=parity)
+    even number (0, 2 or 4) of ones. Each class is one immutable value."""
+    return _CLASSES[f.ones()]
+
+
+_CLASSES = tuple(FunctionClass(k, 4 - k, Parity.ODD if k % 2 else Parity.EVEN) for k in range(5))
 
 
 def oracle_signs(functions: Iterable[TruthTable]) -> np.ndarray:

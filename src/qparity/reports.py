@@ -24,7 +24,7 @@ from .algorithms import (
     AlgorithmResult, DJVerdict, Sweep, _column, run_deutsch_jozsa_2bit, run_deutsch_jozsa_sweep,
     run_even_odd, run_even_odd_sweep,
 )
-from .entanglement import EntanglementReport, analyze_pure_state_stack
+from .entanglement import EntanglementReport, _analyze
 from .linalg import StateVector, density_from_state_stack
 from .nmr import ObservabilityReport, observability_stack
 from .oracles import (
@@ -59,7 +59,8 @@ def _assemble_reports(
     circuits: Sequence[AlgorithmResult],
     dj_verdicts: Sequence[DJVerdict],
 ) -> Sweep:
-    """Analyse all final states and oracle signs as stacks, keeping the results as columns."""
+    """Analyse all final states (rows of checked stacks) and oracle signs as stacks,
+    keeping the results as columns."""
     finals = np.asarray(_column(circuits, "final_state"))
     return Sweep(ClassificationReport, {
         "function": functions,
@@ -67,7 +68,7 @@ def _assemble_reports(
         "oracle_separable": tuple(separable_signs(oracle_signs(functions)).tolist()),
         "dj_verdict": tuple(dj_verdicts),
         "circuit": circuits,
-        "entanglement": analyze_pure_state_stack(finals),
+        "entanglement": _analyze(finals),
         "observability": observability_stack(density_from_state_stack(finals)),
     })
 

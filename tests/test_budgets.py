@@ -31,6 +31,8 @@ from qparity.reports import all_reports
 FUNCTIONS = {  # name: the module that defines it
     "_check_densities": qparity.linalg,
     "build_oracle": qparity.oracles,
+    "classical_min_queries": qparity.algorithms,
+    "classify": qparity.oracles,
     "density_from_state_stack": qparity.linalg,
     "partial_trace_stack": qparity.linalg,
     "to_canonical_json": qparity.reports,
@@ -50,7 +52,7 @@ REPORT_BUDGET = {
     "DensityMatrix": 0,
     "density_from_state_stack": 1,
     "partial_trace_stack": 0,
-    "_check_densities": 2,
+    "_check_densities": 1,  # the projector stack, where it is made
 }
 # A sweep keeps its states as one stack and runs both circuits on one gate set.
 SWEEP_BUDGET = {**REPORT_BUDGET, "UnitaryOperator": 4, "_trusted": 0}
@@ -64,7 +66,11 @@ BATCH_BUDGET = {
     "to_canonical_json": 2,
     "density_from_state_stack": 3,
     "partial_trace_stack": 2,
-    "_check_densities": 12,
+    # One per stack made: the projectors of each sweep and of verify's density
+    # probes, and verify's two reduced stacks; no stack is checked twice.
+    "_check_densities": 5,
+    "classify": 48,  # 16 per sweep, and verify's 16 labels
+    "classical_min_queries": 1,  # the DJ promise; parity is certified, not searched
 }
 
 

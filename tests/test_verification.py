@@ -5,13 +5,14 @@ import dataclasses
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import qparity.reports
 import qparity.verification
-from qparity import StateVector, run_all_checks, to_canonical_json
+from qparity import StateVector, classical_min_queries, run_all_checks, to_canonical_json
 from qparity.cli import main
-from qparity.oracles import Parity, classify
+from qparity.oracles import Parity, classify, enumerate_functions
 from qparity.reports import all_reports, report_to_jsonable
 
 
@@ -279,6 +280,39 @@ def test_raising_probe_fails_its_check_without_a_crash(
         assert failed == ["FAIL function_enumeration", "FAIL query_separation"]
     assert lines[1] == f"FAIL function_enumeration: {enumeration_note}"
     assert lines[-1] == "0/16 functions verified, classical_min_queries=?"
+
+
+def labels_of(label) -> np.ndarray:
+    """A 0/1 label of the 16 truth tables, in enumeration order: entry k for the bits of k."""
+    return np.array([label(f) for f in enumerate_functions()], dtype=int)
+
+
+def moebius(labels) -> list[int]:
+    """The coefficients of the label's multilinear polynomial, by inclusion-exclusion over
+    the subsets T of each monomial S (as bit masks), independently of the certificate."""
+    return [sum((-1) ** bin(s ^ t).count("1") * labels[t] for t in range(16) if t & s == t)
+            for s in range(16)]
+
+
+def test_parity_certificates_are_tight():
+    # Beals et al.: exact quantum algorithms need deg/2 queries; the x1x2x3x4
+    # coefficient -8 makes parity's degree 4, so the circuit's 2 calls are optimal.
+    odd = labels_of(lambda f: classify(f).parity is Parity.ODD)
+    assert moebius(odd)[15] == -8
+    degree, sensitivity = qparity.verification._query_certificates(odd)
+    assert degree == 4 and sensitivity == 4
+    # Nisan: D >= s, and no strategy needs more than the 4 points, so s = 4 is the
+    # exhaustive search's answer.
+    assert classical_min_queries(lambda f: classify(f).parity) == sensitivity
+
+
+@pytest.mark.parametrize("bit", range(4))
+def test_certificates_of_one_output_bit(bit):
+    # A label that is one output bit has degree 1 and sensitivity 1, and one query decides it.
+    label = labels_of(lambda f: f.outputs[bit])
+    assert [k for k, c in enumerate(moebius(label)) if c] == [8 >> bit]
+    assert qparity.verification._query_certificates(label) == (1, 1)
+    assert classical_min_queries(lambda f: f.outputs[bit]) == 1
 
 
 def snapshot():
