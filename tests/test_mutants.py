@@ -9,6 +9,7 @@ No private name is patched."""
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import qparity.algorithms
@@ -17,6 +18,7 @@ import qparity.oracles
 import qparity.reports
 import qparity.verification
 from qparity import DJVerdict, TruthTable, UnitaryOperator
+from qparity.algorithms import CircuitSweep, Sweep
 from qparity.cli import main
 from qparity.nmr import COHERENCE_ORDERS, CoherenceDecomposition
 
@@ -95,6 +97,55 @@ def sign_flipped_hadamard(monkeypatch):
                         lambda: UnitaryOperator(-honest().entries))
 
 
+def misclassified_function(monkeypatch):
+    # The reports' classify puts 0110 in class [3,1], the class of 0111.
+    honest = qparity.reports.classify
+    wrong = {TruthTable.from_string("0110"): TruthTable.from_string("0111")}
+    monkeypatch.setattr(qparity.reports, "classify", lambda f: honest(wrong.get(f, f)))
+
+
+def phase_gate_oracle(monkeypatch):
+    # verify's oracle for 1001 carries i at |11>: unitary and diagonal, but not self-inverse.
+    honest = qparity.verification.build_oracle
+
+    def oracle(f):
+        entries = honest(f).entries
+        if f == TruthTable.from_string("1001"):
+            entries = entries @ np.diag([1, 1, 1, 1j])
+        return UnitaryOperator(entries)
+
+    monkeypatch.setattr(qparity.verification, "build_oracle", oracle)
+
+
+def flipped_separability_row(monkeypatch):
+    # The minor rule calls 1011's oracle separable.
+    honest = qparity.reports.separable_signs
+
+    def separable(diagonals):
+        rows = honest(diagonals).copy()
+        rows[(np.asarray(diagonals) == [-1, 1, -1, -1]).all(axis=1)] ^= True
+        return rows
+
+    monkeypatch.setattr(qparity.reports, "separable_signs", separable)
+
+
+def off_norm_first_step(monkeypatch):
+    # The state after the first H (x) H of 1110's circuit has norm^2 1 + 1e-9; the
+    # final state is untouched.
+    honest = qparity.verification.classification_report_sweep
+
+    def sweep(functions):
+        reports = honest(functions)
+        circuits = reports.columns["circuit"]
+        steps = np.array(circuits.columns["per_step_states"])
+        bits = [f.to_string() for f in reports.columns["function"]]
+        steps[bits.index("1110"), 1] *= np.sqrt(1 + 1e-9)
+        circuits = CircuitSweep(circuits.row_type, {**circuits.columns, "per_step_states": steps})
+        return Sweep(reports.row_type, {**reports.columns, "circuit": circuits})
+
+    monkeypatch.setattr(qparity.verification, "classification_report_sweep", sweep)
+
+
 # mutant: (failing checks in order, functions_verified)
 EVERY_CHECK = [
     "function_analysis", "function_enumeration", "oracle_properties", "separability_parity_theorem",
@@ -118,6 +169,10 @@ MUTANTS = {
     search_skipping_a_point: (["query_separation"], 16),
     three_oracle_calls: (["circuit_verdicts", "query_separation"], 0),
     sign_flipped_hadamard: (["final_state_sign_law"], 0),
+    misclassified_function: (["function_enumeration"], 15),
+    phase_gate_oracle: (["oracle_properties"], 15),
+    flipped_separability_row: (["separability_parity_theorem"], 15),
+    off_norm_first_step: (["step_normalization"], 15),
 }
 
 
@@ -130,3 +185,14 @@ def test_verify_kills_the_mutant(mutant, capsys, monkeypatch):
     assert code == 1
     assert [c["name"] for c in payload["checks"] if not c["passed"]] == expected_failures
     assert payload["summary"]["functions_verified"] == verified
+
+
+def test_every_check_is_killed_by_a_mutant():
+    # function_analysis fails only when an analysis raises, and then every check
+    # fails with it; each other check has a mutant that it alone, or with a few
+    # others, kills, so no check is covered only by a mutant that fails them all.
+    killed = {name for failures, _ in MUTANTS.values() for name in failures}
+    assert killed == set(EVERY_CHECK)
+    selective = {name for failures, _ in MUTANTS.values() if failures != EVERY_CHECK
+                 for name in failures}
+    assert selective == set(EVERY_CHECK) - {"function_analysis"}
