@@ -50,7 +50,7 @@ class TruthTable:
         return cls(tuple(int(c) for c in bits))
 
     def to_string(self) -> str:
-        return "".join(str(bit) for bit in self.outputs)
+        return "%d%d%d%d" % self.outputs
 
     def evaluate(self, point: int) -> int:
         """Output bit at input point 0..3, indexed as the binary value of (x1 x2)."""

@@ -96,19 +96,29 @@ def classification_report(f: TruthTable) -> ClassificationReport:
 def states_to_jsonable(states: Sequence[StateVector] | np.ndarray) -> list[dict]:
     """One JSON object per state of a sequence or a stack of amplitudes: its basis
     labels and amplitudes, complex ones as [re, im]."""
-    amps = np.asarray(states)
+    amps = np.ascontiguousarray(states, dtype=np.complex128)
     basis = [format(i, f"0{amps.shape[-1] // 2}b") for i in range(amps.shape[-1])]
-    pairs = (np.stack([amps.real, amps.imag], axis=-1) + 0.0).tolist()
+    pairs = (amps.view(np.float64) + 0.0).reshape(*amps.shape, 2).tolist()
     return [{"basis": basis, "amplitudes": p} for p in pairs]
 
 
-def _records_to_jsonable(reports: Sequence[ClassificationReport], name: str, cls) -> list[dict]:
-    """The ``name`` records (of type ``cls``) of the reports as JSON objects: bools
-    as they are, numbers and tuples of them as floats, IEEE negative zero made
-    positive by the + 0.0 so serialized zeros are stable."""
-    fields = [f.name for f in dataclasses.fields(cls)]
-    columns = [np.asarray(_column(reports, f"{name}.{field}")) for field in fields]
-    columns = [(c if c.dtype == bool else c + 0.0).tolist() for c in columns]
+# The fields of the two analysis records of a report, in order.
+_RECORD_FIELDS = {
+    name: tuple(f.name for f in dataclasses.fields(cls))
+    for name, cls in (("entanglement", EntanglementReport), ("observability", ObservabilityReport))
+}
+
+
+def _records_to_jsonable(reports: Sequence[ClassificationReport], name: str) -> list[dict]:
+    """The ``name`` records of the reports as JSON objects: a column of bools as it
+    is, numbers and tuples of them as floats, IEEE negative zero made positive by the
+    + 0.0 so serialized zeros are stable."""
+    fields = _RECORD_FIELDS[name]
+    columns = [_column(reports, f"{name}.{field}") for field in fields]
+    columns = [
+        c if all(type(v) is bool for v in c) else
+        [[x + 0.0 for x in v] if type(v) is tuple else v + 0.0 for v in c] for c in columns
+    ]
     return [dict(zip(fields, row)) for row in zip(*columns)]
 
 
@@ -116,22 +126,20 @@ def reports_to_jsonable(reports: Sequence[ClassificationReport]) -> list[dict]:
     """One JSON object per report, of a sweep or of any sequence of reports,
     written from one column per field."""
     column = functools.partial(_column, reports)
-    classes = column("function_class")
-    entries = {
-        "function": [f.to_string() for f in column("function")],
-        "class": [c.label for c in classes],
-        "ones": [c.ones for c in classes],
-        "zeros": [c.zeros for c in classes],
-        "parity": [c.parity.value for c in classes],
-        "oracle_separable": column("oracle_separable"),
-        "dj_verdict": [v.value for v in column("dj_verdict")],
-        "circuit_verdict": [v.value for v in column("circuit.verdict")],
-        "oracle_calls": column("circuit.oracle_calls"),
-        "final_state": states_to_jsonable(column("circuit.final_state")),
-        "entanglement": _records_to_jsonable(reports, "entanglement", EntanglementReport),
-        "observability": _records_to_jsonable(reports, "observability", ObservabilityReport),
-    }
-    return [dict(zip(entries, row)) for row in zip(*entries.values())]
+    columns = zip(
+        column("function"), column("function_class"), column("oracle_separable"),
+        column("dj_verdict"), column("circuit.verdict"), column("circuit.oracle_calls"),
+        states_to_jsonable(column("circuit.final_state")),
+        _records_to_jsonable(reports, "entanglement"),
+        _records_to_jsonable(reports, "observability"),
+    )
+    return [
+        {"function": f.to_string(), "class": c.label, "ones": c.ones, "zeros": c.zeros,
+         "parity": c.parity.value, "oracle_separable": separable, "dj_verdict": dj.value,
+         "circuit_verdict": verdict.value, "oracle_calls": calls, "final_state": state,
+         "entanglement": entanglement, "observability": observability}
+        for f, c, separable, dj, verdict, calls, state, entanglement, observability in columns
+    ]
 
 
 def report_to_jsonable(r: ClassificationReport) -> dict:
@@ -164,34 +172,78 @@ def class_summary_rows(reports: Sequence[ClassificationReport]) -> list[dict]:
     return rows
 
 
-def _canonical(x, indent: str) -> str:
-    """JSON text of ``x`` after ``indent``, a newline and the outer spaces. A value of a
-    JSON type is told by its exact type; one of a subclass, such as a str or int enum or
-    numpy's float64, by ``isinstance``, as ``json`` tells it."""
+def _kind(x) -> type:
+    """The JSON type of ``x``: its exact type, or for a subclass, such as a str or int enum
+    or numpy's float64, the first JSON type it is an instance of, as ``json`` tells it."""
     kind = type(x)
-    if kind not in _EXACT_JSON_KINDS:
-        kind = next((k for k in _JSON_KINDS if isinstance(x, k)), None)
+    if kind in _EXACT_JSON_KINDS:
+        return kind
+    for k in _JSON_KINDS:
+        if isinstance(x, k):
+            return k
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _scalar(x, kind: type) -> str:
+    """JSON text of ``x``, a scalar of JSON type ``kind``."""
     if kind is float:
         return _NON_FINITE.get(text := float.__repr__(x), text)
     if kind is str:
         return encode_basestring_ascii(x)
-    if x is None or kind is bool:
-        return "null" if x is None else "true" if x else "false"
     if kind is int:
         return int.__repr__(x)
+    return "null" if x is None else "true" if x else "false"
+
+
+def _write(x, kind: type, indent: str, append) -> None:
+    """Append the fragments of the JSON text of ``x``, a list, tuple or dict, after
+    ``indent``, a newline and the outer spaces. Exact float and str children, most of
+    what qparity writes, are formatted in the loop; other children by their JSON type."""
     inner = indent + "  "
-    if kind is list or kind is tuple:
-        items = [_canonical(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-    if kind is dict:
-        items = [encode_basestring_ascii(k) + ": " + _canonical(x[k], inner) for k in sorted(x)]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    head, sep = ("{" if kind is dict else "[") + inner, "," + inner
+    if not x:
+        append("{}" if kind is dict else "[]")
+    elif kind is dict:
+        for k in sorted(x):
+            append(head)
+            append(encode_basestring_ascii(k) + ": ")
+            head, v = sep, x[k]
+            if (t := type(v)) is float:
+                append(_NON_FINITE.get(text := float.__repr__(v), text))
+            elif t is str:
+                append(encode_basestring_ascii(v))
+            else:
+                t = t if t in _EXACT_JSON_KINDS else _kind(v)
+                if t is list or t is tuple or t is dict:
+                    _write(v, t, inner, append)
+                else:
+                    append(_scalar(v, t))
+        append(indent + "}")
+    else:
+        for v in x:
+            append(head)
+            head = sep
+            if (t := type(v)) is float:
+                append(_NON_FINITE.get(text := float.__repr__(v), text))
+            elif t is str:
+                append(encode_basestring_ascii(v))
+            else:
+                t = t if t in _EXACT_JSON_KINDS else _kind(v)
+                if t is list or t is tuple or t is dict:
+                    _write(v, t, inner, append)
+                else:
+                    append(_scalar(v, t))
+        append(indent + "]")
 
 
 def to_canonical_json(data) -> str:
     """Serialize as ``json.dumps(data, indent=2, sort_keys=True)`` would, so
     loads/dumps is byte-stable. ``data`` nests str-keyed dicts, lists, tuples,
     str, int, float (NaN and infinities too), bool and None; anything else,
-    unlike in ``json`` a non-``str`` key too, raises TypeError."""
-    return _canonical(data, "\n")
+    unlike in ``json`` a non-``str`` key too, raises TypeError. The text is
+    written as one list of fragments, joined once."""
+    if (kind := _kind(data)) is not list and kind is not tuple and kind is not dict:
+        return _scalar(data, kind)
+    fragments: list[str] = []
+    _write(data, kind, "\n", fragments.append)
+    return "".join(fragments)
