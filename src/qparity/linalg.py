@@ -106,7 +106,7 @@ def validated_state_stack(amplitudes: np.ndarray) -> np.ndarray:
 
 def _check_densities(arr: np.ndarray) -> np.ndarray:
     """Check that a matrix, or each of a stack, has finite entries, is Hermitian and has
-    unit trace within ``DEFAULT_TOL``; returns a read-only view the stacked forms trust."""
+    unit trace within ``DEFAULT_TOL``; returns a read-only plain view the stacked forms trust."""
     _check_finite(arr, "density matrix")
     hermiticity_error = float(np.abs(arr - arr.conj().swapaxes(-1, -2)).max(initial=0.0))
     if hermiticity_error > DEFAULT_TOL:
@@ -119,20 +119,18 @@ def _check_densities(arr: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"density matrix trace differs from 1 by {trace_error:.3e} > {DEFAULT_TOL:.3e}"
         )
-    stack = arr.view(_Passed)
-    stack.flags.writeable, stack.passed = False, True
-    return stack
+    return _frozen(arr.view(_Passed).copy()).view(np.ndarray)
 
 
 class _Passed(np.ndarray):
-    """Only the view ``_check_densities`` returns is ``passed``, not arrays derived from it."""
-    passed = False
+    """The copy that each plain view ``_check_densities`` returns is a view of. A view,
+    slice or result of that view is a plain array whose base is not a ``_Passed``, so
+    only the view itself is taken as checked."""
 
 
 def _densities(rhos: np.ndarray) -> np.ndarray:
     """A stack given to a stacked form, as a plain array, checked unless it passed."""
-    passed = type(rhos) is _Passed and rhos.passed
-    return (rhos if passed else _check_densities(rhos)).view(np.ndarray)
+    return rhos if type(rhos.base) is _Passed else _check_densities(rhos)
 
 
 class DensityMatrix:
@@ -248,7 +246,7 @@ def density_from_state_stack(amplitudes) -> np.ndarray:
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 2:
         raise ValueError("expected an (n, d) stack of amplitudes")
-    return _check_densities(_frozen(amps[:, :, None] * amps[:, None, :].conj()))
+    return _check_densities(amps[:, :, None] * amps[:, None, :].conj())
 
 
 def density_from_state(s: StateVector) -> DensityMatrix:
@@ -265,7 +263,7 @@ def partial_trace_stack(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:
         raise ValueError("partial_trace expects a two-qubit density matrix")
     if type(keep_qubit) is not int or keep_qubit not in (1, 2):
         raise ValueError(f"keep_qubit must be 1 or 2, got {keep_qubit!r}")
-    return _check_densities(_frozen(_partial_trace(_densities(rhos), keep_qubit)))
+    return _check_densities(_partial_trace(_densities(rhos), keep_qubit))
 
 
 def _partial_trace(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:

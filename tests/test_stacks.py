@@ -204,3 +204,25 @@ def test_stack_forms_leave_the_input_writable(name):
     rhos = random_mixed_densities(np.random.default_rng(5), 3)
     STACK_FORMS[name](rhos)
     assert rhos.flags.writeable
+
+
+def test_arrays_derived_from_a_checked_stack_are_plain():
+    checked = density_from_state_stack(random_amplitudes(np.random.default_rng(8), 3))
+    assert type(checked) is np.ndarray
+    for derived in (np.abs(checked), checked * 1.0, np.linalg.eigvalsh(checked), checked[1:],
+                    checked.conj().swapaxes(1, 2)):
+        assert type(derived) is np.ndarray
+
+
+@pytest.mark.parametrize("name", sorted(STACK_FORMS))
+def test_only_the_checked_stack_itself_skips_the_check(name, monkeypatch):
+    checked = density_from_state_stack(random_amplitudes(np.random.default_rng(9), 3))
+    with pytest.raises(ValueError, match="trace differs from 1"):
+        STACK_FORMS[name](checked * 1.1)
+    honest = qparity.linalg._check_densities
+    calls = []
+    monkeypatch.setattr(qparity.linalg, "_check_densities", lambda a: calls.append(a) or honest(a))
+    for stack in (checked, np.asarray(checked), checked[1:], checked.view(), checked + 0.0):
+        calls.clear()
+        STACK_FORMS[name](stack)
+        assert any(a is stack for a in calls) == (stack is not checked)
