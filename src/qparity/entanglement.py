@@ -61,11 +61,11 @@ def _analyze(amps: np.ndarray) -> Sweep:
     # the trace-normalized reduced matrix [[p, q], [q*, 1 - p]], with
     # spread = hypot(2p - 1, 2|q|), and lam1 * lam2 = |ad - bc|. Unlike
     # sqrt(1 - C^2) near C = 1, neither step cancels.
-    norm = np.real(np.trace(reduced1, axis1=1, axis2=2))
+    norm = reduced1.trace(axis1=1, axis2=2).real
     p, q = reduced1[:, 0, 0].real / norm, np.abs(reduced1[:, 0, 1]) / norm
     lam1 = np.sqrt((1.0 + np.hypot(2.0 * p - 1.0, 2.0 * q)) / 2.0)
     lam2 = concurrence / (2.0 * norm * lam1)
-    purity1, purity2 = (np.real(np.trace(r @ r, axis1=1, axis2=2)) for r in (reduced1, reduced2))
+    purity1, purity2 = ((r @ r).trace(axis1=1, axis2=2).real for r in (reduced1, reduced2))
     concurrence = concurrence.tolist()
     return Sweep(EntanglementReport, {
         "concurrence": concurrence,
@@ -87,7 +87,7 @@ def is_idempotent_stack(rhos: np.ndarray) -> np.ndarray:
     matrix of an (n, d, d) stack, checked as ``DensityMatrix`` checks one unless
     a stacked form made it, i.e. which are pure-state projectors."""
     rhos = _densities(rhos)
-    return np.max(np.abs(rhos @ rhos - rhos), axis=(-2, -1)) <= IDEMPOTENCY_TOL
+    return np.abs(rhos @ rhos - rhos).max(axis=(-2, -1)) <= IDEMPOTENCY_TOL
 
 
 def is_idempotent(rho: DensityMatrix) -> bool:

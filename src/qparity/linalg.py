@@ -24,7 +24,7 @@ DISPLAY_FLOOR = 1e-9  # text output leaves out amplitudes and imaginary parts th
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} must have finite entries (no NaN or infinity)")
     return arr
 
@@ -94,8 +94,8 @@ def validated_state_stack(amplitudes: np.ndarray) -> np.ndarray:
     read-only after checking as ``StateVector`` does that every entry is
     finite and every row has unit norm within ``DEFAULT_TOL``."""
     _check_finite(amplitudes, "state vector")
-    norms = np.sum(np.abs(amplitudes) ** 2, axis=-1)
-    norm_error = float(np.max(np.abs(norms - 1.0), initial=0.0))
+    norms = (np.abs(amplitudes) ** 2).sum(axis=-1)
+    norm_error = float(np.abs(norms - 1.0).max(initial=0.0))
     if norm_error > DEFAULT_TOL:
         raise ValueError(
             f"state vector is not normalized: |sum(|a|^2) - 1| = {norm_error:.3e}"
@@ -123,9 +123,8 @@ def _check_densities(arr: np.ndarray) -> np.ndarray:
 
 
 class _Passed(np.ndarray):
-    """The copy that each plain view ``_check_densities`` returns is a view of. A view,
-    slice or result of that view is a plain array whose base is not a ``_Passed``, so
-    only the view itself is taken as checked."""
+    """The copy each view ``_check_densities`` returns is a view of; a view, slice or
+    result of that view is a plain array whose base is not one, so it is checked again."""
 
 
 def _densities(rhos: np.ndarray) -> np.ndarray:
@@ -148,8 +147,7 @@ class DensityMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("density matrix must be square")
         self._num_qubits = _qubit_count(arr.shape[0], "density matrix")
-        _check_densities(arr)
-        self._entries = _frozen(arr)
+        self._entries = _check_densities(arr)
 
     @property
     def entries(self) -> np.ndarray:
@@ -281,7 +279,7 @@ def purity_stack(rhos: np.ndarray) -> np.ndarray:
     ``DensityMatrix`` checks one unless a stacked form made it; 1 for pure
     states, 1/d for the maximally mixed state."""
     rhos = _densities(rhos)
-    return np.real(np.trace(rhos @ rhos, axis1=-2, axis2=-1))
+    return (rhos @ rhos).trace(axis1=-2, axis2=-1).real
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -35,6 +35,11 @@ CLASS_ORDER = (0, 1, 2, 3, 4)  # number of ones, i.e. [0,4] .. [4,0]
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them
 _JSON_KINDS = (str, bool, int, float, list, tuple, dict, type(None))  # a bool is an int: bool first
 _EXACT_JSON_KINDS = frozenset(_JSON_KINDS)
+_SCALARS = {  # the JSON text of a scalar, by its JSON type
+    float: lambda x: _NON_FINITE.get(text := float.__repr__(x), text), int: int.__repr__,
+    str: encode_basestring_ascii, bool: {True: "true", False: "false"}.get,
+    type(None): {None: "null"}.get,
+}
 
 
 @dataclass(frozen=True)
@@ -102,23 +107,14 @@ def states_to_jsonable(states: Sequence[StateVector] | np.ndarray) -> list[dict]
     return [{"basis": basis, "amplitudes": p} for p in pairs]
 
 
-# The fields of the two analysis records of a report, in order.
-_RECORD_FIELDS = {
-    name: tuple(f.name for f in dataclasses.fields(cls))
-    for name, cls in (("entanglement", EntanglementReport), ("observability", ObservabilityReport))
-}
-
-
-def _records_to_jsonable(reports: Sequence[ClassificationReport], name: str) -> list[dict]:
-    """The ``name`` records of the reports as JSON objects: a column of bools as it
-    is, numbers and tuples of them as floats, IEEE negative zero made positive by the
-    + 0.0 so serialized zeros are stable."""
-    fields = _RECORD_FIELDS[name]
+def _records_to_jsonable(reports: Sequence[ClassificationReport], name: str, cls) -> list[dict]:
+    """The ``name`` records (of type ``cls``) of the reports as JSON objects: a column
+    of bools as it is, numbers and tuples of them as floats, IEEE negative zero made
+    positive by the + 0.0 so serialized zeros are stable."""
+    fields = [f.name for f in dataclasses.fields(cls)]
     columns = [_column(reports, f"{name}.{field}") for field in fields]
-    columns = [
-        c if all(type(v) is bool for v in c) else
-        [[x + 0.0 for x in v] if type(v) is tuple else v + 0.0 for v in c] for c in columns
-    ]
+    columns = [c if all(type(v) is bool for v in c) else
+               [[x + 0.0 for x in v] if type(v) is tuple else v + 0.0 for v in c] for c in columns]
     return [dict(zip(fields, row)) for row in zip(*columns)]
 
 
@@ -130,8 +126,8 @@ def reports_to_jsonable(reports: Sequence[ClassificationReport]) -> list[dict]:
         column("function"), column("function_class"), column("oracle_separable"),
         column("dj_verdict"), column("circuit.verdict"), column("circuit.oracle_calls"),
         states_to_jsonable(column("circuit.final_state")),
-        _records_to_jsonable(reports, "entanglement"),
-        _records_to_jsonable(reports, "observability"),
+        _records_to_jsonable(reports, "entanglement", EntanglementReport),
+        _records_to_jsonable(reports, "observability", ObservabilityReport),
     )
     return [
         {"function": f.to_string(), "class": c.label, "ones": c.ones, "zeros": c.zeros,
@@ -172,52 +168,29 @@ def class_summary_rows(reports: Sequence[ClassificationReport]) -> list[dict]:
     return rows
 
 
-def _kind(x) -> type:
-    """The JSON type of ``x``: its exact type, or for a subclass, such as a str or int enum
-    or numpy's float64, the first JSON type it is an instance of, as ``json`` tells it."""
+def _write(x, indent: str, append) -> None:
+    """Append the JSON text of ``x`` after ``indent``, a newline and the outer spaces. A
+    JSON type is told by the exact type, a subclass's (a str or int enum, numpy's float64)
+    by ``isinstance``, as ``json`` tells it; a container formats its scalars in its loop."""
     kind = type(x)
-    if kind in _EXACT_JSON_KINDS:
-        return kind
-    for k in _JSON_KINDS:
-        if isinstance(x, k):
-            return k
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-def _scalar(x, kind: type) -> str:
-    """JSON text of ``x``, a scalar of JSON type ``kind``."""
-    if kind is float:
-        return _NON_FINITE.get(text := float.__repr__(x), text)
-    if kind is str:
-        return encode_basestring_ascii(x)
-    if kind is int:
-        return int.__repr__(x)
-    return "null" if x is None else "true" if x else "false"
-
-
-def _write(x, kind: type, indent: str, append) -> None:
-    """Append the fragments of the JSON text of ``x``, a list, tuple or dict, after
-    ``indent``, a newline and the outer spaces. Exact float and str children, most of
-    what qparity writes, are formatted in the loop; other children by their JSON type."""
+    if kind not in _EXACT_JSON_KINDS:
+        kind = next((k for k in _JSON_KINDS if isinstance(x, k)), None)
+    if kind is not list and kind is not tuple and kind is not dict:
+        if kind is None:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        return append(_SCALARS[kind](x))
     inner = indent + "  "
     head, sep = ("{" if kind is dict else "[") + inner, "," + inner
     if not x:
         append("{}" if kind is dict else "[]")
     elif kind is dict:
         for k in sorted(x):
-            append(head)
-            append(encode_basestring_ascii(k) + ": ")
+            append(head + encode_basestring_ascii(k) + ": ")
             head, v = sep, x[k]
-            if (t := type(v)) is float:
+            if (t := type(v)) is float:  # the most frequent child, formatted here
                 append(_NON_FINITE.get(text := float.__repr__(v), text))
-            elif t is str:
-                append(encode_basestring_ascii(v))
             else:
-                t = t if t in _EXACT_JSON_KINDS else _kind(v)
-                if t is list or t is tuple or t is dict:
-                    _write(v, t, inner, append)
-                else:
-                    append(_scalar(v, t))
+                append(form(v)) if (form := _SCALARS.get(t)) else _write(v, inner, append)
         append(indent + "}")
     else:
         for v in x:
@@ -225,14 +198,8 @@ def _write(x, kind: type, indent: str, append) -> None:
             head = sep
             if (t := type(v)) is float:
                 append(_NON_FINITE.get(text := float.__repr__(v), text))
-            elif t is str:
-                append(encode_basestring_ascii(v))
             else:
-                t = t if t in _EXACT_JSON_KINDS else _kind(v)
-                if t is list or t is tuple or t is dict:
-                    _write(v, t, inner, append)
-                else:
-                    append(_scalar(v, t))
+                append(form(v)) if (form := _SCALARS.get(t)) else _write(v, inner, append)
         append(indent + "]")
 
 
@@ -240,10 +207,7 @@ def to_canonical_json(data) -> str:
     """Serialize as ``json.dumps(data, indent=2, sort_keys=True)`` would, so
     loads/dumps is byte-stable. ``data`` nests str-keyed dicts, lists, tuples,
     str, int, float (NaN and infinities too), bool and None; anything else,
-    unlike in ``json`` a non-``str`` key too, raises TypeError. The text is
-    written as one list of fragments, joined once."""
-    if (kind := _kind(data)) is not list and kind is not tuple and kind is not dict:
-        return _scalar(data, kind)
+    unlike in ``json`` a non-``str`` key too, raises TypeError."""
     fragments: list[str] = []
-    _write(data, kind, "\n", fragments.append)
+    _write(data, "\n", fragments.append)
     return "".join(fragments)

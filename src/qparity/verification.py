@@ -101,9 +101,10 @@ def _check(name: str, notes: list[str]) -> CheckResult:
 def _deviation(actual, expected, rows: int = 1) -> np.ndarray:
     """Largest entrywise |actual - expected| over all but the first ``rows`` axes, with
     NaN as infinity, so that a rule's ``deviation > tol`` fails it rather than pass it."""
-    diff = np.abs(np.asarray(actual) - expected)
+    diff = np.abs(np.subtract(actual, expected))
     worst = diff.max(axis=tuple(range(rows, diff.ndim))) if diff.ndim > rows else diff
-    return np.where(np.isnan(worst), np.inf, worst)
+    worst[np.isnan(worst)] = np.inf
+    return worst
 
 
 def run_all_checks() -> VerificationOutcome:
@@ -152,7 +153,7 @@ def run_all_checks() -> VerificationOutcome:
             except ValueError:  # name the first rule with a row too many or too few
                 mask, t, *_ = next(r for r in rules if len(r[0]) != len(bits))
                 raise ValueError(f"rule {t!r} has {len(mask)} rows, not {len(bits)}") from None
-            for i, k in zip(*np.nonzero(masks.T)) if masks.any() else ():
+            for i, k in zip(*masks.T.nonzero()) if np.count_nonzero(masks) else ():
                 _, t, *columns = rules[k]  # by function, then in rule order
                 notes.append(f"{bits[i]}: {t.format(*(c[i] for c in columns))}")
                 failed_functions.add(bits[i])
@@ -184,7 +185,7 @@ def run_all_checks() -> VerificationOutcome:
     @check
     def oracle_properties():
         m = np.array([build_oracle(f).entries for f in column("function")]).reshape(-1, 4, 4)
-        diag, signs = np.diagonal(m, axis1=1, axis2=2), 1.0 - 2.0 * outputs
+        diag, signs = m.diagonal(axis1=1, axis2=2), 1.0 - 2.0 * outputs
         off_diagonal, self_inverse = _deviation(
             [m - diag[:, :, None] * np.eye(4), m @ m - np.eye(4)], 0.0, rows=2) > DEFAULT_TOL
         return [(off_diagonal, "oracle is not diagonal"),
@@ -209,7 +210,7 @@ def run_all_checks() -> VerificationOutcome:
     @check
     def step_normalization():
         steps = np.asarray(column("circuit.per_step_states")).reshape(-1, 6, 4)
-        errors = _deviation(np.sum(np.abs(steps) ** 2, axis=2).T, 1.0, rows=2)
+        errors = _deviation((np.abs(steps) ** 2).sum(axis=2).T, 1.0, rows=2)
         return [(e > DEFAULT_TOL, f"step {k} norm error {{:.3e}}", e) for k, e in enumerate(errors)]
 
     @check
@@ -220,7 +221,7 @@ def run_all_checks() -> VerificationOutcome:
     @check
     def final_state_patterns():
         # Equality up to a global phase, a weaker route than the sign law.
-        inner = np.abs(np.sum(expected_finals * finals(), axis=1))
+        inner = np.abs((expected_finals * finals()).sum(axis=1))
         return [(_deviation(inner, 1.0) > DEFAULT_TOL,
                  "|overlap with expected pattern| = {!r} != 1", inner.tolist())]
 
@@ -236,7 +237,7 @@ def run_all_checks() -> VerificationOutcome:
         expected_purity = 1.0 - c12 / 2.0  # 1 - C^2/2 at C = c12
         reduced1, reduced2 = (partial_trace_stack(densities(), k) for k in (1, 2))
         err, purities = _deviation(reduced2, reduced8 / 8.0), purity_stack(reduced2)
-        trace_err = _deviation(np.trace(reduced1, axis1=1, axis2=2), 1.0)
+        trace_err = _deviation(reduced1.trace(axis1=1, axis2=2), 1.0)
         return [(err > DEFAULT_TOL, "qubit-2 reduced matrix deviates by {:.3e}", err),
                 (_deviation(purities, expected_purity) > DEFAULT_TOL,
                  "qubit-2 reduced purity {!r} != {}", purities.tolist(), expected_purity),
