@@ -24,7 +24,6 @@ from qparity import (
     enumerate_functions,
     run_deutsch_jozsa_2bit,
     run_even_odd,
-    states_equal,
     StateVector,
     TruthTable,
 )
@@ -129,7 +128,9 @@ class TestRunEvenOdd:
                 pattern = StateVector([a * INV_SQRT2, INV_SQRT2, 0, 0])
             else:
                 pattern = StateVector([0, INV_SQRT2, a * INV_SQRT2, 0])
-            assert states_equal(run_even_odd(f).final_state, pattern), f.to_string()
+            # Equal up to a global phase: |<final|pattern>| = 1 within 1e-12.
+            inner = np.vdot(run_even_odd(f).final_state.amplitudes, pattern.amplitudes)
+            assert abs(abs(inner) - 1.0) <= 1e-12, f.to_string()
 
     def test_every_step_stays_normalized(self):
         for f in enumerate_functions():

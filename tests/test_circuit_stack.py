@@ -1,6 +1,6 @@
-"""The stacked circuit sweeps: every step equals a gate-by-gate run through
-the public one-state API, oracles come from one sign stack, and each sweep's
-steps are validated once, as ``StateVector`` validates one state."""
+"""The stacked circuit sweeps: every step equals a gate-by-gate run of
+validated matrix-vector products, oracles come from one sign stack, and each
+sweep's steps are validated once, as ``StateVector`` validates one state."""
 
 import re
 
@@ -12,13 +12,13 @@ import qparity.linalg
 from qparity import (
     DJVerdict,
     StateVector,
-    apply,
-    basis_state,
     build_oracle,
     enumerate_functions,
+    hadamard,
     hadamard_both,
-    hadamard_second,
+    identity,
     run_all_checks,
+    tensor_product,
 )
 from qparity.algorithms import (
     DJ_BALANCED_CUT,
@@ -31,19 +31,29 @@ from qparity.linalg import validated_state_stack
 from qparity.reports import all_reports
 
 
+ZERO_ZERO = StateVector([1.0, 0.0, 0.0, 0.0])
+
+
+def hadamard_second():
+    """I (x) H: Hadamard on qubit 2 only."""
+    return tensor_product(identity(), hadamard())
+
+
 def reference_steps(f):
-    """The even/odd circuit on f, one validated ``apply`` per gate."""
+    """The even/odd circuit on f, one validated state per gate."""
     h12, h2, oracle = hadamard_both(), hadamard_second(), build_oracle(f)
-    steps = [basis_state("00")]
+    steps = [ZERO_ZERO]
     for gate in (h12, oracle, h2, oracle, h12):
-        steps.append(apply(gate, steps[-1]))
+        steps.append(StateVector(gate.entries @ steps[-1].amplitudes))
     return steps
 
 
 def reference_dj_verdict(f):
     h12 = hadamard_both()
-    final = apply(h12, apply(build_oracle(f), apply(h12, basis_state("00"))))
-    magnitude = abs(final.amplitudes[0])
+    final = ZERO_ZERO.amplitudes
+    for gate in (h12, build_oracle(f), h12):
+        final = StateVector(gate.entries @ final).amplitudes
+    magnitude = abs(final[0])
     if magnitude > DJ_CONSTANT_CUT:
         return DJVerdict.CONSTANT
     if magnitude < DJ_BALANCED_CUT:
@@ -151,6 +161,6 @@ class TestStateStackValidation:
         for result in run_even_odd_sweep(enumerate_functions(), hadamard_both(), hadamard_second()):
             assert result.final_state is result.per_step_states[-1]
             for state in result.per_step_states:
-                assert state.num_qubits == 2
+                assert state.amplitudes.shape == (4,)
                 with pytest.raises(ValueError):
                     state.amplitudes[0] = 0.0

@@ -5,19 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qparity import (
-    DensityMatrix,
-    Parity,
-    StateVector,
-    analyze_pure_state,
-    basis_state,
-    classify,
-    density_from_state,
-    enumerate_functions,
-    is_idempotent,
-    partial_trace,
-    run_even_odd,
-)
+from qparity import Parity, StateVector, classify, enumerate_functions, run_even_odd
+from qparity.entanglement import analyze_pure_state_stack, is_idempotent_stack
+from qparity.linalg import density_from_state_stack, partial_trace_stack
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -27,9 +17,14 @@ def random_state(rng, n=4) -> StateVector:
     return StateVector(raw / np.linalg.norm(raw))
 
 
+def analyze(s: StateVector):
+    """The entanglement report of the stack of one state."""
+    return analyze_pure_state_stack(s.amplitudes[None])[0]
+
+
 class TestAnalyzePureState:
     def test_antisymmetric_superposition_is_maximally_entangled(self):
-        report = analyze_pure_state(StateVector([0, INV_SQRT2, -INV_SQRT2, 0]))
+        report = analyze(StateVector([0, INV_SQRT2, -INV_SQRT2, 0]))
         assert report.concurrence == pytest.approx(1.0, abs=1e-12)
         assert report.is_entangled
         # Computed without the cancellation of sqrt(1 - C^2) at C ~ 1, the
@@ -39,20 +34,20 @@ class TestAnalyzePureState:
         )
 
     def test_basis_state_is_product(self):
-        report = analyze_pure_state(basis_state("00"))
+        report = analyze(StateVector([1, 0, 0, 0]))
         assert report.concurrence == 0
         assert not report.is_entangled
         assert report.schmidt_coefficients == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_rejects_single_qubit_state(self):
         with pytest.raises(ValueError, match="two-qubit"):
-            analyze_pure_state(basis_state("0"))
+            analyze(StateVector([1, 0]))
 
     def test_odd_circuit_outputs_are_maximally_entangled(self):
         for f in enumerate_functions():
             if classify(f).parity is not Parity.ODD:
                 continue
-            report = analyze_pure_state(run_even_odd(f).final_state)
+            report = analyze(run_even_odd(f).final_state)
             assert report.concurrence == pytest.approx(1.0, abs=1e-10), f.to_string()
             assert report.is_entangled
             assert report.reduced_purity_q2 == pytest.approx(0.5, abs=1e-10)
@@ -61,7 +56,7 @@ class TestAnalyzePureState:
         for f in enumerate_functions():
             if classify(f).parity is not Parity.EVEN:
                 continue
-            report = analyze_pure_state(run_even_odd(f).final_state)
+            report = analyze(run_even_odd(f).final_state)
             assert report.concurrence == pytest.approx(0.0, abs=1e-10), f.to_string()
             assert not report.is_entangled
             assert report.reduced_purity_q2 == pytest.approx(1.0, abs=1e-10)
@@ -73,7 +68,7 @@ class TestAnalyzePureState:
         first = random_state(rng, 2)
         second = random_state(rng, 2)
         product = StateVector(np.kron(first.amplitudes, second.amplitudes))
-        assert analyze_pure_state(product).concurrence < 1e-10
+        assert analyze(product).concurrence < 1e-10
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100)
@@ -81,7 +76,7 @@ class TestAnalyzePureState:
         # Schmidt route and partial-trace route must agree:
         # purity = 1 - C^2/2, purities of the two sides equal,
         # concurrence = 2 * product of Schmidt coefficients.
-        report = analyze_pure_state(random_state(np.random.default_rng(seed)))
+        report = analyze(random_state(np.random.default_rng(seed)))
         lam1, lam2 = report.schmidt_coefficients
         assert lam1 >= lam2 >= 0
         assert lam1**2 + lam2**2 == pytest.approx(1.0, abs=1e-10)
@@ -127,34 +122,35 @@ class TestSchmidtCoefficients:
     @given(two_qubit_amplitudes())
     @settings(max_examples=300, deadline=None)
     def test_agree_with_svd(self, amplitudes):
-        report = analyze_pure_state(StateVector(amplitudes))
+        report = analyze(StateVector(amplitudes))
         assert report.schmidt_coefficients == pytest.approx(svd_schmidt(amplitudes), abs=1e-14)
 
     def test_circuit_outputs_have_exact_coefficients(self):
         for f in enumerate_functions():
             final = run_even_odd(f).final_state
-            coefficients = analyze_pure_state(final).schmidt_coefficients
+            coefficients = analyze(final).schmidt_coefficients
             expected = (1.0, 0.0) if classify(f).parity is Parity.EVEN else (INV_SQRT2,) * 2
             assert coefficients == pytest.approx(expected, abs=1e-15), f.to_string()
             assert coefficients == pytest.approx(svd_schmidt(final.amplitudes), abs=1e-15)
 
 
 class TestIsIdempotent:
-    def odd_reduced(self):
-        f = enumerate_functions()[1]  # 0001, an odd function
-        rho = density_from_state(run_even_odd(f).final_state)
-        return partial_trace(rho, 2)
+    """The idempotency test on stacks of one matrix."""
+
+    def reduced_final(self, f):
+        rho = density_from_state_stack(run_even_odd(f).final_state.amplitudes[None])
+        return partial_trace_stack(rho, 2)
 
     def test_odd_reduced_matrix_is_not_idempotent(self):
-        assert not is_idempotent(self.odd_reduced())
+        f = enumerate_functions()[1]  # 0001, an odd function
+        assert not is_idempotent_stack(self.reduced_final(f))[0]
 
     def test_even_reduced_matrix_is_idempotent(self):
         f = enumerate_functions()[0]  # 0000, an even function
-        rho = density_from_state(run_even_odd(f).final_state)
-        assert is_idempotent(partial_trace(rho, 2))
+        assert is_idempotent_stack(self.reduced_final(f))[0]
 
     def test_pure_projector_is_idempotent(self):
-        assert is_idempotent(DensityMatrix(np.diag([1.0, 0.0])))
+        assert is_idempotent_stack(np.diag([1.0, 0.0])[None])[0]
 
     def test_mixed_state_is_not_idempotent(self):
-        assert not is_idempotent(DensityMatrix(np.eye(4) / 4))
+        assert not is_idempotent_stack((np.eye(4) / 4)[None])[0]

@@ -9,36 +9,39 @@ from hypothesis import strategies as st
 
 from qparity import (
     COHERENCE_ORDERS,
-    DensityMatrix,
     Parity,
-    StateVector,
     classify,
     coherence_order,
-    decompose_coherences,
-    density_from_state,
     enumerate_functions,
     magnetization_classifies_parity,
-    observability,
     run_even_odd,
     spin1_indistinguishability_check,
     threshold_separates,
-    transverse_magnetization,
+)
+from qparity.linalg import density_from_state_stack
+from qparity.nmr import (
+    decompose_coherences_stack,
+    observability_stack,
+    transverse_magnetization_stack,
 )
 from qparity.reports import all_reports
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 NAN = float("nan")
 
-RHO_EVEN = DensityMatrix(
-    0.5 * np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-)
-RHO_ODD = DensityMatrix(
-    0.5 * np.array([[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]])
-)
+# Stacks of one density matrix each.
+RHO_EVEN = 0.5 * np.array([[[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]])
+RHO_ODD = 0.5 * np.array([[[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]]])
+MIXED = (np.eye(4) / 4)[None]
 
 
 def final_density(f):
-    return density_from_state(run_even_odd(f).final_state)
+    return density_from_state_stack(run_even_odd(f).final_state.amplitudes[None])
+
+
+def decompose(rhos):
+    """Each order's component of the decomposition of a stack of one."""
+    return {k: v[0] for k, v in decompose_coherences_stack(rhos).orders.items()}
 
 
 class TestCoherenceOrder:
@@ -64,39 +67,39 @@ class TestCoherenceOrder:
 
 class TestDecomposeCoherences:
     def test_even_density_has_only_zero_and_single_quantum_weight(self):
-        decomposition = decompose_coherences(RHO_EVEN)
+        orders = decompose(RHO_EVEN)
         for order in (-2, 2):
-            assert np.max(np.abs(decomposition.orders[order])) == 0
-        assert np.max(np.abs(decomposition.orders[1])) == pytest.approx(0.5)
-        assert np.max(np.abs(decomposition.orders[-1])) == pytest.approx(0.5)
+            assert np.max(np.abs(orders[order])) == 0
+        assert np.max(np.abs(orders[1])) == pytest.approx(0.5)
+        assert np.max(np.abs(orders[-1])) == pytest.approx(0.5)
 
     def test_odd_density_is_pure_zero_quantum(self):
-        decomposition = decompose_coherences(RHO_ODD)
+        orders = decompose(RHO_ODD)
         for order in (-2, -1, 1, 2):
-            assert np.max(np.abs(decomposition.orders[order])) == 0
-        assert np.max(np.abs(decomposition.orders[0])) == pytest.approx(0.5)
+            assert np.max(np.abs(orders[order])) == 0
+        assert np.max(np.abs(orders[0])) == pytest.approx(0.5)
 
     def test_maximally_mixed_is_diagonal_order_zero(self):
-        decomposition = decompose_coherences(DensityMatrix(np.eye(4) / 4))
+        orders = decompose(MIXED)
         for order in (-2, -1, 1, 2):
-            assert np.max(np.abs(decomposition.orders[order])) == 0
-        np.testing.assert_allclose(decomposition.orders[0], np.eye(4) / 4, atol=0)
+            assert np.max(np.abs(orders[order])) == 0
+        np.testing.assert_allclose(orders[0], np.eye(4) / 4, atol=0)
 
     def test_components_resum_for_all_circuit_outputs(self):
         for f in enumerate_functions():
             rho = final_density(f)
-            decomposition = decompose_coherences(rho)
+            decomposition = decompose_coherences_stack(rho)
             np.testing.assert_allclose(
-                decomposition.total(), rho.entries, atol=1e-12, err_msg=f.to_string()
+                decomposition.total(), rho, atol=1e-12, err_msg=f.to_string()
             )
 
     def test_hermitian_symmetry_of_components(self):
         for f in enumerate_functions():
-            decomposition = decompose_coherences(final_density(f))
+            orders = decompose(final_density(f))
             for order in (1, 2):
                 np.testing.assert_allclose(
-                    decomposition.orders[order],
-                    decomposition.orders[-order].conj().T,
+                    orders[order],
+                    orders[-order].conj().T,
                     atol=1e-12,
                 )
 
@@ -105,43 +108,43 @@ class TestDecomposeCoherences:
     def test_resum_on_random_two_qubit_densities(self, seed):
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        rho = density_from_state(StateVector(raw / np.linalg.norm(raw)))
-        decomposition = decompose_coherences(rho)
-        np.testing.assert_allclose(decomposition.total(), rho.entries, atol=1e-12)
+        rho = density_from_state_stack((raw / np.linalg.norm(raw))[None])
+        decomposition = decompose_coherences_stack(rho)
+        np.testing.assert_allclose(decomposition.total(), rho, atol=1e-12)
 
     def test_rejects_single_qubit_density(self):
         with pytest.raises(ValueError, match="two-qubit"):
-            decompose_coherences(DensityMatrix(np.eye(2) / 2))
+            decompose_coherences_stack((np.eye(2) / 2)[None])
 
 
 class TestObservability:
     def test_even_density_produces_a_line(self):
-        report = observability(RHO_EVEN)
+        (report,) = observability_stack(RHO_EVEN)
         assert report.observable_line
         assert report.single_quantum_weight == pytest.approx(1.0, abs=1e-12)
         assert report.zero_quantum_weight == pytest.approx(0.0, abs=1e-12)
         assert report.transverse_magnetization_q2 == pytest.approx(0.5, abs=1e-12)
 
     def test_odd_density_is_silent(self):
-        report = observability(RHO_ODD)
+        (report,) = observability_stack(RHO_ODD)
         assert not report.observable_line
         assert report.single_quantum_weight == pytest.approx(0.0, abs=1e-12)
         assert report.zero_quantum_weight == pytest.approx(1.0, abs=1e-12)
         assert report.transverse_magnetization_q2 == pytest.approx(0.0, abs=1e-12)
 
     def test_populations_are_not_counted_as_zero_quantum_weight(self):
-        report = observability(DensityMatrix(np.eye(4) / 4))
+        (report,) = observability_stack(MIXED)
         assert report.zero_quantum_weight == 0
         assert not report.observable_line
 
     def test_first_spin_carries_no_signal_either_way(self):
         for f in enumerate_functions():
             rho = final_density(f)
-            assert transverse_magnetization(rho, 1) == pytest.approx(0.0, abs=1e-12)
+            assert transverse_magnetization_stack(rho, 1)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_line_appears_exactly_for_even_functions(self):
         for f in enumerate_functions():
-            report = observability(final_density(f))
+            (report,) = observability_stack(final_density(f))
             even = classify(f).parity is Parity.EVEN
             assert report.observable_line == even, f.to_string()
             expected = 0.5 if even else 0.0

@@ -1,6 +1,5 @@
-"""The stacked analyses: every row of a stack equals the one-state (or
-one-matrix) result bitwise, and stacks are validated like the constructors
-validate one matrix."""
+"""The stacked analyses: every row of a stack equals the stack of one bitwise,
+and stacks are validated like the constructors validate one matrix."""
 
 import numpy as np
 import pytest
@@ -8,21 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qparity.linalg
-from qparity import (
-    DensityMatrix,
-    StateVector,
-    analyze_pure_state,
-    decompose_coherences,
-    density_from_state,
-    enumerate_functions,
-    is_idempotent,
-    observability,
-    partial_trace,
-    purity,
-    run_all_checks,
-    run_even_odd,
-    transverse_magnetization,
-)
+from qparity import enumerate_functions, run_all_checks, run_even_odd
 from qparity.entanglement import analyze_pure_state_stack, is_idempotent_stack
 from qparity.linalg import density_from_state_stack, partial_trace_stack, purity_stack
 from qparity.nmr import (
@@ -47,31 +32,30 @@ def random_mixed_densities(rng, n, rank=3):
 
 
 def assert_stacked_equals_stack_of_one(amplitudes, rhos):
-    states = [StateVector(a) for a in amplitudes]
-    assert analyze_pure_state_stack(amplitudes) == [analyze_pure_state(s) for s in states]
+    ones = [amplitudes[i:i + 1] for i in range(len(amplitudes))]
+    assert analyze_pure_state_stack(amplitudes) == [analyze_pure_state_stack(a)[0] for a in ones]
     projectors = density_from_state_stack(amplitudes)
-    for s, projector in zip(states, projectors):
-        assert np.array_equal(projector, density_from_state(s).entries)
+    for a, projector in zip(ones, projectors):
+        assert np.array_equal(projector, density_from_state_stack(a)[0])
     for stack in (projectors, rhos):
-        matrices = [DensityMatrix(m) for m in stack]
-        assert observability_stack(stack) == [observability(m) for m in matrices]
+        matrices = [stack[i:i + 1] for i in range(len(stack))]
+        assert observability_stack(stack) == [observability_stack(m)[0] for m in matrices]
         decomposition = decompose_coherences_stack(stack)
         for i, m in enumerate(matrices):
-            one = decompose_coherences(m)
+            one = decompose_coherences_stack(m)
             for order, component in decomposition.orders.items():
-                assert np.array_equal(component[i], one.orders[order])
+                assert np.array_equal(component[i], one.orders[order][0])
         for qubit in (1, 2):
             reduced = partial_trace_stack(stack, qubit)
             magnetizations = transverse_magnetization_stack(stack, qubit)
-            assert list(purity_stack(reduced)) == [
-                purity(partial_trace(m, qubit)) for m in matrices
-            ]
+            reduced_ones = [partial_trace_stack(m, qubit) for m in matrices]
+            assert list(purity_stack(reduced)) == [purity_stack(r)[0] for r in reduced_ones]
             assert list(is_idempotent_stack(reduced)) == [
-                is_idempotent(partial_trace(m, qubit)) for m in matrices
+                is_idempotent_stack(r)[0] for r in reduced_ones
             ]
             for i, m in enumerate(matrices):
-                assert np.array_equal(reduced[i], partial_trace(m, qubit).entries)
-                assert magnetizations[i] == transverse_magnetization(m, qubit)
+                assert np.array_equal(reduced[i], reduced_ones[i][0])
+                assert magnetizations[i] == transverse_magnetization_stack(m, qubit)[0]
 
 
 @given(st.integers(1, 16), st.integers(0, 2**32 - 1))
