@@ -16,44 +16,19 @@ from .algorithms import (
     run_deutsch_jozsa_2bit,
     run_even_odd,
 )
-from .entanglement import EntanglementReport, analyze_pure_state, is_idempotent
-from .gates import hadamard, hadamard_both, hadamard_first, hadamard_second, identity
-from .linalg import (
-    DEFAULT_TOL,
-    DensityMatrix,
-    StateVector,
-    UnitaryOperator,
-    apply,
-    basis_state,
-    compose,
-    density_from_state,
-    overlap,
-    partial_trace,
-    purity,
-    states_equal,
-    tensor_product,
-)
+from .entanglement import EntanglementReport
+from .gates import hadamard, hadamard_both, identity
+from .linalg import DEFAULT_TOL, DensityMatrix, StateVector, UnitaryOperator, tensor_product
 from .nmr import (
     COHERENCE_ORDERS,
     CoherenceDecomposition,
     ObservabilityReport,
     coherence_order,
-    decompose_coherences,
     magnetization_classifies_parity,
-    observability,
     spin1_indistinguishability_check,
     threshold_separates,
-    transverse_magnetization,
 )
-from .oracles import (
-    FunctionClass,
-    Parity,
-    TruthTable,
-    build_oracle,
-    classify,
-    enumerate_functions,
-    is_separable_oracle,
-)
+from .oracles import FunctionClass, Parity, TruthTable, build_oracle, classify, enumerate_functions
 from .reports import ClassificationReport, classification_report, to_canonical_json
 from .verification import CheckResult, VerificationOutcome, run_all_checks
 
@@ -77,38 +52,22 @@ __all__ = [
     "TruthTable",
     "UnitaryOperator",
     "VerificationOutcome",
-    "analyze_pure_state",
-    "apply",
-    "basis_state",
     "build_oracle",
     "classical_min_queries",
     "classification_report",
     "classify",
     "coherence_order",
-    "compose",
     "constant_balanced_promise_functions",
-    "decompose_coherences",
-    "density_from_state",
     "enumerate_functions",
     "hadamard",
     "hadamard_both",
-    "hadamard_first",
-    "hadamard_second",
     "identity",
-    "is_idempotent",
-    "is_separable_oracle",
     "magnetization_classifies_parity",
-    "observability",
-    "overlap",
-    "partial_trace",
-    "purity",
     "run_all_checks",
     "run_deutsch_jozsa_2bit",
     "run_even_odd",
     "spin1_indistinguishability_check",
-    "states_equal",
     "tensor_product",
     "threshold_separates",
     "to_canonical_json",
-    "transverse_magnetization",
 ]

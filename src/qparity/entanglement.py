@@ -7,7 +7,7 @@ entangled states, and the reduced matrices of qubits 1 and 2 are M M^dagger
 and M^T conj(M). The Schmidt coefficients, M's singular values, follow in
 closed form from the qubit-1 reduced matrix and |ad - bc| (Nielsen & Chuang,
 sec. 2.5; Wootters, PRL 80, 2245, 1998), so no general SVD is needed. The
-analyses run on stacks of states; the one-state forms are the stack of one.
+analyses run on stacks of states; one state is the stack of one.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import Sweep
-from .linalg import (
-    DensityMatrix, IDEMPOTENCY_TOL, StateVector, ZERO_FLOOR, _densities, validated_state_stack
-)
+from .linalg import IDEMPOTENCY_TOL, ZERO_FLOOR, _densities, validated_state_stack
 
 
 @dataclass(frozen=True)
@@ -76,20 +74,9 @@ def _analyze(amps: np.ndarray) -> Sweep:
     })
 
 
-def analyze_pure_state(s: StateVector) -> EntanglementReport:
-    """The analysis of :func:`analyze_pure_state_stack` for one state."""
-    (report,) = analyze_pure_state_stack(s.amplitudes[None])
-    return report
-
-
-def is_idempotent_stack(rhos: np.ndarray) -> np.ndarray:
+def is_idempotent_stack(rhos) -> np.ndarray:
     """Whether rho^2 = rho entrywise within ``IDEMPOTENCY_TOL`` for every
     matrix of an (n, d, d) stack, checked as ``DensityMatrix`` checks one unless
     a stacked form made it, i.e. which are pure-state projectors."""
     rhos = _densities(rhos)
     return np.abs(rhos @ rhos - rhos).max(axis=(-2, -1)) <= IDEMPOTENCY_TOL
-
-
-def is_idempotent(rho: DensityMatrix) -> bool:
-    """The test of :func:`is_idempotent_stack` for one matrix."""
-    return bool(is_idempotent_stack(rho.entries[None])[0])

@@ -22,19 +22,9 @@ def hadamard() -> UnitaryOperator:
     return UnitaryOperator(_INV_SQRT2 * np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 
-def identity(num_qubits: int = 1) -> UnitaryOperator:
-    """Identity on the given number of qubits."""
-    return UnitaryOperator(np.eye(2**num_qubits))
-
-
-def hadamard_first() -> UnitaryOperator:
-    """Hadamard on qubit 1 only: H (x) I."""
-    return tensor_product(hadamard(), identity())
-
-
-def hadamard_second() -> UnitaryOperator:
-    """Hadamard on qubit 2 only: I (x) H."""
-    return tensor_product(identity(), hadamard())
+def identity() -> UnitaryOperator:
+    """Single-qubit identity."""
+    return UnitaryOperator(np.eye(2))
 
 
 def hadamard_both() -> UnitaryOperator:

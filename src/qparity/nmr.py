@@ -7,7 +7,7 @@ for two qubits. Only single-quantum terms (order +-1) produce a spectral
 line; zero-quantum off-diagonal terms and multiples of the identity are
 silent. The sign convention for m is irrelevant to anything here, which
 depends on |order| alone. The analyses run on (n, 4, 4) stacks of density
-matrices; the one-matrix forms are the stack of one.
+matrices; one matrix is the stack of one.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .algorithms import Sweep, _column
-from .linalg import DensityMatrix, ZERO_FLOOR, _densities, _partial_trace, partial_trace_stack
+from .linalg import ZERO_FLOOR, _densities, _partial_trace, partial_trace_stack
 
 if TYPE_CHECKING:
     from .reports import ClassificationReport
@@ -59,21 +59,15 @@ class CoherenceDecomposition:
         return sum(self.orders.values())
 
 
-def decompose_coherences_stack(rhos: np.ndarray) -> CoherenceDecomposition:
+def decompose_coherences_stack(rhos) -> CoherenceDecomposition:
     """Assign every entry of an (n, 4, 4) stack of two-qubit density matrices,
     checked as ``DensityMatrix`` checks one unless a stacked form made it, to its
     coherence order; each component is an (n, 4, 4) stack too."""
+    rhos = _densities(rhos)
     if rhos.shape[1:] != (4, 4):
         raise ValueError("coherence decomposition expects a two-qubit density matrix")
-    rhos = _densities(rhos)
     orders = {k: np.where(_ORDER_MATRIX == k, rhos, 0.0 + 0.0j) for k in COHERENCE_ORDERS}
     return CoherenceDecomposition(orders=orders)
-
-
-def decompose_coherences(rho: DensityMatrix) -> CoherenceDecomposition:
-    """The decomposition of :func:`decompose_coherences_stack` for one matrix."""
-    stacked = decompose_coherences_stack(rho.entries[None])
-    return CoherenceDecomposition(orders={k: v[0] for k, v in stacked.orders.items()})
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,7 @@ class ObservabilityReport:
     transverse_magnetization_q2: float
 
 
-def transverse_magnetization_stack(rhos: np.ndarray, qubit: int) -> np.ndarray:
+def transverse_magnetization_stack(rhos, qubit: int) -> np.ndarray:
     """Off-diagonal magnitude of one qubit's reduced density matrix, for every
     matrix of an (n, 4, 4) stack, checked by :func:`partial_trace_stack`: the
     size of that spin's single-quantum coherence, hence of its contribution to
@@ -104,20 +98,16 @@ def transverse_magnetization_stack(rhos: np.ndarray, qubit: int) -> np.ndarray:
     return np.abs(partial_trace_stack(rhos, qubit)[:, 0, 1])
 
 
-def transverse_magnetization(rho: DensityMatrix, qubit: int) -> float:
-    """The magnetization of :func:`transverse_magnetization_stack` for one matrix."""
-    return float(transverse_magnetization_stack(rho.entries[None], qubit)[0])
-
-
 def _weight(components: np.ndarray) -> np.ndarray:
     """Sum of |entry| over each matrix of an (n, 4, 4) stack."""
     return np.abs(components).reshape(len(components), 16).sum(axis=1)
 
 
-def observability_stack(rhos: np.ndarray) -> Sweep:
+def observability_stack(rhos) -> Sweep:
     """Spectral observability summaries of an (n, 4, 4) stack of two-qubit
-    density matrices, checked by the decomposition, as report columns, one
-    report per matrix."""
+    density matrices, checked as ``DensityMatrix`` checks one unless a stacked
+    form made it, as report columns, one report per matrix."""
+    rhos = _densities(rhos)
     orders = decompose_coherences_stack(rhos).orders
     single = (_weight(orders[1]) + _weight(orders[-1])).tolist()
     zero_quantum = _weight(np.where(np.eye(4, dtype=bool), 0.0 + 0.0j, orders[0])).tolist()
@@ -129,12 +119,6 @@ def observability_stack(rhos: np.ndarray) -> Sweep:
         "transverse_magnetization_q1": m1,
         "transverse_magnetization_q2": m2,
     })
-
-
-def observability(rho: DensityMatrix) -> ObservabilityReport:
-    """The summary of :func:`observability_stack` for one matrix."""
-    (report,) = observability_stack(rho.entries[None])
-    return report
 
 
 def threshold_separates(values_a: Sequence[float], values_b: Sequence[float]) -> bool:

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, UnitaryOperator
+from .linalg import UnitaryOperator
 
 MALFORMED_TABLE_MESSAGE = "truth table must be 4 bits"
 
@@ -121,25 +121,6 @@ def separable_signs(diagonals: np.ndarray) -> np.ndarray:
     The minor is 0 or +-2, so it is compared with 1, not a tolerance."""
     d00, d01, d10, d11 = np.asarray(diagonals).T
     return np.abs(d00 * d11 - d01 * d10) < 1.0
-
-
-def is_separable_oracle(u: UnitaryOperator) -> bool:
-    """Whether a diagonal sign matrix factors as A (x) B with 2x2 diagonal A, B:
-    the minor rule of :func:`separable_signs` on its diagonal.
-
-    Raises ValueError unless ``u`` is 4x4, diagonal, with entries +1 or -1,
-    each within ``DEFAULT_TOL``.
-    """
-    if u.num_qubits != 2:
-        raise ValueError("separability test expects a two-qubit operator")
-    m = u.entries
-    diag = np.diagonal(m)
-    off_diagonal = m - np.diag(diag)
-    if np.max(np.abs(off_diagonal)) > DEFAULT_TOL:
-        raise ValueError("separability test expects a diagonal operator")
-    if np.max(np.minimum(np.abs(diag - 1.0), np.abs(diag + 1.0))) > DEFAULT_TOL:
-        raise ValueError("separability test expects diagonal entries +1 or -1")
-    return bool(separable_signs(diag[None])[0])
 
 
 def enumerate_functions() -> list[TruthTable]:

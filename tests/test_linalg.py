@@ -102,6 +102,8 @@ class TestStateVector:
             DensityMatrix(eight / 8)
         with pytest.raises(ValueError, match="one or two qubits"):
             UnitaryOperator(eight)
+        with pytest.raises(ValueError, match="d of 2 or 4"):
+            purity_stack((eight / 8)[None])
         with pytest.raises(ValueError, match="one or two qubits"):
             tensor_product(hadamard_first(), hadamard())
 

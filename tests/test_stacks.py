@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qparity.linalg
-from qparity import enumerate_functions, run_all_checks, run_even_odd
+from qparity import DensityMatrix, enumerate_functions, run_all_checks, run_even_odd
+from qparity.algorithms import Sweep
 from qparity.entanglement import analyze_pure_state_stack, is_idempotent_stack
 from qparity.linalg import density_from_state_stack, partial_trace_stack, purity_stack
 from qparity.nmr import (
+    CoherenceDecomposition,
     decompose_coherences_stack,
     observability_stack,
     transverse_magnetization_stack,
@@ -181,6 +183,29 @@ def test_stack_forms_check_their_input(name, fault, message):
     fault(rhos)
     with pytest.raises(ValueError, match=message):
         STACK_FORMS[name](rhos)
+
+
+def same_result(a, b) -> bool:
+    if isinstance(a, CoherenceDecomposition):
+        return a.orders.keys() == b.orders.keys() and all(
+            np.array_equal(a.orders[k], b.orders[k]) for k in a.orders
+        )
+    return a == b if isinstance(a, Sweep) else np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(STACK_FORMS))
+def test_stack_forms_take_a_nested_list(name):
+    rhos = random_mixed_densities(np.random.default_rng(10), 3)
+    assert same_result(STACK_FORMS[name](rhos.tolist()), STACK_FORMS[name](rhos))
+
+
+@pytest.mark.parametrize("name", sorted(STACK_FORMS))
+def test_stack_forms_reject_a_bare_matrix(name):
+    # Neither a plain matrix nor a checked one is a stack; each would give a 0-d result.
+    rho = random_mixed_densities(np.random.default_rng(11), 1)[0]
+    for matrix in (rho, DensityMatrix(rho).entries):
+        with pytest.raises(ValueError, match=r"\(n, d, d\) stack"):
+            STACK_FORMS[name](matrix)
 
 
 @pytest.mark.parametrize("name", sorted(STACK_FORMS))
