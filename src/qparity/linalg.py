@@ -199,8 +199,10 @@ def density_from_state_stack(amplitudes) -> np.ndarray:
     """Rank-one projectors |s><s| of an (n, d) stack of amplitudes, as a
     read-only (n, d, d) array validated as ``DensityMatrix`` validates one."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
-    if amps.ndim != 2:
-        raise ValueError("expected an (n, d) stack of amplitudes")
+    if amps.ndim != 2 or amps.shape[1] not in (2, 4):
+        raise ValueError(
+            f"expected an (n, d) stack of amplitudes with d of 2 or 4, got {amps.shape}"
+        )
     return _check_densities(amps[:, :, None] * amps[:, None, :].conj())
 
 

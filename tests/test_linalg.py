@@ -104,6 +104,8 @@ class TestStateVector:
             UnitaryOperator(eight)
         with pytest.raises(ValueError, match="d of 2 or 4"):
             purity_stack((eight / 8)[None])
+        with pytest.raises(ValueError, match="d of 2 or 4"):
+            density_from_state_stack(eight[:1])
         with pytest.raises(ValueError, match="one or two qubits"):
             tensor_product(hadamard_first(), hadamard())
 
