@@ -102,8 +102,8 @@ def _column(records: Sequence, path: str):
 def _circuit_steps(signs: np.ndarray, sequence: tuple[UnitaryOperator | None, ...]) -> np.ndarray:
     """Every state, from |00> on, of one circuit run per row of an (n, 4) sign
     stack, as one validated (n, len(sequence) + 1, 4) stack: each gate acts as
-    ``gate @ state``, rounding as ``apply`` does bit for bit, and each ``None``
-    queries the oracle, multiplying each state by its row of signs."""
+    ``gate @ state``, rounding as one matrix-vector product does bit for bit, and
+    each ``None`` queries the oracle, multiplying each state by its row of signs."""
     state = np.zeros(signs.shape, dtype=np.complex128)
     state[:, 0] = 1.0
     steps = [state]
