@@ -3,8 +3,9 @@
 Each call builds fresh operators. No gate is built at import or kept across
 calls: that would speed the single-function calls past the benchmark's memory
 bound until its harness is fixed (ROADMAP item 1), and its tracer test pins a
-report to constructing a gate. The circuit sweeps take their gates as
-arguments, so a report sweep builds one set from one ``hadamard()``.
+report to constructing a gate. The circuit sweeps take their gates as arguments,
+so a report sweep builds one set from one ``hadamard()``. Products are formed by
+broadcasting (``tensor_product``), and every gate is validated once per construction.
 """
 
 from __future__ import annotations

@@ -186,13 +186,14 @@ class UnitaryOperator:
 
 
 def tensor_product(a: UnitaryOperator, b: UnitaryOperator) -> UnitaryOperator:
-    """Kronecker product a (x) b.
+    """Kronecker product a (x) b, formed by broadcasting and validated as any operator.
 
     The left factor addresses the more significant qubits, matching the
     basis convention above: for 2x2 factors, entry ((x1 x2), (y1 y2)) of the
-    result is a[x1, y1] * b[x2, y2].
+    result is a[x1, y1] * b[x2, y2], the product ``np.kron`` forms.
     """
-    return UnitaryOperator(np.kron(a.entries, b.entries))
+    x, y = a.entries, b.entries
+    return UnitaryOperator((x[:, None, :, None] * y[None, :, None, :]).reshape(len(x) * len(y), -1))
 
 
 def density_from_state_stack(amplitudes) -> np.ndarray:

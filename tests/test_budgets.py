@@ -3,10 +3,11 @@
 Timings on a small shared machine resolve a few percent at best, but call
 counts repeat exactly, and most of the package's speed comes from doing
 less: gates built once per sweep, oracles built at import, one parser, no
-per-state wrapper objects, one density stack per analysis. These tests
-count calls of public functions and constructors, and of the density check
-``_check_densities`` that every density stack passes through, wrapped from
-outside the package the way ``bench/tracer.py`` wraps them.
+per-state wrapper objects, one density stack per analysis, products formed
+by broadcasting. These tests count calls of public functions and
+constructors, of the density check ``_check_densities`` that every density
+stack passes through, and of ``numpy.kron``, wrapped from outside the
+package the way ``bench/tracer.py`` wraps them.
 
 The budgets are a ratchet, so each count must equal its budget. A count
 above it is a regression. A count below it fails too, until the change
@@ -21,6 +22,7 @@ import functools
 import io
 import sys
 
+import numpy
 import pytest
 
 import qparity
@@ -44,6 +46,7 @@ CONSTRUCTORS = {
     "ArgumentParser": argparse.ArgumentParser,
 }
 CLASSMETHODS = {"_trusted": qparity.linalg.StateVector}  # a state on a row of a checked stack
+NUMPY_FUNCTIONS = ("kron",)  # gate products are broadcast, not formed by np.kron
 
 REPORT_BUDGET = {
     "UnitaryOperator": 6,  # H, I, H (x) H, I (x) H for the circuit; H, H (x) H for DJ
@@ -53,6 +56,7 @@ REPORT_BUDGET = {
     "density_from_state_stack": 1,
     "partial_trace_stack": 0,
     "_check_densities": 1,  # the projector stack, where it is made
+    "kron": 0,
 }
 # A sweep keeps its states as one stack and runs both circuits on one gate set.
 SWEEP_BUDGET = {**REPORT_BUDGET, "UnitaryOperator": 4, "_trusted": 0}
@@ -71,13 +75,15 @@ BATCH_BUDGET = {
     "_check_densities": 5,
     "classify": 48,  # 16 per sweep, and verify's 16 labels
     "classical_min_queries": 1,  # the DJ promise; parity is certified, not searched
+    "kron": 0,
 }
 
 
 @pytest.fixture
 def counts(monkeypatch):
     """A Counter of calls, by name, of the functions in FUNCTIONS (wherever a
-    qparity module binds them) and of the constructors in CONSTRUCTORS."""
+    qparity module binds them), of the constructors in CONSTRUCTORS and of the
+    numpy functions in NUMPY_FUNCTIONS."""
     counter = collections.Counter()
 
     def counted(fn, name):
@@ -99,6 +105,8 @@ def counts(monkeypatch):
         monkeypatch.setattr(cls, "__init__", counted(cls.__init__, name))
     for name, cls in CLASSMETHODS.items():
         monkeypatch.setattr(cls, name, classmethod(counted(getattr(cls, name).__func__, name)))
+    for name in NUMPY_FUNCTIONS:
+        monkeypatch.setattr(numpy, name, counted(getattr(numpy, name), name))
     return counter
 
 

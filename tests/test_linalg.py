@@ -2,6 +2,7 @@
 one-matrix cases of the density stacks."""
 
 import ast
+import itertools
 import pathlib
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qparity import (
+    DEFAULT_TOL,
     DensityMatrix,
     StateVector,
     UnitaryOperator,
@@ -177,6 +179,51 @@ class TestTensorProduct:
         right = tensor_product(UnitaryOperator(a.entries @ c.entries),
                                UnitaryOperator(b.entries @ d.entries))
         assert np.max(np.abs(left - right.entries)) < 1e-12
+
+
+def unitarity_defect(m: np.ndarray) -> float:
+    return float(np.abs(m.conj().T @ m - np.eye(len(m))).max())
+
+
+ANGLES = st.floats(-np.pi, np.pi)
+
+
+def one_qubit_unitary(alpha, beta, gamma, theta) -> UnitaryOperator:
+    """e^(i alpha) [[e^(i beta) c, e^(i gamma) s], [-e^(-i gamma) s, e^(-i beta) c]]."""
+    c, s = np.cos(theta), np.sin(theta)
+    return UnitaryOperator(np.exp(1j * alpha) * np.array(
+        [[np.exp(1j * beta) * c, np.exp(1j * gamma) * s],
+         [-np.exp(-1j * gamma) * s, np.exp(-1j * beta) * c]]))
+
+
+class TestTensorProductIsKron:
+    """The broadcast product forms exactly the entries ``np.kron`` forms."""
+
+    # H, I and Z = diag(1, -1), every pair.
+    @pytest.mark.parametrize("a, b", itertools.product(ONE_QUBIT_GATES[:2] + ONE_QUBIT_GATES[3:4],
+                                                       repeat=2))
+    def test_hadamard_identity_and_z(self, a, b):
+        a, b = UnitaryOperator(a), UnitaryOperator(b)
+        assert np.array_equal(tensor_product(a, b).entries, np.kron(a.entries, b.entries))
+
+    @given(st.tuples(ANGLES, ANGLES, ANGLES, ANGLES), st.tuples(ANGLES, ANGLES, ANGLES, ANGLES))
+    def test_drawn_unitaries(self, first, second):
+        a, b = one_qubit_unitary(*first), one_qubit_unitary(*second)
+        assert np.array_equal(tensor_product(a, b).entries, np.kron(a.entries, b.entries))
+
+    def test_result_is_read_only(self):
+        result = tensor_product(hadamard(), identity())
+        with pytest.raises(ValueError):
+            result.entries[0, 0] = 0.0
+
+    def test_product_of_passing_factors_is_still_checked(self):
+        # Each factor passes just under the tolerance, but the defects compound: the
+        # product is not trusted because its factors were valid.
+        scaled = UnitaryOperator(hadamard().entries * (1.0 + 3.5e-13))
+        assert unitarity_defect(scaled.entries) < DEFAULT_TOL
+        assert unitarity_defect(np.kron(scaled.entries, scaled.entries)) > DEFAULT_TOL
+        with pytest.raises(ValueError, match="not unitary"):
+            tensor_product(scaled, scaled)
 
 
 class TestApply:
