@@ -93,6 +93,12 @@ def _query_certificates(labels: np.ndarray) -> tuple[int, int]:
     return int(degree), int((labels[_NEIGHBOURS] != labels[:, None]).sum(axis=1).max())
 
 
+def _once(read):
+    """``read`` memoized for one run. A read that raises keeps nothing, so it raises again."""
+    memo = {}
+    return lambda *key: memo[key] if key in memo else memo.setdefault(key, read(*key))
+
+
 def _check(name: str, notes: list[str]) -> CheckResult:
     more = f"; and {len(notes) - 4} more" if len(notes) > 4 else ""
     return CheckResult(name=name, passed=not notes, detail="; ".join(notes[:4]) + more)
@@ -128,16 +134,16 @@ def run_all_checks() -> VerificationOutcome:
     checks.append(_check("function_analysis", build_notes))
 
     # Each column and stack is read once, so one that cannot be read fails each check reading it.
-    column = functools.cache(functools.partial(_column, reports))
+    column = _once(functools.partial(_column, reports))
     codes = np.array([f.outputs for f in column("function")], dtype=int).reshape(-1, 4) @ _PLACES
     bits = [format(code, "04b") for code in codes.tolist()]
     outputs, c12, walsh, numerators, rho8, reduced8, single8, zero8 = (e[codes] for e in _TABLE)
     even, expected_finals = c12 == 0, numerators / math.sqrt(8.0)
     parities = [Parity.EVEN if e else Parity.ODD for e in even.tolist()]
-    finals = functools.cache(lambda: np.asarray(column("circuit.final_state")).reshape(-1, 4))
-    densities = functools.cache(lambda: density_from_state_stack(finals()))
-    labels = functools.cache(lambda: [classify(f) for f in functions])
-    enumerated = functools.cache(lambda: np.array([f.outputs for f in functions]).reshape(-1, 4))
+    finals = _once(lambda: np.asarray(column("circuit.final_state")).reshape(-1, 4))
+    densities = _once(lambda: density_from_state_stack(finals()))
+    labels = _once(lambda: [classify(f) for f in functions])
+    enumerated = _once(lambda: np.array([f.outputs for f in functions]).reshape(-1, 4))
     classical_queries: int | None = None
 
     def check(probe) -> None:
