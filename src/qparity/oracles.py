@@ -41,6 +41,7 @@ class TruthTable:
             raise ValueError(MALFORMED_TABLE_MESSAGE)
         if not all(type(bit) is int and bit in (0, 1) for bit in self.outputs):
             raise ValueError(MALFORMED_TABLE_MESSAGE)
+        object.__setattr__(self, "_ones", sum(self.outputs))  # no field: eq, hash, repr ignore it
 
     @classmethod
     def from_string(cls, bits: str) -> "TruthTable":
@@ -59,7 +60,7 @@ class TruthTable:
         return self.outputs[point]
 
     def ones(self) -> int:
-        return sum(self.outputs)
+        return self._ones
 
 
 @dataclass(frozen=True)
