@@ -21,7 +21,6 @@ from .gates import hadamard, hadamard_both, identity
 from .linalg import DEFAULT_TOL, DensityMatrix, StateVector, UnitaryOperator, tensor_product
 from .nmr import (
     COHERENCE_ORDERS,
-    CoherenceDecomposition,
     ObservabilityReport,
     coherence_order,
     magnetization_classifies_parity,
@@ -39,7 +38,6 @@ __all__ = [
     "COHERENCE_ORDERS",
     "CheckResult",
     "ClassificationReport",
-    "CoherenceDecomposition",
     "DEFAULT_TOL",
     "DJVerdict",
     "DensityMatrix",

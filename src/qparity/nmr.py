@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .algorithms import Sweep, _column
-from .linalg import ZERO_FLOOR, _densities, _partial_trace, partial_trace_stack
+from .linalg import ZERO_FLOOR, _densities, _frozen, _partial_trace
 
 if TYPE_CHECKING:
     from .reports import ClassificationReport
@@ -38,36 +38,28 @@ def coherence_order(i: int, j: int) -> int:
     return bin(j).count("1") - bin(i).count("1")
 
 
-# Entry (i, j) holds coherence_order(i, j).
-_ORDER_MATRIX = np.array([[coherence_order(i, j) for j in range(4)] for i in range(4)])
-_ORDER_MATRIX.setflags(write=False)
+# Entry (i, j) holds coherence_order(i, j); one mask per order picks its entries.
+_ORDER_MATRIX = _frozen(np.array([[coherence_order(i, j) for j in range(4)] for i in range(4)]))
+_ORDER_MASKS = {k: _frozen(_ORDER_MATRIX == k) for k in COHERENCE_ORDERS}
+# The 16 entries each readout weight sums: order +1, order -1, and order 0 off the diagonal.
+_READOUT_MASKS = _frozen(np.array([
+    _ORDER_MASKS[1], _ORDER_MASKS[-1], _ORDER_MASKS[0] & ~np.eye(4, dtype=bool)]).reshape(3, 16))
 
 
-@dataclass(frozen=True)
-class CoherenceDecomposition:
-    """Split of a 4x4 matrix by coherence order.
-
-    ``orders`` maps each order in -2..+2 to the matrix holding exactly the
-    entries of that order (zero elsewhere). The components sum back to the
-    original matrix, and for Hermitian input the order +p component is the
-    conjugate transpose of the order -p one.
-    """
-
-    orders: dict[int, np.ndarray]
-
-    def total(self) -> np.ndarray:
-        return sum(self.orders.values())
-
-
-def decompose_coherences_stack(rhos) -> CoherenceDecomposition:
-    """Assign every entry of an (n, 4, 4) stack of two-qubit density matrices,
-    checked as ``DensityMatrix`` checks one unless a stacked form made it, to its
-    coherence order; each component is an (n, 4, 4) stack too."""
+def _two_qubit_densities(rhos) -> np.ndarray:
     rhos = _densities(rhos)
     if rhos.shape[1:] != (4, 4):
         raise ValueError("coherence decomposition expects a two-qubit density matrix")
-    orders = {k: np.where(_ORDER_MATRIX == k, rhos, 0.0 + 0.0j) for k in COHERENCE_ORDERS}
-    return CoherenceDecomposition(orders=orders)
+    return rhos
+
+
+def decompose_coherences_stack(rhos) -> dict[int, np.ndarray]:
+    """Split an (n, 4, 4) stack of two-qubit density matrices, checked as ``DensityMatrix``
+    checks one unless a stacked form made it, into a fresh stack per coherence order -2..+2
+    holding exactly that order's entries (zero elsewhere). The components re-sum to the
+    input, and for Hermitian input order +p is the conjugate transpose of order -p."""
+    rhos = _two_qubit_densities(rhos)
+    return {k: np.where(mask, rhos, 0.0 + 0.0j) for k, mask in _ORDER_MASKS.items()}
 
 
 @dataclass(frozen=True)
@@ -89,33 +81,19 @@ class ObservabilityReport:
     transverse_magnetization_q2: float
 
 
-def transverse_magnetization_stack(rhos, qubit: int) -> np.ndarray:
-    """Off-diagonal magnitude of one qubit's reduced density matrix, for every
-    matrix of an (n, 4, 4) stack, checked by :func:`partial_trace_stack`: the
-    size of that spin's single-quantum coherence, hence of its contribution to
-    the spectrum. Subtracting any multiple of the identity (which carries no
-    signal) would not change it."""
-    return np.abs(partial_trace_stack(rhos, qubit)[:, 0, 1])
-
-
-def _weight(components: np.ndarray) -> np.ndarray:
-    """Sum of |entry| over each matrix of an (n, 4, 4) stack."""
-    return np.abs(components).reshape(len(components), 16).sum(axis=1)
-
-
 def observability_stack(rhos) -> Sweep:
     """Spectral observability summaries of an (n, 4, 4) stack of two-qubit
     density matrices, checked as ``DensityMatrix`` checks one unless a stacked
     form made it, as report columns, one report per matrix."""
-    rhos = _densities(rhos)
-    orders = decompose_coherences_stack(rhos).orders
-    single = (_weight(orders[1]) + _weight(orders[-1])).tolist()
-    zero_quantum = _weight(np.where(np.eye(4, dtype=bool), 0.0 + 0.0j, orders[0])).tolist()
+    rhos = _two_qubit_densities(rhos)
+    magnitudes = np.abs(rhos).reshape(len(rhos), 1, 16)
+    plus, minus, zero_quantum = np.where(_READOUT_MASKS, magnitudes, 0.0).sum(axis=2).T
+    single = (plus + minus).tolist()
     m1, m2 = (np.abs(_partial_trace(rhos, qubit)[:, 0, 1]).tolist() for qubit in (1, 2))
     return Sweep(ObservabilityReport, {
         "observable_line": [s > ZERO_FLOOR for s in single],
         "single_quantum_weight": single,
-        "zero_quantum_weight": zero_quantum,
+        "zero_quantum_weight": zero_quantum.tolist(),
         "transverse_magnetization_q1": m1,
         "transverse_magnetization_q2": m2,
     })

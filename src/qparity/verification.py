@@ -289,8 +289,8 @@ def run_all_checks() -> VerificationOutcome:
 
     @check
     def coherence_resum():
-        decomposition = decompose_coherences_stack(densities())
-        orders, err = decomposition.orders, _deviation(decomposition.total(), densities())
+        orders = decompose_coherences_stack(densities())
+        err = _deviation(sum(orders.values()), densities())
         transposes = _deviation([orders[1], orders[2]], [
             orders[-k].conj().swapaxes(1, 2) for k in (1, 2)], rows=2) > DEFAULT_TOL
         return [(err > DEFAULT_TOL, "coherence components re-sum off by {:.3e}", err)] + [

@@ -215,8 +215,8 @@ def test_criterion_8_property_suites():
     # Coherence components re-sum for all 16 final density matrices.
     for f in enumerate_functions():
         rho = density(run_even_odd(f).final_state)
-        decomposition = decompose_coherences_stack(rho)
-        assert np.max(np.abs(decomposition.total() - rho)) <= 1e-12
+        orders = decompose_coherences_stack(rho)
+        assert np.max(np.abs(sum(orders.values()) - rho)) <= 1e-12
 
     # Purity/concurrence relation on 1000 random pure two-qubit states.
     for _ in range(1000):

@@ -20,7 +20,7 @@ import qparity.verification
 from qparity import DJVerdict, TruthTable, UnitaryOperator
 from qparity.algorithms import CircuitSweep, Sweep
 from qparity.cli import main
-from qparity.nmr import COHERENCE_ORDERS, CoherenceDecomposition
+from qparity.nmr import COHERENCE_ORDERS
 
 
 def swapped_gates(monkeypatch):
@@ -62,9 +62,9 @@ def shifted_coherence_mask(monkeypatch):
     honest = qparity.verification.decompose_coherences_stack
 
     def decompose(rhos):
-        orders = honest(rhos).orders
+        orders = honest(rhos)
         zero = 0.0 * orders[0]
-        return CoherenceDecomposition({k: orders.get(k + 1, zero) for k in COHERENCE_ORDERS})
+        return {k: orders.get(k + 1, zero) for k in COHERENCE_ORDERS}
 
     monkeypatch.setattr(qparity.verification, "decompose_coherences_stack", decompose)
 

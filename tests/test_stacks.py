@@ -11,12 +11,7 @@ from qparity import DensityMatrix, enumerate_functions, run_all_checks, run_even
 from qparity.algorithms import Sweep
 from qparity.entanglement import analyze_pure_state_stack, is_idempotent_stack
 from qparity.linalg import density_from_state_stack, partial_trace_stack, purity_stack
-from qparity.nmr import (
-    CoherenceDecomposition,
-    decompose_coherences_stack,
-    observability_stack,
-    transverse_magnetization_stack,
-)
+from qparity.nmr import decompose_coherences_stack, observability_stack
 from qparity.reports import all_reports
 
 
@@ -42,14 +37,13 @@ def assert_stacked_equals_stack_of_one(amplitudes, rhos):
     for stack in (projectors, rhos):
         matrices = [stack[i:i + 1] for i in range(len(stack))]
         assert observability_stack(stack) == [observability_stack(m)[0] for m in matrices]
-        decomposition = decompose_coherences_stack(stack)
+        orders = decompose_coherences_stack(stack)
         for i, m in enumerate(matrices):
             one = decompose_coherences_stack(m)
-            for order, component in decomposition.orders.items():
-                assert np.array_equal(component[i], one.orders[order][0])
+            for order, component in orders.items():
+                assert np.array_equal(component[i], one[order][0])
         for qubit in (1, 2):
             reduced = partial_trace_stack(stack, qubit)
-            magnetizations = transverse_magnetization_stack(stack, qubit)
             reduced_ones = [partial_trace_stack(m, qubit) for m in matrices]
             assert list(purity_stack(reduced)) == [purity_stack(r)[0] for r in reduced_ones]
             assert list(is_idempotent_stack(reduced)) == [
@@ -57,7 +51,6 @@ def assert_stacked_equals_stack_of_one(amplitudes, rhos):
             ]
             for i, m in enumerate(matrices):
                 assert np.array_equal(reduced[i], reduced_ones[i][0])
-                assert magnetizations[i] == transverse_magnetization_stack(m, qubit)[0]
 
 
 @given(st.integers(1, 16), st.integers(0, 2**32 - 1))
@@ -70,6 +63,41 @@ def test_random_stacks_equal_the_stack_of_one(n, seed):
 def test_circuit_final_states_equal_the_stack_of_one():
     finals = np.array([run_even_odd(f).final_state.amplitudes for f in enumerate_functions()])
     assert_stacked_equals_stack_of_one(finals, density_from_state_stack(finals))
+
+
+def reference_readout(rhos) -> dict[str, list[float]]:
+    """The observability columns by their defining formulas: each weight the sum of
+    |entry| over the components of its orders, each magnetization the off-diagonal
+    magnitude of a reduced stack."""
+    orders = decompose_coherences_stack(rhos)
+
+    def weight(component):
+        return np.abs(component).reshape(len(component), 16).sum(axis=1)
+
+    off_diagonal = np.where(np.eye(4, dtype=bool), 0.0 + 0.0j, orders[0])
+    return {
+        "single_quantum_weight": (weight(orders[1]) + weight(orders[-1])).tolist(),
+        "zero_quantum_weight": weight(off_diagonal).tolist(),
+        **{f"transverse_magnetization_q{k}": np.abs(partial_trace_stack(rhos, k)[:, 0, 1]).tolist()
+           for k in (1, 2)},
+    }
+
+
+def assert_readout_equals_reference(rhos):
+    columns = observability_stack(rhos).columns
+    for field, values in reference_readout(rhos).items():
+        assert columns[field] == values, field  # float ==, so bit for bit on finite values
+
+
+@given(st.integers(1, 16), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_readout_equals_its_defining_formulas(n, rank, seed):
+    assert_readout_equals_reference(random_mixed_densities(np.random.default_rng(seed), n, rank))
+
+
+def test_readout_of_the_final_states_equals_its_defining_formulas():
+    finals = np.array([run_even_odd(f).final_state.amplitudes for f in enumerate_functions()])
+    assert_readout_equals_reference(density_from_state_stack(finals))
 
 
 def test_empty_stacks():
@@ -148,7 +176,6 @@ STACK_FORMS = {
     "is_idempotent_stack": is_idempotent_stack,
     "decompose_coherences_stack": decompose_coherences_stack,
     "observability_stack": observability_stack,
-    "transverse_magnetization_stack": lambda rhos: transverse_magnetization_stack(rhos, 1),
 }
 
 
@@ -186,10 +213,8 @@ def test_stack_forms_check_their_input(name, fault, message):
 
 
 def same_result(a, b) -> bool:
-    if isinstance(a, CoherenceDecomposition):
-        return a.orders.keys() == b.orders.keys() and all(
-            np.array_equal(a.orders[k], b.orders[k]) for k in a.orders
-        )
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
     return a == b if isinstance(a, Sweep) else np.array_equal(a, b)
 
 
