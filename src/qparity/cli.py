@@ -96,8 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def format_float(x: float) -> str:
-    text = f"{x + 0.0:.6g}"
-    return "0" if text == "-0" else text
+    return f"{x + 0.0:.6g}"
 
 
 def format_state(s: StateVector) -> str:

@@ -34,6 +34,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _basis_labels(dim: int) -> tuple[str, ...]:
+    """The basis kets of a register of dimension 2 or 4 as bit strings, qubit 1 first."""
+    return tuple(format(i, f"0{dim // 2}b") for i in range(dim))
+
+
 def _qubit_count(dim: int, what: str) -> int:
     if dim not in (2, 4):
         raise ValueError(f"{what} dimension {dim} is not 2 or 4 (one or two qubits)")
@@ -73,8 +78,7 @@ class StateVector:
         return np.array(self._amplitudes, dtype=dtype, copy=copy)
 
     def basis_labels(self) -> tuple[str, ...]:
-        n = self._num_qubits
-        return tuple(format(i, f"0{n}b") for i in range(2**n))
+        return _basis_labels(len(self._amplitudes))
 
     def __repr__(self) -> str:
         terms = ", ".join(

@@ -25,7 +25,7 @@ from .algorithms import (
     run_even_odd, run_even_odd_sweep,
 )
 from .entanglement import EntanglementReport, _analyze
-from .linalg import StateVector, density_from_state_stack
+from .linalg import StateVector, _basis_labels, density_from_state_stack
 from .nmr import ObservabilityReport, observability_stack
 from .oracles import (
     FunctionClass, TruthTable, classify, enumerate_functions, oracle_signs, separable_signs
@@ -102,7 +102,7 @@ def states_to_jsonable(states: Sequence[StateVector] | np.ndarray) -> list[dict]
     """One JSON object per state of a sequence or a stack of amplitudes: its basis
     labels and amplitudes, complex ones as [re, im]."""
     amps = np.ascontiguousarray(states, dtype=np.complex128)
-    basis = [format(i, f"0{amps.shape[-1] // 2}b") for i in range(amps.shape[-1])]
+    basis = list(_basis_labels(amps.shape[-1]))
     pairs = (amps.view(np.float64) + 0.0).reshape(*amps.shape, 2).tolist()
     return [{"basis": basis, "amplitudes": p} for p in pairs]
 
