@@ -4,10 +4,12 @@ Timings on a small shared machine resolve a few percent at best, but call
 counts repeat exactly, and most of the package's speed comes from doing
 less: gates built once per sweep, oracles built at import, one parser, no
 per-state wrapper objects, one density stack per analysis, products formed
-by broadcasting. These tests count calls of public functions and
-constructors, of the density check ``_check_densities`` that every density
-stack passes through, and of ``numpy.kron``, wrapped from outside the
-package the way ``bench/tracer.py`` wraps them.
+by broadcasting, a readout that sums under fixed masks instead of
+decomposing. These tests count calls of public functions and constructors,
+of the density check ``_check_densities`` that every density stack passes
+through, and of ``numpy.kron``, wrapped from outside the package the way
+``bench/tracer.py`` wraps them. They also count the lines of the package's
+source, which ``python -m qparity.cli`` compiles when no bytecode is cached.
 
 The budgets are a ratchet, so each count must equal its budget. A count
 above it is a regression. A count below it fails too, until the change
@@ -20,6 +22,7 @@ import collections
 import contextlib
 import functools
 import io
+import pathlib
 import sys
 
 import numpy
@@ -35,6 +38,7 @@ FUNCTIONS = {  # name: the module that defines it
     "build_oracle": qparity.oracles,
     "classical_min_queries": qparity.algorithms,
     "classify": qparity.oracles,
+    "decompose_coherences_stack": qparity.nmr,
     "density_from_state_stack": qparity.linalg,
     "partial_trace_stack": qparity.linalg,
     "to_canonical_json": qparity.reports,
@@ -57,6 +61,7 @@ REPORT_BUDGET = {
     "partial_trace_stack": 0,
     "_check_densities": 1,  # the projector stack, where it is made
     "kron": 0,
+    "decompose_coherences_stack": 0,  # the readout sums |entries| under fixed masks
 }
 # A sweep keeps its states as one stack and runs both circuits on one gate set.
 SWEEP_BUDGET = {**REPORT_BUDGET, "UnitaryOperator": 4, "_trusted": 0}
@@ -76,7 +81,9 @@ BATCH_BUDGET = {
     "classify": 48,  # 16 per sweep, and verify's 16 labels
     "classical_min_queries": 1,  # the DJ promise; parity is certified, not searched
     "kron": 0,
+    "decompose_coherences_stack": 1,  # verify's coherence_resum
 }
+SRC_LINES = 1794  # cat src/qparity/*.py | wc -l
 
 
 @pytest.fixture
@@ -135,3 +142,7 @@ def test_batch_pair_budget(counts):
             assert main(["verify", "--json"]) == 0
     assert per_call(counts, BATCH_BUDGET, pairs) == BATCH_BUDGET
 
+
+def test_source_line_budget():
+    source = pathlib.Path(qparity.__file__).parent
+    assert sum(p.read_bytes().count(b"\n") for p in source.glob("*.py")) == SRC_LINES
