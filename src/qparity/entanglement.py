@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import Sweep
-from .linalg import IDEMPOTENCY_TOL, ZERO_FLOOR, _densities, validated_state_stack
+from .linalg import IDEMPOTENCY_TOL, ZERO_FLOOR, _STATES, _densities, _shaped, validated_state_stack
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,13 @@ class EntanglementReport:
 
 
 def analyze_pure_state_stack(amplitudes) -> Sweep:
-    """Concurrence, Schmidt coefficients and reduced purities of an (n, 4)
-    stack of two-qubit amplitudes, checked as ``StateVector`` checks one, as
+    """Concurrence, Schmidt coefficients and reduced purities of a two-qubit
+    amplitude stack (the ``linalg`` shape rule), checked as ``StateVector`` checks one, as
     report columns, one report per row. The reduced purities come from the
     reduced matrices M M^dagger and M^T conj(M), independently of the
     concurrence's det M; agreement between the two routes is a consistency
     check the tests rely on."""
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    if amps.shape[1:] != (4,):
-        raise ValueError("entanglement analysis expects a two-qubit state")
-    return _analyze(validated_state_stack(amps.copy()))
+    return _analyze(validated_state_stack(_shaped(amplitudes, _STATES, (4,)).copy()))
 
 
 def _analyze(amps: np.ndarray) -> Sweep:

@@ -35,38 +35,50 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _basis_labels(dim: int) -> tuple[str, ...]:
-    """The basis kets of a register of dimension 2 or 4 as bit strings, qubit 1 first."""
+    """The basis kets of a register of dimension d as bit strings, qubit 1 first."""
     return tuple(format(i, f"0{dim // 2}b") for i in range(dim))
 
 
-def _qubit_count(dim: int, what: str) -> int:
-    if dim not in (2, 4):
-        raise ValueError(f"{what} dimension {dim} is not 2 or 4 (one or two qubits)")
-    return dim // 2
+# The shape rule: d is 2 or 4 (one or two qubits), or 4 alone for the partial trace, coherence
+# orders and entanglement. A form is (rank, square, name); rank None is any rank of one or more.
+_STATE = (1, False, "a (d,) state vector")
+_STATES = (2, False, "an (n, d) stack of state vectors")
+_STATE_ARRAY = (None, False, "a (..., d) array of state vectors")
+_MATRIX = (2, True, "a square (d, d) matrix")
+_MATRICES = (3, True, "an (n, d, d) stack of density matrices")
+_DIMS = {(2, 4): "2 or 4 (one or two qubits)", (4,): "4 (a two-qubit register)"}
+_COMPLEX = np.dtype(np.complex128)  # a dtype object, which numpy takes faster than the type
+
+
+def _shaped(arr, form: tuple, dims: tuple[int, ...] = (2, 4)) -> np.ndarray:
+    """``arr`` as a complex array, checked to have ``form`` with d in ``dims``."""
+    arr = np.asarray(arr, dtype=_COMPLEX)
+    rank, square, name = form
+    shape = arr.shape
+    if ((len(shape) != rank if rank else not shape) or shape[-1] not in dims
+            or square and shape[-2] != shape[-1]):
+        raise ValueError(f"expected {name} with d of {_DIMS[dims]}, got shape {shape}")
+    return arr
 
 
 class StateVector:
     """Normalized pure state over the computational basis.
 
-    The amplitude array has length 2 or 4 (2**num_qubits) and satisfies
+    The amplitudes, a (d,) array under the shape rule, satisfy
     sum(|a_i|^2) = 1 within tolerance. Instances are immutable; the
     underlying numpy array is marked read-only.
     """
 
-    __slots__ = ("_amplitudes", "_num_qubits")
+    __slots__ = ("_amplitudes",)
 
     def __init__(self, amplitudes):
-        arr = np.array(amplitudes, dtype=np.complex128)
-        if arr.ndim != 1:
-            raise ValueError("state vector must be one-dimensional")
-        self._num_qubits = _qubit_count(arr.shape[0], "state vector")
-        self._amplitudes = validated_state_stack(arr)
+        self._amplitudes = validated_state_stack(_shaped(amplitudes, _STATE).copy())
 
     @classmethod
     def _trusted(cls, amplitudes: np.ndarray) -> "StateVector":
         """A state on a row of a ``validated_state_stack`` result, not copied."""
         s = object.__new__(cls)
-        s._amplitudes, s._num_qubits = amplitudes, len(amplitudes) // 2
+        s._amplitudes = amplitudes
         return s
 
     @property
@@ -89,11 +101,11 @@ class StateVector:
         return f"StateVector({terms})"
 
 
-def validated_state_stack(amplitudes: np.ndarray) -> np.ndarray:
-    """Mark an array of amplitudes, one state per row of its last axis,
-    read-only after checking as ``StateVector`` does that every entry is
-    finite and every row has unit norm within ``DEFAULT_TOL``."""
-    _check_finite(amplitudes, "state vector")
+def validated_state_stack(amplitudes) -> np.ndarray:
+    """Mark an array of amplitudes, one state per row of its last axis, read-only after
+    checking as ``StateVector`` does that the last axis obeys the shape rule, every entry
+    is finite and every row has unit norm within ``DEFAULT_TOL``; marks a complex one in place."""
+    amplitudes = _check_finite(_shaped(amplitudes, _STATE_ARRAY), "state vector")
     norms = (np.abs(amplitudes) ** 2).sum(axis=-1)
     norm_error = float(np.abs(norms - 1.0).max(initial=0.0))
     if norm_error > DEFAULT_TOL:
@@ -127,53 +139,40 @@ class _Passed(np.ndarray):
     result of that view is a plain array whose base is not one, so it is checked again."""
 
 
-def _densities(rhos) -> np.ndarray:
-    """A stack given to a stacked form, an (n, d, d) array-like with d of 2 or 4,
+def _densities(rhos, dims: tuple[int, ...] = (2, 4)) -> np.ndarray:
+    """A stack given to a stacked form, an (n, d, d) array-like with d in ``dims``,
     as a plain array: the checked view itself as it is, anything else checked."""
-    if type(getattr(rhos, "base", None)) is _Passed and rhos.ndim == 3:
-        return rhos
-    arr = np.asarray(rhos, dtype=np.complex128)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] not in (2, 4):
-        raise ValueError(
-            f"expected an (n, d, d) stack of density matrices with d of 2 or 4, got {arr.shape}"
-        )
-    return _check_densities(arr)
+    arr = _shaped(rhos, _MATRICES, dims)
+    return arr if type(arr.base) is _Passed else _check_densities(arr)
 
 
 class DensityMatrix:
-    """Hermitian, trace-one operator on a one- or two-qubit register, both
+    """Hermitian, trace-one (d, d) matrix under the shape rule, both
     enforced at construction. The library works on density stacks and builds
     none of these; the class is kept because the benchmark's tracer counts its
     constructions.
     """
 
-    __slots__ = ("_entries", "_num_qubits")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("density matrix must be square")
-        self._num_qubits = _qubit_count(arr.shape[0], "density matrix")
-        self._entries = _check_densities(arr)
+        self._entries = _check_densities(_shaped(entries, _MATRIX))
 
     @property
     def entries(self) -> np.ndarray:
         return self._entries
 
     def __repr__(self) -> str:
-        return f"DensityMatrix(num_qubits={self._num_qubits})"
+        return f"DensityMatrix(num_qubits={len(self._entries) // 2})"
 
 
 class UnitaryOperator:
-    """Complex 2x2 or 4x4 matrix U with U^dagger U = I within tolerance."""
+    """Complex (d, d) matrix U under the shape rule with U^dagger U = I within tolerance."""
 
-    __slots__ = ("_entries", "_num_qubits")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        arr = _check_finite(np.array(entries, dtype=np.complex128), "operator")
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("operator must be square")
-        self._num_qubits = _qubit_count(arr.shape[0], "operator")
+        arr = _check_finite(_shaped(np.array(entries, dtype=_COMPLEX), _MATRIX), "operator")
         defect = float(np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0]))))
         if defect > DEFAULT_TOL:
             raise ValueError(
@@ -186,7 +185,7 @@ class UnitaryOperator:
         return self._entries
 
     def __repr__(self) -> str:
-        return f"UnitaryOperator(num_qubits={self._num_qubits})"
+        return f"UnitaryOperator(num_qubits={len(self._entries) // 2})"
 
 
 def tensor_product(a: UnitaryOperator, b: UnitaryOperator) -> UnitaryOperator:
@@ -201,27 +200,20 @@ def tensor_product(a: UnitaryOperator, b: UnitaryOperator) -> UnitaryOperator:
 
 
 def density_from_state_stack(amplitudes) -> np.ndarray:
-    """Rank-one projectors |s><s| of an (n, d) stack of amplitudes, as a
-    read-only (n, d, d) array validated as ``DensityMatrix`` validates one."""
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    if amps.ndim != 2 or amps.shape[1] not in (2, 4):
-        raise ValueError(
-            f"expected an (n, d) stack of amplitudes with d of 2 or 4, got {amps.shape}"
-        )
+    """Rank-one projectors |s><s| of an (n, d) stack of amplitudes under the shape rule,
+    as a read-only (n, d, d) array validated as ``DensityMatrix`` validates one."""
+    amps = _shaped(amplitudes, _STATES)
     return _check_densities(amps[:, :, None] * amps[:, None, :].conj())
 
 
 def partial_trace_stack(rhos, keep_qubit: int) -> np.ndarray:
     """Reduced density matrices of qubit ``keep_qubit`` (1, the most significant
-    bit of the basis index, or 2) of an (n, 4, 4) two-qubit stack, tracing out
+    bit of the basis index, or 2) of a two-qubit stack under the shape rule, tracing out
     the other. The input is checked as ``DensityMatrix`` checks one matrix, unless
     a stacked form made it; the (n, 2, 2) result is read-only and validated likewise."""
     if type(keep_qubit) is not int or keep_qubit not in (1, 2):
         raise ValueError(f"keep_qubit must be 1 or 2, got {keep_qubit!r}")
-    rhos = _densities(rhos)
-    if rhos.shape[1:] != (4, 4):
-        raise ValueError("partial_trace expects a two-qubit density matrix")
-    return _check_densities(_partial_trace(rhos, keep_qubit))
+    return _check_densities(_partial_trace(_densities(rhos, (4,)), keep_qubit))
 
 
 def _partial_trace(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:
@@ -230,7 +222,7 @@ def _partial_trace(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:
 
 
 def purity_stack(rhos) -> np.ndarray:
-    """Tr(rho^2) of every matrix of an (n, d, d) stack, checked as
+    """Tr(rho^2) of every matrix of an (n, d, d) stack under the shape rule, checked as
     ``DensityMatrix`` checks one unless a stacked form made it; 1 for pure
     states, 1/d for the maximally mixed state."""
     rhos = _densities(rhos)

@@ -46,19 +46,12 @@ _READOUT_MASKS = _frozen(np.array([
     _ORDER_MASKS[1], _ORDER_MASKS[-1], _ORDER_MASKS[0] & ~np.eye(4, dtype=bool)]).reshape(3, 16))
 
 
-def _two_qubit_densities(rhos) -> np.ndarray:
-    rhos = _densities(rhos)
-    if rhos.shape[1:] != (4, 4):
-        raise ValueError("coherence decomposition expects a two-qubit density matrix")
-    return rhos
-
-
 def decompose_coherences_stack(rhos) -> dict[int, np.ndarray]:
-    """Split an (n, 4, 4) stack of two-qubit density matrices, checked as ``DensityMatrix``
+    """Split a two-qubit density stack (the ``linalg`` shape rule), checked as ``DensityMatrix``
     checks one unless a stacked form made it, into a fresh stack per coherence order -2..+2
     holding exactly that order's entries (zero elsewhere). The components re-sum to the
     input, and for Hermitian input order +p is the conjugate transpose of order -p."""
-    rhos = _two_qubit_densities(rhos)
+    rhos = _densities(rhos, (4,))
     return {k: np.where(mask, rhos, 0.0 + 0.0j) for k, mask in _ORDER_MASKS.items()}
 
 
@@ -82,10 +75,10 @@ class ObservabilityReport:
 
 
 def observability_stack(rhos) -> Sweep:
-    """Spectral observability summaries of an (n, 4, 4) stack of two-qubit
-    density matrices, checked as ``DensityMatrix`` checks one unless a stacked
+    """Spectral observability summaries of a two-qubit density stack (the
+    ``linalg`` shape rule), checked as ``DensityMatrix`` checks one unless a stacked
     form made it, as report columns, one report per matrix."""
-    rhos = _two_qubit_densities(rhos)
+    rhos = _densities(rhos, (4,))
     magnitudes = np.abs(rhos).reshape(len(rhos), 1, 16)
     plus, minus, zero_quantum = np.where(_READOUT_MASKS, magnitudes, 0.0).sum(axis=2).T
     single = (plus + minus).tolist()

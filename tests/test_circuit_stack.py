@@ -152,6 +152,13 @@ class TestStateStackValidation:
             validated_state_stack(steps)
         assert str(stacked.value) == str(one.value)
 
+    def test_last_axis_obeys_the_shape_rule(self):
+        # As StateVector([1, 0, 0]) raises, so does a stack of such rows, whatever its rank.
+        for rows in (np.array([1, 0, 0], complex), np.full((2, 8), 8**-0.5, complex),
+                     np.full((2, 6, 3), 3**-0.5, complex)):
+            with pytest.raises(ValueError, match="d of 2 or 4"):
+                validated_state_stack(rows)
+
     def test_stack_is_returned_read_only(self):
         steps = validated_state_stack(self.stack())
         with pytest.raises(ValueError):

@@ -90,9 +90,9 @@ class TestStateVector:
             StateVector([complex(0, np.inf), 0.0])
 
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError, match="not 2 or 4"):
+        with pytest.raises(ValueError, match="d of 2 or 4"):
             StateVector([1.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="not 2 or 4"):
+        with pytest.raises(ValueError, match="d of 2 or 4"):
             StateVector([1.0])
 
     def test_rejects_oversized_register(self):

@@ -7,10 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qparity.linalg
-from qparity import DensityMatrix, enumerate_functions, run_all_checks, run_even_odd
+from qparity import (
+    DensityMatrix,
+    StateVector,
+    UnitaryOperator,
+    enumerate_functions,
+    run_all_checks,
+    run_even_odd,
+)
 from qparity.algorithms import Sweep
 from qparity.entanglement import analyze_pure_state_stack, is_idempotent_stack
-from qparity.linalg import density_from_state_stack, partial_trace_stack, purity_stack
+from qparity.linalg import (
+    density_from_state_stack,
+    partial_trace_stack,
+    purity_stack,
+    validated_state_stack,
+)
 from qparity.nmr import decompose_coherences_stack, observability_stack
 from qparity.reports import all_reports
 
@@ -260,3 +272,63 @@ def test_only_the_checked_stack_itself_skips_the_check(name, monkeypatch):
         calls.clear()
         STACK_FORMS[name](stack)
         assert any(a is stack for a in calls) == (stack is not checked)
+
+
+# Every public form that takes an array: (call, a valid shape, a shape of the wrong rank,
+# whether it takes matrices, the form its shape error names).
+SHAPED_FORMS = {
+    "StateVector": (StateVector, (4,), (1, 4), False, "a (d,) state vector"),
+    "validated_state_stack": (
+        validated_state_stack, (2, 3, 4), (), False, "a (..., d) array of state vectors"),
+    "density_from_state_stack": (
+        density_from_state_stack, (3, 4), (4,), False, "an (n, d) stack of state vectors"),
+    "analyze_pure_state_stack": (
+        analyze_pure_state_stack, (3, 4), (4,), False, "an (n, d) stack of state vectors"),
+    "DensityMatrix": (DensityMatrix, (4, 4), (1, 4, 4), True, "a square (d, d) matrix"),
+    "UnitaryOperator": (UnitaryOperator, (4, 4), (4,), True, "a square (d, d) matrix"),
+    **{name: (form, (3, 4, 4), (4, 4), True, "an (n, d, d) stack of density matrices")
+       for name, form in STACK_FORMS.items()},
+}
+TWO_QUBIT_FORMS = {
+    "analyze_pure_state_stack", "decompose_coherences_stack", "observability_stack",
+    "partial_trace_stack",
+}
+
+
+def filled(shape, matrices):
+    """An array of the shape that no check but the shape rule rejects where it can: the
+    maximally mixed state in every square matrix, a uniform unit-norm state in every row."""
+    if matrices and len(shape) >= 2 and shape[-1] == shape[-2]:
+        return np.broadcast_to(np.eye(shape[-1], dtype=complex) / shape[-1], shape).copy()
+    return np.full(shape, shape[-1] ** -0.5 if shape else 1.0, dtype=complex)
+
+
+def checked_one_qubit_view():
+    """The read-only (n, 2, 2) view partial_trace_stack returns, which stacked forms trust."""
+    amplitudes = random_amplitudes(np.random.default_rng(12), 3)
+    view = partial_trace_stack(density_from_state_stack(amplitudes), 1)
+    assert type(view.base) is qparity.linalg._Passed
+    return view
+
+
+def bad_shapes():
+    for name, (_, good, wrong_rank, matrices, _) in sorted(SHAPED_FORMS.items()):
+        register = good[:-2] if matrices else good[:-1]
+        with_d = {d: filled(register + (d,) * (1 + matrices), matrices) for d in (2, 8)}
+        cases = {"three_qubits": with_d[8], "wrong_rank": filled(wrong_rank, matrices)}
+        if matrices:
+            cases["non_square"] = filled(good[:-1] + (2,), matrices)
+        if name in TWO_QUBIT_FORMS:
+            cases["one_qubit"] = with_d[2]
+        if name in TWO_QUBIT_FORMS and name in STACK_FORMS:
+            cases["checked_one_qubit_view"] = checked_one_qubit_view()
+        yield from (pytest.param(name, arr, id=f"{name}-{case}") for case, arr in cases.items())
+
+
+@pytest.mark.parametrize("name, arr", bad_shapes())
+def test_every_form_states_the_shape_rule_in_one_message(name, arr):
+    form, expected = SHAPED_FORMS[name][0], SHAPED_FORMS[name][-1]
+    d = "4 (a two-qubit register)" if name in TWO_QUBIT_FORMS else "2 or 4 (one or two qubits)"
+    with pytest.raises(ValueError) as error:
+        form(arr)
+    assert f"expected {expected} with d of {d}, got shape {arr.shape}" == str(error.value)
