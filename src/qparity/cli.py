@@ -68,8 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, function_arg=False, trace=False):
+    def add(name, help_text, handler, function_arg=False, trace=False):
         sub = commands.add_parser(name, help=help_text)
+        sub.set_defaults(handler=handler)
         if function_arg:
             sub.add_argument(
                 "function",
@@ -87,11 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return sub
 
-    add("classify", "full report for one function", function_arg=True)
-    add("run", "run the even/odd circuit on one function", function_arg=True, trace=True)
-    add("dj", "one-query constant-vs-balanced test", function_arg=True)
-    add("table", "summary table over all 16 functions")
-    add("verify", "run the exhaustive self-check suite")
+    add("classify", "full report for one function", _print_classify, function_arg=True)
+    add("run", "run the even/odd circuit on one function", _print_run,
+        function_arg=True, trace=True)
+    add("dj", "one-query constant-vs-balanced test", _print_dj, function_arg=True)
+    add("table", "summary table over all 16 functions", _print_table)
+    add("verify", "run the exhaustive self-check suite", _print_verify)
     return parser
 
 
@@ -248,15 +250,6 @@ def _print_verify(args: argparse.Namespace) -> int:
     return 0 if outcome.passed else 1
 
 
-_HANDLERS = {
-    "classify": _print_classify,
-    "run": _print_run,
-    "dj": _print_dj,
-    "table": _print_table,
-    "verify": _print_verify,
-}
-
-
 _PARSER = build_parser()
 
 
@@ -267,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:  # argparse is done: help printed, or a usage error
             code = exc.code if isinstance(exc.code, int) else USAGE_ERROR
         else:
-            code = _HANDLERS[args.command](args)
+            code = args.handler(args)
         if hasattr(sys.stdout, "flush"):  # a bare writer passed in as stdout has none
             sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
