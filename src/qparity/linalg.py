@@ -47,12 +47,12 @@ _STATE_ARRAY = (None, False, "a (..., d) array of state vectors")
 _MATRIX = (2, True, "a square (d, d) matrix")
 _MATRICES = (3, True, "an (n, d, d) stack of density matrices")
 _DIMS = {(2, 4): "2 or 4 (one or two qubits)", (4,): "4 (a two-qubit register)"}
-_COMPLEX = np.dtype(np.complex128)  # a dtype object, which numpy takes faster than the type
+_COMPLEX = np.dtype(np.complex128)  # numpy takes a dtype object faster than the type; `is` tests it
 
 
 def _shaped(arr, form: tuple, dims: tuple[int, ...] = (2, 4)) -> np.ndarray:
     """``arr`` as a complex array, checked to have ``form`` with d in ``dims``."""
-    arr = np.asarray(arr, dtype=_COMPLEX)
+    arr = arr if type(arr) is np.ndarray and arr.dtype is _COMPLEX else np.asarray(arr, _COMPLEX)
     rank, square, name = form
     shape = arr.shape
     if ((len(shape) != rank if rank else not shape) or shape[-1] not in dims
