@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Commands: ``classify``, ``run``, ``dj``, ``table``, ``verify``. All results
-go to stdout; diagnostics go to stderr. Exit codes: 0 success, 1
-verification failure, 2 usage error, 3 internal error (an exception escaped
-a command; its traceback goes to stderr), 141 stdout closed by its reader
-(nothing is printed; a shell reports a process killed by SIGPIPE so), the
-help text included. No command reads the environment: ``verify`` compares at
-the constants of the ``linalg`` tolerance table.
+Commands: ``classify``, ``run``, ``dj``, ``table``, ``verify``. Each handler
+returns its output and exit code; ``main`` is the one writer of stdout, as
+canonical JSON under ``--json`` and text lines otherwise (the parser writes only
+``--help``). Diagnostics go to stderr. Exit codes: 0 success, 1 verification
+failure, 2 usage error, 3 internal error (an exception escaped a command; its
+traceback goes to stderr), 141 stdout closed by its reader or never open
+(nothing is printed; a shell reports a process killed by SIGPIPE so), the help
+text included. No command reads the environment: ``verify`` compares at the
+constants of the ``linalg`` tolerance table.
 
 The argument parser is built once, when this module is imported, and only
 read afterwards, so ``main`` may be called repeatedly and concurrently in
@@ -51,10 +53,16 @@ def _truth_table_argument(text: str) -> TruthTable:
         raise argparse.ArgumentTypeError(MALFORMED_TABLE_MESSAGE)
 
 
+def _stdout():
+    if sys.stdout is None:  # fd 1 was not open at start: nothing can reach a reader
+        raise BrokenPipeError
+    return sys.stdout
+
+
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         # argparse's own writer drops an OSError, and with it a closed stdout.
-        (file or sys.stdout).write(self.format_help())
+        (file or _stdout()).write(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,14 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--json", action="store_true", help="emit canonical JSON instead of text"
         )
-        return sub
 
-    add("classify", "full report for one function", _print_classify, function_arg=True)
-    add("run", "run the even/odd circuit on one function", _print_run,
-        function_arg=True, trace=True)
-    add("dj", "one-query constant-vs-balanced test", _print_dj, function_arg=True)
-    add("table", "summary table over all 16 functions", _print_table)
-    add("verify", "run the exhaustive self-check suite", _print_verify)
+    add("classify", "full report for one function", _classify, function_arg=True)
+    add("run", "run the even/odd circuit on one function", _run, function_arg=True, trace=True)
+    add("dj", "one-query constant-vs-balanced test", _dj, function_arg=True)
+    add("table", "summary table over all 16 functions", _table)
+    add("verify", "run the exhaustive self-check suite", _verify)
     return parser
 
 
@@ -102,26 +108,19 @@ def format_float(x: float) -> str:
 
 
 def format_state(s: StateVector) -> str:
-    """Render a state as a signed sum of kets, e.g. 0.707107|01> - 0.707107|10>."""
-    parts: list[str] = []
+    """Render a unit-norm state as a signed sum of kets, e.g. 0.707107|01> - 0.707107|10>."""
+    text = ""
     for label, amp in zip(s.basis_labels(), s.amplitudes):
         if abs(amp) <= DISPLAY_FLOOR:
             continue
         if abs(amp.imag) <= DISPLAY_FLOOR:
-            value = amp.real
-            sign = "-" if value < 0 else "+"
-            coefficient = format_float(abs(value))
+            sign = "-" if amp.real < 0 else "+"
+            coefficient = format_float(abs(amp.real))
         else:
             sign = "+"
             coefficient = f"({format_float(amp.real)}{amp.imag:+.6g}j)"
-        parts.append((sign, f"{coefficient}|{label}>"))
-    if not parts:
-        return "0"
-    first_sign, first_term = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_term
-    for sign, term in parts[1:]:
-        text += f" {sign} {term}"
-    return text
+        text += f" {sign} {coefficient}|{label}>"
+    return text[3:] if text[1] == "+" else "-" + text[3:]  # the first sign has no spaces
 
 
 def _dj_status_text(verdict: DJVerdict) -> str:
@@ -130,13 +129,21 @@ def _dj_status_text(verdict: DJVerdict) -> str:
     return verdict.value.capitalize()
 
 
-def _print_classify(args: argparse.Namespace) -> int:
+def _header(f: TruthTable) -> dict:
+    """The fields ``run`` and ``dj`` begin with, as JSON keys and as text lines."""
+    return {"function": f.to_string(), "class": classify(f).label}
+
+
+def _text(fields: dict) -> list[str]:
+    return [f"{name}: {value}" for name, value in fields.items()]
+
+
+def _classify(args: argparse.Namespace) -> tuple[dict | list[str], int]:
     report = classification_report(args.function)
     if args.json:
-        print(to_canonical_json(report_to_jsonable(report)))
-        return 0
+        return report_to_jsonable(report), 0
     ent, obs = report.entanglement, report.observability
-    lines = [
+    return [
         f"function: {report.function.to_string()}",
         f"class: {report.function_class.label}",
         f"parity: {report.function_class.parity.value.capitalize()}",
@@ -156,18 +163,16 @@ def _print_classify(args: argparse.Namespace) -> int:
         f"zero-quantum weight: {format_float(obs.zero_quantum_weight)}",
         f"transverse magnetization q1: {format_float(obs.transverse_magnetization_q1)}",
         f"transverse magnetization q2: {format_float(obs.transverse_magnetization_q2)}",
-    ]
-    print("\n".join(lines))
-    return 0
+    ], 0
 
 
-def _print_run(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace) -> tuple[dict | list[str], int]:
     result = run_even_odd(args.function)
+    header = _header(args.function)
     if args.json:
         states = states_to_jsonable(result.per_step_states)
         payload = {
-            "function": args.function.to_string(),
-            "class": classify(args.function).label,
+            **header,
             "verdict": result.verdict.value,
             "oracle_calls": result.oracle_calls,
             "final_state": states[-1],
@@ -177,77 +182,58 @@ def _print_run(args: argparse.Namespace) -> int:
                 {"step": i, "gate": label, "state": state}
                 for i, (label, state) in enumerate(zip(STEP_LABELS, states))
             ]
-        print(to_canonical_json(payload))
-        return 0
-    print(f"function: {args.function.to_string()}")
-    print(f"class: {classify(args.function).label}")
+        return payload, 0
+    lines = _text(header)
     if args.trace:
         for i, (label, state) in enumerate(zip(STEP_LABELS, result.per_step_states)):
-            print(f"step {i} {label:<8} {format_state(state)}")
-    print(f"verdict: {result.verdict.value.capitalize()}")
-    print(f"oracle calls: {result.oracle_calls}")
-    print(f"final state: {format_state(result.final_state)}")
-    return 0
+            lines.append(f"step {i} {label:<8} {format_state(state)}")
+    return lines + [
+        f"verdict: {result.verdict.value.capitalize()}",
+        f"oracle calls: {result.oracle_calls}",
+        f"final state: {format_state(result.final_state)}",
+    ], 0
 
 
-def _print_dj(args: argparse.Namespace) -> int:
+def _dj(args: argparse.Namespace) -> tuple[dict | list[str], int]:
     verdict = run_deutsch_jozsa_2bit(args.function)
+    header = _header(args.function)
     if args.json:
-        payload = {
-            "function": args.function.to_string(),
-            "class": classify(args.function).label,
-            "verdict": verdict.value,
-            "oracle_calls": 1,
-        }
-        print(to_canonical_json(payload))
-        return 0
-    print(f"function: {args.function.to_string()}")
-    print(f"class: {classify(args.function).label}")
-    print(f"dj verdict: {_dj_status_text(verdict)}")
-    return 0
+        return {**header, "verdict": verdict.value, "oracle_calls": 1}, 0
+    return _text(header) + [f"dj verdict: {_dj_status_text(verdict)}"], 0
 
 
-def _print_table(args: argparse.Namespace) -> int:
+def _table(args: argparse.Namespace) -> tuple[dict | list[str], int]:
     reports = all_reports()
     rows = class_summary_rows(reports)
     if args.json:
-        print(to_canonical_json({"classes": rows, "functions": reports_to_jsonable(reports)}))
-        return 0
-    print(f"{'class':<7} {'count':>5}  {'nature':<6} {'oracle':<11} dj")
-    for row in rows:
-        dj = _dj_status_text(DJVerdict(row["dj"]))
-        print(
-            f"{row['class']:<7} {row['count']:>5}  "
-            f"{row['parity'].capitalize():<6} {row['oracle'].capitalize():<11} {dj}"
-        )
-    print(f"{'total':<7} {sum(row['count'] for row in rows):>5}")
-    return 0
+        return {"classes": rows, "functions": reports_to_jsonable(reports)}, 0
+    lines = [f"{'class':<7} {'count':>5}  {'nature':<6} {'oracle':<11} dj"]
+    lines += [
+        f"{row['class']:<7} {row['count']:>5}  {row['parity'].capitalize():<6} "
+        f"{row['oracle'].capitalize():<11} {_dj_status_text(DJVerdict(row['dj']))}"
+        for row in rows
+    ]
+    return lines + [f"{'total':<7} {sum(row['count'] for row in rows):>5}"], 0
 
 
-def _print_verify(args: argparse.Namespace) -> int:
+def _verify(args: argparse.Namespace) -> tuple[dict | list[str], int]:
     outcome = run_all_checks()
+    code = 0 if outcome.passed else 1
     if args.json:
-        payload = {
+        return {
             "passed": outcome.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in outcome.checks
-            ],
+            "checks": [vars(c) for c in outcome.checks],
             "summary": {
                 "functions_verified": outcome.functions_verified,
                 "total_functions": outcome.total_functions,
                 "classical_min_queries": outcome.classical_queries,
             },
-        }
-        print(to_canonical_json(payload))
-        return 0 if outcome.passed else 1
-    for check in outcome.checks:
-        if check.passed:
-            print(f"ok   {check.name}")
-        else:
-            print(f"FAIL {check.name}: {check.detail}")
-    print(outcome.summary_line())
-    return 0 if outcome.passed else 1
+        }, code
+    lines = [
+        f"ok   {c.name}" if c.passed else f"FAIL {c.name}: {c.detail}"
+        for c in outcome.checks
+    ]
+    return lines + [outcome.summary_line()], code
 
 
 _PARSER = build_parser()
@@ -260,13 +246,15 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:  # argparse is done: help printed, or a usage error
             code = exc.code if isinstance(exc.code, int) else USAGE_ERROR
         else:
-            code = args.handler(args)
+            output, code = args.handler(args)
+            print(to_canonical_json(output) if args.json else "\n".join(output), file=_stdout())
         if hasattr(sys.stdout, "flush"):  # a bare writer passed in as stdout has none
             sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:
         # Point stdout at devnull, so that flushing what is still buffered at exit cannot fail.
-        with open(os.devnull, "w") as devnull, contextlib.suppress(OSError, ValueError):
+        # A bare writer, or a stdout that was never open, has no descriptor to point there.
+        with open(os.devnull, "w") as devnull, contextlib.suppress(OSError, ValueError, AttributeError):
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return CLOSED_STDOUT
     except Exception:

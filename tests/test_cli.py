@@ -282,6 +282,39 @@ class TestExitCodes:
                 os.close(write_end)
             assert (unbuffered, done.returncode, done.stderr) == (unbuffered, 141, b"")
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [pytest.param(argv, code, id=" ".join(argv)) for argv, code in [
+            (["table"], 141), (["verify", "--json"], 141), (["--help"], 141),
+            (["classify", "--help"], 141), (["classify", "01x1"], 2)]],
+    )
+    def test_stdout_not_open_exits_141_quietly(self, argv, code):
+        # As `qparity table >&-`: fd 1 is closed before the interpreter starts, so
+        # sys.stdout is None. A usage error writes only to stderr and stays one.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qparity.cli.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "qparity.cli", *argv],
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=functools.partial(os.close, 1),
+            timeout=120,
+        )
+        assert done.returncode == code
+        if code == 141:
+            assert done.stderr == b""
+        else:
+            assert b"truth table must be 4 bits" in done.stderr
+
+    def test_bare_writer_whose_reader_closed_exits_141(self, capsys, monkeypatch):
+        # A writer with neither fileno nor flush, like _PerThreadStream, whose reader is gone.
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        codes = [main(argv) for argv in (["table"], ["verify", "--json"], ["--help"])]
+        assert (codes, capsys.readouterr().err) == ([141] * 3, "")
+
     def test_internal_error_exits_3_with_its_traceback(self, capsys, monkeypatch):
         def broken(f):
             raise RuntimeError("injected fault")
@@ -293,6 +326,17 @@ class TestExitCodes:
         assert err.startswith("Traceback (most recent call last):")
         assert err.endswith("RuntimeError: injected fault\n")
 
+    def test_a_command_that_raises_prints_nothing(self, capsys, monkeypatch):
+        # run's function and class lines come before its trace; the failing trace
+        # takes them back, so no part of an answer reaches stdout.
+        def broken(state):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(qparity.cli, "format_state", broken)
+        code, out, err = run_cli(capsys, "run", "0110", "--trace")
+        assert (code, out) == (3, "")
+        assert err.endswith("RuntimeError: injected fault\n")
+
 
 class TestUsage:
     def test_no_command_is_a_usage_error(self, capsys):
@@ -302,6 +346,22 @@ class TestUsage:
     def test_unknown_command_is_a_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*command, *form] for command in (["classify", "0110"], ["run", "0110", "--trace"],
+                                       ["dj", "0110"], ["table"], ["verify"])
+     for form in ([], ["--json"])],
+    ids=" ".join,
+)
+def test_handlers_return_what_main_prints(capsys, argv):
+    # A handler writes nothing; main prints its output, as JSON or as lines, once.
+    args = build_parser().parse_args(argv)
+    output, code = args.handler(args)
+    assert capsys.readouterr() == ("", "")
+    print(to_canonical_json(output) if args.json else "\n".join(output))
+    assert (code, capsys.readouterr().out, "") == run_cli(capsys, *argv)
 
 
 PARSE_EXITS = [

@@ -95,22 +95,6 @@ class TestStateVector:
         with pytest.raises(ValueError, match="d of 2 or 4"):
             StateVector([1.0])
 
-    def test_rejects_oversized_register(self):
-        # Registers have one or two qubits; three are rejected by every type.
-        eight = np.eye(8)
-        with pytest.raises(ValueError, match="one or two qubits"):
-            StateVector(eight[0])
-        with pytest.raises(ValueError, match="one or two qubits"):
-            DensityMatrix(eight / 8)
-        with pytest.raises(ValueError, match="one or two qubits"):
-            UnitaryOperator(eight)
-        with pytest.raises(ValueError, match="d of 2 or 4"):
-            purity_stack((eight / 8)[None])
-        with pytest.raises(ValueError, match="d of 2 or 4"):
-            density_from_state_stack(eight[:1])
-        with pytest.raises(ValueError, match="one or two qubits"):
-            tensor_product(hadamard_first(), hadamard())
-
     def test_amplitudes_are_read_only(self):
         s = basis("00")
         with pytest.raises(ValueError):

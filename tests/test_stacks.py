@@ -1,6 +1,8 @@
 """The stacked analyses: every row of a stack equals the stack of one bitwise,
 and stacks are validated like the constructors validate one matrix."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,11 @@ from qparity import (
     StateVector,
     UnitaryOperator,
     enumerate_functions,
+    hadamard,
+    hadamard_both,
     run_all_checks,
     run_even_odd,
+    tensor_product,
 )
 from qparity.algorithms import Sweep
 from qparity.entanglement import analyze_pure_state_stack, is_idempotent_stack
@@ -151,14 +156,6 @@ class TestStackValidation:
         with pytest.raises(ValueError, match="not Hermitian"):
             partial_trace_stack(rhos, 1)
 
-    def test_wrong_shapes_are_rejected(self):
-        with pytest.raises(ValueError, match="two-qubit"):
-            analyze_pure_state_stack(np.ones((2, 2)) / np.sqrt(2))
-        with pytest.raises(ValueError, match="two-qubit"):
-            partial_trace_stack(np.eye(2)[None] / 2, 1)
-        with pytest.raises(ValueError, match="two-qubit"):
-            observability_stack(np.eye(2)[None] / 2)
-
     def test_stacks_are_read_only(self):
         projectors = density_from_state_stack(random_amplitudes(np.random.default_rng(3), 2))
         for stack in (projectors, partial_trace_stack(projectors, 2)):
@@ -237,15 +234,6 @@ def test_stack_forms_take_a_nested_list(name):
 
 
 @pytest.mark.parametrize("name", sorted(STACK_FORMS))
-def test_stack_forms_reject_a_bare_matrix(name):
-    # Neither a plain matrix nor a checked one is a stack; each would give a 0-d result.
-    rho = random_mixed_densities(np.random.default_rng(11), 1)[0]
-    for matrix in (rho, DensityMatrix(rho).entries):
-        with pytest.raises(ValueError, match=r"\(n, d, d\) stack"):
-            STACK_FORMS[name](matrix)
-
-
-@pytest.mark.parametrize("name", sorted(STACK_FORMS))
 def test_stack_forms_leave_the_input_writable(name):
     rhos = random_mixed_densities(np.random.default_rng(5), 3)
     STACK_FORMS[name](rhos)
@@ -312,7 +300,8 @@ def checked_one_qubit_view():
 
 
 def bad_shapes():
-    for name, (_, good, wrong_rank, matrices, _) in sorted(SHAPED_FORMS.items()):
+    """(form, call, the shape its message names) for every input the shape rule rejects."""
+    for name, (form, good, wrong_rank, matrices, _) in sorted(SHAPED_FORMS.items()):
         register = good[:-2] if matrices else good[:-1]
         with_d = {d: filled(register + (d,) * (1 + matrices), matrices) for d in (2, 8)}
         cases = {"three_qubits": with_d[8], "wrong_rank": filled(wrong_rank, matrices)}
@@ -320,15 +309,22 @@ def bad_shapes():
             cases["non_square"] = filled(good[:-1] + (2,), matrices)
         if name in TWO_QUBIT_FORMS:
             cases["one_qubit"] = with_d[2]
+        if name in STACK_FORMS:
+            # A checked matrix is no stack either; taken as one it would give a 0-d result.
+            cases["checked_matrix"] = DensityMatrix(filled((4, 4), True)).entries
         if name in TWO_QUBIT_FORMS and name in STACK_FORMS:
             cases["checked_one_qubit_view"] = checked_one_qubit_view()
-        yield from (pytest.param(name, arr, id=f"{name}-{case}") for case, arr in cases.items())
+        yield from (pytest.param(name, functools.partial(form, arr), arr.shape,
+                                 id=f"{name}-{case}") for case, arr in cases.items())
+    # A product of a two-qubit and a one-qubit gate is checked as the operator it makes.
+    product = functools.partial(tensor_product, hadamard_both(), hadamard())
+    yield pytest.param("UnitaryOperator", product, (8, 8), id="tensor_product-three_qubits")
 
 
-@pytest.mark.parametrize("name, arr", bad_shapes())
-def test_every_form_states_the_shape_rule_in_one_message(name, arr):
-    form, expected = SHAPED_FORMS[name][0], SHAPED_FORMS[name][-1]
+@pytest.mark.parametrize("name, call, shape", bad_shapes())
+def test_every_form_states_the_shape_rule_in_one_message(name, call, shape):
+    expected = SHAPED_FORMS[name][-1]
     d = "4 (a two-qubit register)" if name in TWO_QUBIT_FORMS else "2 or 4 (one or two qubits)"
     with pytest.raises(ValueError) as error:
-        form(arr)
-    assert f"expected {expected} with d of {d}, got shape {arr.shape}" == str(error.value)
+        call()
+    assert f"expected {expected} with d of {d}, got shape {shape}" == str(error.value)
