@@ -31,11 +31,10 @@ from .algorithms import (
 from .linalg import DISPLAY_FLOOR, StateVector
 from .oracles import MALFORMED_TABLE_MESSAGE, TruthTable, classify
 from .reports import (
+    ClassificationReport,
     all_reports,
     class_summary_rows,
     classification_report,
-    report_to_jsonable,
-    reports_to_jsonable,
     states_to_jsonable,
     to_canonical_json,
 )
@@ -138,10 +137,10 @@ def _text(fields: dict) -> list[str]:
     return [f"{name}: {value}" for name, value in fields.items()]
 
 
-def _classify(args: argparse.Namespace) -> tuple[dict | list[str], int]:
+def _classify(args: argparse.Namespace) -> tuple[ClassificationReport | list[str], int]:
     report = classification_report(args.function)
     if args.json:
-        return report_to_jsonable(report), 0
+        return report, 0
     ent, obs = report.entanglement, report.observability
     return [
         f"function: {report.function.to_string()}",
@@ -206,7 +205,7 @@ def _table(args: argparse.Namespace) -> tuple[dict | list[str], int]:
     reports = all_reports()
     rows = class_summary_rows(reports)
     if args.json:
-        return {"classes": rows, "functions": reports_to_jsonable(reports)}, 0
+        return {"classes": rows, "functions": reports}, 0
     lines = [f"{'class':<7} {'count':>5}  {'nature':<6} {'oracle':<11} dj"]
     lines += [
         f"{row['class']:<7} {row['count']:>5}  {row['parity'].capitalize():<6} "

@@ -1,18 +1,18 @@
 """Per-function reports and deterministic JSON serialization.
 
 A sweep keeps its reports as columns (a ``Sweep``), builds a
-``ClassificationReport`` only for a row asked for, and its JSON is written one
-column per field, as is one report's. Complex numbers serialize as
-two-element [re, im] arrays. JSON output is canonical: keys sorted, two-space
-indent, floats in Python's shortest round-trip form, so parsing and
-re-serializing reproduces the bytes. They are ``json.dumps(data, indent=2,
-sort_keys=True)``'s, written in one pass.
+``ClassificationReport`` only for a row asked for, and is written as JSON from
+its columns, as is one report. Complex numbers serialize as [re, im] arrays.
+JSON output is canonical, the bytes of ``json.dumps(data, indent=2,
+sort_keys=True)``: keys sorted, two-space indent, floats in Python's shortest
+round-trip form, so parsing and re-serializing reproduces the bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -143,6 +143,56 @@ def report_to_jsonable(r: ClassificationReport) -> dict:
     return reports_to_jsonable((r,))[0]
 
 
+# The dotted JSON path of each scalar of a report's object but its function and final state: the
+# column it is read from. A dot sorts below every character of a key, as ``_write`` nests them.
+_REPORT_COLUMNS = {
+    "class": "function_class.label", "ones": "function_class.ones", "zeros": "function_class.zeros",
+    "parity": "function_class.parity.value", "oracle_separable": "oracle_separable",
+    "dj_verdict": "dj_verdict.value", "circuit_verdict": "circuit.verdict.value",
+    "oracle_calls": "circuit.oracle_calls", **{f"{r}.{f.name}": f"{r}.{f.name}" for r, cls in (
+        ("entanglement", EntanglementReport), ("observability", ObservabilityReport))
+        for f in dataclasses.fields(cls)},
+}
+
+
+@functools.cache
+def _report_layout(indent: str, d: int, shape: tuple) -> str:
+    """A report's JSON object after ``indent`` as ``_write`` lays it out, a %s slot per scalar."""
+    template = {"final_state": {"basis": list(_basis_labels(d)), "amplitudes": [["\0", "\0"]] * d}}
+    for path, slot in shape:
+        name, _, key = path.rpartition(".")
+        (template.setdefault(name, {}) if name else template)[key] = slot
+    return _json(template, indent).replace("%", "%%").replace('"\\u0000"', "%s")
+
+
+def _report_texts(reports: Sequence[ClassificationReport], indent: str) -> list[str]:
+    """Each report's JSON text after ``indent``, as ``_write`` writes its dict form, from the
+    columns: each distinct number formatted once as x + 0.0, other scalars by their column's kind,
+    one % fill per report; other kinds go through the dict form (a None or a str: TypeError)."""
+    amps = np.ascontiguousarray(_column(reports, "circuit.final_state"), dtype=np.complex128)
+    floats, texts, shape = {"final_state": amps.view(np.float64).T.tolist()}, {}, []
+    fields = {"function": [f.to_string() for f in _column(reports, "function")],
+              **{path: _column(reports, source) for path, source in _REPORT_COLUMNS.items()}}
+    for path, values in fields.items():
+        kinds, record, slot = set(map(type, values)), "." in path, "\0"
+        if kinds == {bool} or not record and len(kinds) == 1 and kinds <= _SCALARS.keys():
+            texts[path] = [list(map(_SCALARS[kinds.pop()], values))]
+        elif record and tuple not in kinds:
+            floats[path] = [values]
+        elif record and kinds == {tuple} and len(lengths := set(map(len, values))) == 1:
+            slot, floats[path] = ("\0",) * lengths.pop(), list(zip(*values))
+        else:
+            break
+        shape.append((path, slot))
+    numbers = list(itertools.chain.from_iterable(itertools.chain.from_iterable(floats.values())))
+    if len(shape) < len(fields) or not set(map(type, numbers)) <= {float, int, bool}:
+        return [_json(r, indent) for r in reports_to_jsonable(reports)]
+    text = {v: _SCALARS[float](v + 0.0) for v in dict.fromkeys(numbers)}  # 0.0, -0.0 share a text
+    texts |= {path: [list(map(text.__getitem__, c)) for c in cs] for path, cs in floats.items()}
+    layout = _report_layout(indent, amps.shape[-1], tuple(shape))
+    return [layout % row for row in zip(*(c for path in sorted(texts) for c in texts[path]))]
+
+
 def all_reports() -> Sweep:
     """The reports of all 16 functions, in enumeration order, from one sweep."""
     return classification_report_sweep(enumerate_functions())
@@ -169,16 +219,21 @@ def class_summary_rows(reports: Sequence[ClassificationReport]) -> list[dict]:
 
 
 def _write(x, indent: str, append) -> None:
-    """Append the JSON text of ``x`` after ``indent``, a newline and the outer spaces. A
-    JSON type is told by the exact type, a subclass's (a str or int enum, numpy's float64)
-    by ``isinstance``, as ``json`` tells it; a container formats its scalars in its loop."""
+    """Append the JSON text of ``x`` after ``indent``, a newline and the outer spaces. A JSON
+    type is told by the exact type, a subclass's (a str or int enum, numpy's float64) by
+    ``isinstance`` as in ``json``; a container formats its scalars, a report its columns."""
     kind = type(x)
     if kind not in _EXACT_JSON_KINDS:
         kind = next((k for k in _JSON_KINDS if isinstance(x, k)), None)
     if kind is not list and kind is not tuple and kind is not dict:
-        if kind is None:
+        if kind is not None:
+            return append(_SCALARS[kind](x))
+        if isinstance(x, ClassificationReport):
+            return append(_report_texts((x,), indent)[0])
+        if not (isinstance(x, Sweep) and x.row_type is ClassificationReport):
             raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-        return append(_SCALARS[kind](x))
+        rows = _report_texts(x, indent + "  ")
+        return append(f"[{indent}  " + f",{indent}  ".join(rows) + f"{indent}]" if rows else "[]")
     inner = indent + "  "
     head, sep = ("{" if kind is dict else "[") + inner, "," + inner
     if not x:
@@ -203,11 +258,16 @@ def _write(x, indent: str, append) -> None:
         append(indent + "]")
 
 
+def _json(x, indent: str) -> str:
+    """The JSON text ``_write`` writes for ``x`` after ``indent``."""
+    _write(x, indent, (fragments := []).append)
+    return "".join(fragments)
+
+
 def to_canonical_json(data) -> str:
     """Serialize as ``json.dumps(data, indent=2, sort_keys=True)`` would, so
     loads/dumps is byte-stable. ``data`` nests str-keyed dicts, lists, tuples,
-    str, int, float (NaN and infinities too), bool and None; anything else,
-    unlike in ``json`` a non-``str`` key too, raises TypeError."""
-    fragments: list[str] = []
-    _write(data, "\n", fragments.append)
-    return "".join(fragments)
+    str, int, float (NaN and infinities too), bool and None, and report sweeps and
+    reports, written from their columns as their :func:`reports_to_jsonable` form;
+    anything else, unlike in ``json`` a non-``str`` key too, raises TypeError."""
+    return _json(data, "\n")
