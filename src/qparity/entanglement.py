@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import Sweep
-from .linalg import IDEMPOTENCY_TOL, ZERO_FLOOR, _STATES, _densities, _shaped, validated_state_stack
+from .linalg import (
+    IDEMPOTENCY_TOL, ZERO_FLOOR, _STATES, _densities, _deviation, _shaped, validated_state_stack
+)
 
 
 @dataclass(frozen=True)
@@ -76,4 +78,4 @@ def is_idempotent_stack(rhos) -> np.ndarray:
     matrix of an (n, d, d) stack, checked as ``DensityMatrix`` checks one unless
     a stacked form made it, i.e. which are pure-state projectors."""
     rhos = _densities(rhos)
-    return np.abs(rhos @ rhos - rhos).max(axis=(-2, -1)) <= IDEMPOTENCY_TOL
+    return _deviation(rhos @ rhos, rhos) <= IDEMPOTENCY_TOL

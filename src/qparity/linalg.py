@@ -23,6 +23,22 @@ ZERO_FLOOR = 1e-10  # smaller concurrences, weights, magnetizations, eigenvalues
 DISPLAY_FLOOR = 1e-9  # text output leaves out amplitudes and imaginary parts this small
 
 
+def _deviation(actual, expected, rows: int = 1):
+    """Largest entrywise |actual - expected| over all but the first ``rows`` axes (a number at
+    rows 0), with NaN as infinity, so that a rule's ``deviation > tol`` fails it, not pass it."""
+    diff = np.abs(np.subtract(actual, expected))
+    worst = diff.max(axis=tuple(range(rows, diff.ndim)), initial=0.0)
+    if rows:  # a stack's NaNs in place; one number's in Python, which is cheaper
+        worst[np.isnan(worst)] = np.inf
+    return worst if rows or worst == worst else np.inf
+
+
+def _require(actual, expected, what: str) -> None:
+    """Raise ValueError naming ``what`` unless |actual - expected| <= ``DEFAULT_TOL`` everywhere."""
+    if (worst := _deviation(actual, expected, rows=0)) > DEFAULT_TOL:
+        raise ValueError(f"{what} {worst:.3e} > {DEFAULT_TOL:.3e}")
+
+
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} must have finite entries (no NaN or infinity)")
@@ -106,13 +122,8 @@ def validated_state_stack(amplitudes) -> np.ndarray:
     checking as ``StateVector`` does that the last axis obeys the shape rule, every entry
     is finite and every row has unit norm within ``DEFAULT_TOL``; marks a complex one in place."""
     amplitudes = _check_finite(_shaped(amplitudes, _STATE_ARRAY), "state vector")
-    norms = (np.abs(amplitudes) ** 2).sum(axis=-1)
-    norm_error = float(np.abs(norms - 1.0).max(initial=0.0))
-    if norm_error > DEFAULT_TOL:
-        raise ValueError(
-            f"state vector is not normalized: |sum(|a|^2) - 1| = {norm_error:.3e}"
-            f" > {DEFAULT_TOL:.3e}"
-        )
+    _require((np.abs(amplitudes) ** 2).sum(axis=-1), 1.0,
+             "state vector is not normalized: |sum(|a|^2) - 1| =")
     return _frozen(amplitudes)
 
 
@@ -120,17 +131,8 @@ def _check_densities(arr: np.ndarray) -> np.ndarray:
     """Check that a matrix, or each of a stack, has finite entries, is Hermitian and has
     unit trace within ``DEFAULT_TOL``; returns a read-only plain view the stacked forms trust."""
     _check_finite(arr, "density matrix")
-    hermiticity_error = float(np.abs(arr - arr.conj().swapaxes(-1, -2)).max(initial=0.0))
-    if hermiticity_error > DEFAULT_TOL:
-        raise ValueError(
-            f"density matrix is not Hermitian: max deviation {hermiticity_error:.3e}"
-            f" > {DEFAULT_TOL:.3e}"
-        )
-    trace_error = float(np.abs(arr.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
-    if trace_error > DEFAULT_TOL:
-        raise ValueError(
-            f"density matrix trace differs from 1 by {trace_error:.3e} > {DEFAULT_TOL:.3e}"
-        )
+    _require(arr, arr.conj().swapaxes(-1, -2), "density matrix is not Hermitian: max deviation")
+    _require(arr.trace(axis1=-2, axis2=-1), 1.0, "density matrix trace differs from 1 by")
     return _frozen(arr.view(_Passed).copy()).view(np.ndarray)
 
 
@@ -173,11 +175,8 @@ class UnitaryOperator:
 
     def __init__(self, entries):
         arr = _check_finite(_shaped(np.array(entries, dtype=_COMPLEX), _MATRIX), "operator")
-        defect = float(np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0]))))
-        if defect > DEFAULT_TOL:
-            raise ValueError(
-                f"operator is not unitary: max |U^dagger U - I| = {defect:.3e} > {DEFAULT_TOL:.3e}"
-            )
+        _require(arr.conj().T @ arr, np.eye(len(arr)),
+                 "operator is not unitary: max |U^dagger U - I| =")
         self._entries = _frozen(arr)
 
     @property

@@ -24,7 +24,7 @@ from .algorithms import (
 )
 from .entanglement import is_idempotent_stack
 from .linalg import (
-    DEFAULT_TOL, ZERO_FLOOR, density_from_state_stack, partial_trace_stack, purity_stack
+    DEFAULT_TOL, ZERO_FLOOR, _deviation, density_from_state_stack, partial_trace_stack, purity_stack
 )
 from .nmr import (
     decompose_coherences_stack, magnetization_classifies_parity, spin1_indistinguishability_check
@@ -102,15 +102,6 @@ def _once(read):
 def _check(name: str, notes: list[str]) -> CheckResult:
     more = f"; and {len(notes) - 4} more" if len(notes) > 4 else ""
     return CheckResult(name=name, passed=not notes, detail="; ".join(notes[:4]) + more)
-
-
-def _deviation(actual, expected, rows: int = 1) -> np.ndarray:
-    """Largest entrywise |actual - expected| over all but the first ``rows`` axes, with
-    NaN as infinity, so that a rule's ``deviation > tol`` fails it rather than pass it."""
-    diff = np.abs(np.subtract(actual, expected))
-    worst = diff.max(axis=tuple(range(rows, diff.ndim))) if diff.ndim > rows else diff
-    worst[np.isnan(worst)] = np.inf
-    return worst
 
 
 def run_all_checks() -> VerificationOutcome:
@@ -271,7 +262,7 @@ def run_all_checks() -> VerificationOutcome:
     @check
     def even_odd_overlap():
         overlaps = np.abs(finals()[even].conj() @ finals()[~even].T).ravel()
-        for v in overlaps[~(np.abs(overlaps - 0.5) <= DEFAULT_TOL)].tolist():
+        for v in overlaps[_deviation(overlaps, 0.5) > DEFAULT_TOL].tolist():
             yield f"overlap: |<even|odd>| = {v!r} != 0.5"
 
     @check

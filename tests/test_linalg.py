@@ -20,7 +20,13 @@ from qparity import (
     identity,
     tensor_product,
 )
-from qparity.linalg import density_from_state_stack, partial_trace_stack, purity_stack
+from qparity.linalg import (
+    _deviation,
+    density_from_state_stack,
+    partial_trace_stack,
+    purity_stack,
+    validated_state_stack,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -132,6 +138,58 @@ class TestUnitaryOperator:
         for op in (hadamard(), identity(), two_qubit_identity, hadamard_first(), hadamard_both()):
             defect = np.max(np.abs(op.entries.conj().T @ op.entries - np.eye(len(op.entries))))
             assert defect < 1e-12
+
+
+NOT_NORMALIZED = "state vector is not normalized: |sum(|a|^2) - 1| = 5.000e-01 > 1.000e-12"
+NOT_HERMITIAN = "density matrix is not Hermitian: max deviation 2.500e-01 > 1.000e-12"
+OFF_TRACE = "density matrix trace differs from 1 by 2.500e-01 > 1.000e-12"
+
+
+@pytest.mark.parametrize("construct, entries, message", [
+    (StateVector, [0.5, 0.5], NOT_NORMALIZED),
+    (validated_state_stack, [[1.0, 0.0], [0.5, 0.5]], NOT_NORMALIZED),
+    (DensityMatrix, [[0.5, 0.25], [0.0, 0.5]], NOT_HERMITIAN),
+    (purity_stack, [[[0.5, 0.25], [0.0, 0.5]]], NOT_HERMITIAN),
+    (DensityMatrix, [[0.5, 0.0], [0.0, 0.25]], OFF_TRACE),
+    (purity_stack, [[[0.5, 0.0], [0.0, 0.25]]], OFF_TRACE),
+    (UnitaryOperator, [[1.0, 0.0], [0.0, 0.5]],
+     "operator is not unitary: max |U^dagger U - I| = 7.500e-01 > 1.000e-12"),
+])
+def test_construction_checks_state_the_deviation_and_the_tolerance(construct, entries, message):
+    # Each whole message: the check, its largest deviation and DEFAULT_TOL.
+    with pytest.raises(ValueError) as raised:
+        construct(entries)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("construct, entries, message", [
+    # conj(a) a overflows at a = 1e200 + 1e200i, and its imaginary part is inf - inf, a NaN.
+    (UnitaryOperator, [[1e200 + 1e200j, 0.0], [0.0, 1.0]], "not unitary: max .* = inf > "),
+    # Finite entries whose trace overflows.
+    (DensityMatrix, np.diag([1e308, 1e308, -1e308, -1e308]), "differs from 1 by inf > "),
+])
+def test_a_deviation_that_overflows_fails_its_check(construct, entries, message):
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+        construct(entries)
+
+
+class TestDeviation:
+    # Row 1 holds a NaN, row 0 a 0.5.
+    ACTUAL = np.array([[[0.0, 0.5], [0.0, 0.0]], [[0.0, 0.0], [np.nan, 0.0]]])
+
+    @pytest.mark.parametrize("rows, worst", [
+        (0, np.inf), (1, [0.5, np.inf]), (2, [[0.5, 0.0], [0.0, np.inf]]),
+    ])
+    def test_nan_reads_as_infinite(self, rows, worst):
+        np.testing.assert_array_equal(_deviation(self.ACTUAL, 0.0, rows), worst)
+
+    def test_empty_stack_reads_zero(self):
+        assert _deviation(np.ones((0, 4)), 1.0, rows=0) == 0.0
+        assert _deviation(np.ones((0, 4)), 1.0).shape == (0,)
+        assert validated_state_stack(np.ones((0, 4), complex)).shape == (0, 4)
+
+    def test_is_defined_once(self):
+        assert [p.name for p in SOURCES if "def _deviation(" in p.read_text()] == ["linalg.py"]
 
 
 class TestTensorProduct:
