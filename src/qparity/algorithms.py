@@ -73,7 +73,7 @@ class Sweep(Sequence):
         return self._row(k)
 
     def _row(self, k: int):
-        return self.row_type(*(column[k] for column in self.columns.values()))
+        return self.row_type(**{name: column[k] for name, column in self.columns.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)

@@ -20,7 +20,7 @@ from qparity import (
     run_even_odd,
     tensor_product,
 )
-from qparity.algorithms import Sweep
+from qparity.algorithms import Sweep, _column
 from qparity.entanglement import analyze_pure_state_stack, is_idempotent_stack
 from qparity.linalg import (
     density_from_state_stack,
@@ -121,6 +121,15 @@ def test_empty_stacks():
     empty = np.empty((0, 4), dtype=complex)
     assert analyze_pure_state_stack(empty) == []
     assert observability_stack(density_from_state_stack(empty)) == []
+
+
+def test_sweep_rows_take_each_column_by_field_name():
+    # The same columns in the reverse of the fields' order give the same rows.
+    sweep = analyze_pure_state_stack(
+        np.array([run_even_odd(f).final_state.amplitudes for f in enumerate_functions()]))
+    backwards = Sweep(sweep.row_type, dict(reversed(sweep.columns.items())))
+    assert list(backwards) == list(sweep)
+    assert [r.concurrence for r in backwards] == _column(backwards, "concurrence")
 
 
 class TestStackValidation:
