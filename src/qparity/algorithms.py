@@ -123,14 +123,14 @@ def run_even_odd_sweep(
     the oracle again, and ``h12`` again. The result is
     (s|00> + |01>)/sqrt(2) for even functions and (s|10> + |01>)/sqrt(2)
     for odd ones, where the sign s is (-1)^(f(00) xor f(01)). The verdict
-    is read off from which of the |00> or |10> components carries the
-    nonzero amplitude. All functions run as one stack, kept as columns; the
-    rows follow the order of ``functions``.
+    is read off from which one of the |00> and |10> components alone carries
+    the nonzero amplitude. All functions run as one stack, kept as columns;
+    the rows follow the order of ``functions``.
     """
     sequence = (h12, None, h2, None, h12)
     steps = _circuit_steps(oracle_signs(functions), sequence)
-    verdicts = tuple(  # one test of the |00> and |10> amplitudes of every final state
-        Parity.EVEN if even else Parity.ODD if odd else None
+    verdicts = tuple(  # one test of every final state: |00> alone is even, |10> alone odd
+        Parity.EVEN if even > odd else Parity.ODD if odd > even else None
         for even, odd in (np.abs(steps[:, -1, ::2]) > VERDICT_AMPLITUDE_THRESHOLD).tolist()
     )
     if None in verdicts:

@@ -12,6 +12,7 @@ import qparity.linalg
 from qparity import (
     DJVerdict,
     StateVector,
+    UnitaryOperator,
     build_oracle,
     enumerate_functions,
     hadamard,
@@ -125,6 +126,16 @@ def test_sweeps_build_no_state_vector_and_one_oracle_per_probe(monkeypatch):
     assert run_all_checks().passed
     assert state_inits == 0
     assert oracle_builds == {"verification": 16}
+
+
+def test_a_final_state_on_both_readout_components_has_no_verdict():
+    # (Ry(pi/4) (x) I)^2 |00> = (|00> + |10>)/sqrt(2) for every function, as the two
+    # oracle queries cancel: both components are above the cut, so neither pattern holds.
+    c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
+    h12 = tensor_product(UnitaryOperator([[c, -s], [s, c]]), identity())
+    h2 = tensor_product(identity(), identity())
+    with pytest.raises(RuntimeError, match="matches neither parity pattern"):
+        run_even_odd_sweep(enumerate_functions(), h12, h2)
 
 
 class TestStateStackValidation:
