@@ -146,6 +146,36 @@ def off_norm_first_step(monkeypatch):
     monkeypatch.setattr(qparity.verification, "classification_report_sweep", sweep)
 
 
+def sweep_rows(pick):
+    """A mutant whose report sweep is ``pick`` of the honest sweep's 16 reports."""
+
+    def inject(monkeypatch):
+        honest = qparity.verification.classification_report_sweep
+        monkeypatch.setattr(qparity.verification, "classification_report_sweep",
+                            lambda functions: pick(honest(functions)[:]))
+
+    inject.__name__ = pick.__name__
+    return inject
+
+
+@sweep_rows
+def dropped_last_function(reports):
+    # 1111 has no report.
+    return reports[:15]
+
+
+@sweep_rows
+def repeated_first_function(reports):
+    # 1111 has no report and 0000 has two.
+    return reports[:15] + reports[:1]
+
+
+@sweep_rows
+def reversed_sweep(reports):
+    # Every function has its one report, in descending order.
+    return reports[::-1]
+
+
 # mutant: (failing checks in order, functions_verified)
 EVERY_CHECK = [
     "function_analysis", "function_enumeration", "oracle_properties", "separability_parity_theorem",
@@ -173,6 +203,9 @@ MUTANTS = {
     phase_gate_oracle: (["oracle_properties"], 15),
     flipped_separability_row: (["separability_parity_theorem"], 15),
     off_norm_first_step: (["step_normalization"], 15),
+    dropped_last_function: (["function_enumeration"], 15),
+    repeated_first_function: (["function_enumeration"], 14),
+    reversed_sweep: (["function_enumeration"], 16),
 }
 
 
