@@ -5,9 +5,10 @@ so for two qubits the amplitude order is |00>, |01>, |10>, |11>. All
 arithmetic is double-precision complex; validity checks run at construction
 time and fail fast with ValueError.
 
-The table below states every tolerance of the package once. They are
-constants: nothing rebinds them and nothing takes a tolerance as an argument,
-so every comparison is the same in every thread and every call.
+The table below states every tolerance of the package once, as constants that
+nothing rebinds or takes as an argument, and ``_deviation`` the one rule every
+comparison at one of them goes through: the largest |actual - expected|, with NaN
+as infinity. So every comparison is the same in every thread and every call.
 """
 
 from __future__ import annotations

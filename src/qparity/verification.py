@@ -1,14 +1,15 @@
 """Self-verification suite: every library-level invariant, run exhaustively.
 
 One report is built per two-bit function by the sweep that ``qparity table``
-prints from. Each named check covers the 16 reports (or a global property) and
-notes expected-vs-actual for each failing function. Every expectation comes from
-one integer table over the truth-table bits (``_algebra``), never from ``classify``,
-which is checked like the rest. Each check is a probe that reads the sweep's columns
-(each read once, or a list of reports column by column) and applies the library form
-it checks to the whole stack; a probe that raises fails its check for every function.
-Every comparison is at a constant of the ``linalg`` tolerance table, and a NaN is
-within none of them.
+prints from, whose functions must be the 16 tables once each, in order; a function
+is verified when it has one report and no failure. Each named check covers the 16
+reports (or a global property) and notes expected-vs-actual for each failing function.
+Every expectation comes from one integer table over the truth-table bits (``_algebra``),
+never from ``classify``, which is checked like the rest. Each check is a probe that reads
+the sweep's columns (each read once, or a list of reports column by column) and applies
+the library form it checks to the whole stack; a probe that raises fails its check for
+every function. Every deviation is measured by ``linalg._deviation`` and compared at a
+constant of its tolerance table, so a NaN is within none of them.
 """
 
 from __future__ import annotations
