@@ -6,9 +6,9 @@ arithmetic is double-precision complex; validity checks run at construction
 time and fail fast with ValueError.
 
 The table below states every tolerance of the package once, as constants that
-nothing rebinds or takes as an argument, and ``_deviation`` the one rule every
-comparison at one of them goes through: the largest |actual - expected|, with NaN
-as infinity. So every comparison is the same in every thread and every call.
+nothing rebinds or takes as an argument, so every comparison is the same in every
+thread and every call; ``_deviation`` beside it is the one rule each goes through:
+the largest |actual - expected|, with NaN as infinity.
 """
 
 from __future__ import annotations
