@@ -28,7 +28,7 @@ def _deviation(actual, expected, rows: int = 1):
     """Largest entrywise |actual - expected| over all but the first ``rows`` axes (a number at
     rows 0), with NaN as infinity, so that a rule's ``deviation > tol`` fails it, not pass it."""
     diff = np.abs(np.subtract(actual, expected))
-    worst = diff.max(axis=tuple(range(rows, diff.ndim)), initial=0.0)
+    worst = diff.max(axis=tuple(range(rows, diff.ndim)), initial=0.0) if diff.ndim > rows else diff
     if rows:  # a stack's NaNs in place; one number's in Python, which is cheaper
         worst[np.isnan(worst)] = np.inf
     return worst if rows or worst == worst else np.inf
