@@ -170,7 +170,7 @@ def run_all_checks() -> VerificationOutcome:
             got = [f.to_string() for f in functions]
             yield f"enumeration: expected 16 distinct ascending tables, got {got}"
         # The first check: so far only the analyses that raised have failed their functions.
-        if bits != [b for b in map("{:04b}".format, range(16)) if b not in failed_functions]:
+        if codes.tolist() != sorted({*range(16)} - {int(b, 2) for b in failed_functions}):
             yield f"coverage: expected each of the 16 tables once, in order, got {bits}"
         histogram = dict(enumerate(np.bincount(enumerated().sum(axis=1), minlength=5).tolist()))
         if histogram != {ones: math.comb(4, ones) for ones in range(5)}:
