@@ -56,8 +56,8 @@ class AlgorithmResult:
 
 class Sweep(Sequence):
     """Results kept as columns: ``columns`` maps each field of ``row_type``, in
-    order, to its column (states as amplitude stacks); ``sweep[k]`` builds row k,
-    and a slice gives a list of rows."""
+    any order, to its column (states as amplitude stacks); ``sweep[k]`` builds
+    row k, each field from its column by name, and a slice gives a list of rows."""
 
     __slots__ = ("row_type", "columns")
 
