@@ -165,7 +165,7 @@ def test_construction_checks_state_the_deviation_and_the_tolerance(construct, en
 @pytest.mark.parametrize("construct, entries, message", [
     # conj(a) a overflows at a = 1e200 + 1e200i, and its imaginary part is inf - inf, a NaN.
     (UnitaryOperator, [[1e200 + 1e200j, 0.0], [0.0, 1.0]], "not unitary: max .* = inf > "),
-    # Finite entries whose trace overflows.
+    # Finite entries whose trace overflows, to inf or NaN by the order of the sum.
     (DensityMatrix, np.diag([1e308, 1e308, -1e308, -1e308]), "differs from 1 by inf > "),
 ])
 def test_a_deviation_that_overflows_fails_its_check(construct, entries, message):
