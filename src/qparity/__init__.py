@@ -4,7 +4,9 @@ The package decides, with two oracle queries, whether a function
 f: {0,1}^2 -> {0,1} has an even or odd number of ones in its output, and
 exposes the supporting machinery: phase-oracle construction, statevector
 simulation, entanglement measures, coherence-order readout analysis, and an
-exhaustive classical query-count baseline.
+exhaustive classical query-count baseline. The self-verification suite's
+names (``CheckResult``, ``VerificationOutcome``, ``run_all_checks``) import
+``qparity.verification`` on first use, so that only ``verify`` compiles it.
 """
 
 from .algorithms import (
@@ -29,7 +31,6 @@ from .nmr import (
 )
 from .oracles import FunctionClass, Parity, TruthTable, build_oracle, classify, enumerate_functions
 from .reports import ClassificationReport, classification_report, to_canonical_json
-from .verification import CheckResult, VerificationOutcome, run_all_checks
 
 __version__ = "0.1.0"
 
@@ -69,3 +70,17 @@ __all__ = [
     "threshold_separates",
     "to_canonical_json",
 ]
+
+_VERIFICATION = ("CheckResult", "VerificationOutcome", "run_all_checks")
+
+
+def __getattr__(name: str):
+    if name not in _VERIFICATION:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verification
+
+    return getattr(verification, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_VERIFICATION})

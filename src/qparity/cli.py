@@ -12,13 +12,17 @@ constants of the ``linalg`` tolerance table.
 
 The argument parser is built once, when this module is imported, and only
 read afterwards, so ``main`` may be called repeatedly and concurrently in
-one process.
+one process. ``verify`` imports ``verification`` when it runs, so no other
+command compiles it. The process entry freezes the collector once ``main``
+has returned, so interpreter exit does not walk the objects the imports made;
+``main`` leaves the collector as its caller set it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import sys
 
@@ -38,7 +42,6 @@ from .reports import (
     states_to_jsonable,
     to_canonical_json,
 )
-from .verification import run_all_checks
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -216,6 +219,8 @@ def _table(args: argparse.Namespace) -> tuple[dict | list[str], int]:
 
 
 def _verify(args: argparse.Namespace) -> tuple[dict | list[str], int]:
+    from .verification import run_all_checks  # here, so that only verify compiles the module
+
     outcome = run_all_checks()
     code = 0 if outcome.passed else 1
     if args.json:
@@ -263,5 +268,12 @@ def main(argv: list[str] | None = None) -> int:
         return INTERNAL_ERROR
 
 
+def _exit() -> None:
+    """The process entry, of ``python -m qparity.cli`` and of the ``qparity`` script."""
+    code = main()
+    gc.freeze()  # so the collections at interpreter exit skip every object made so far
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _exit()

@@ -29,6 +29,7 @@ import numpy
 import pytest
 
 import qparity
+import qparity.verification  # imported on first use; loaded here so the counters wrap its names
 from qparity import TruthTable, classification_report
 from qparity.cli import main
 from qparity.reports import all_reports
@@ -83,7 +84,7 @@ BATCH_BUDGET = {
     "kron": 0,
     "decompose_coherences_stack": 1,  # verify's coherence_resum
 }
-SRC_LINES = 1813  # cat src/qparity/*.py | wc -l
+SRC_LINES = 1840  # cat src/qparity/*.py | wc -l
 
 
 @pytest.fixture
