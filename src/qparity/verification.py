@@ -1,8 +1,9 @@
 """Self-verification suite: every library-level invariant, run exhaustively.
 
 One report is built per two-bit function by the sweep that ``qparity table``
-prints from, whose functions must be the 16 tables once each, in order; a function
-is verified when it has one report and no failure. Each named check covers the 16
+prints from, whose functions must be the 16 tables once each, in order (a report
+whose function is not a truth table counts as missing); a function is verified
+when it has one report and no failure. Each named check covers the 16
 reports (or a global property) and notes expected-vs-actual for each failing function.
 Every expectation comes from one integer table over the truth-table bits (``_algebra``),
 never from ``classify``, which is checked like the rest. Each check is a probe that reads
@@ -30,7 +31,7 @@ from .linalg import (
 from .nmr import (
     decompose_coherences_stack, magnetization_classifies_parity, spin1_indistinguishability_check
 )
-from .oracles import Parity, build_oracle, classify, enumerate_functions
+from .oracles import Parity, TruthTable, build_oracle, classify, enumerate_functions
 from .reports import ClassificationReport, classification_report, classification_report_sweep
 
 @dataclass
@@ -127,6 +128,12 @@ def run_all_checks() -> VerificationOutcome:
 
     # Each column and stack is read once, so one that cannot be read fails each check reading it.
     column = _once(functools.partial(_column, reports))
+    # A report whose function is not a truth table names no function, so it is checked as missing.
+    unread = [f"report {k}: function {f!r} is not a truth table"
+              for k, f in enumerate(column("function")) if not isinstance(f, TruthTable)]
+    if unread:
+        reports = [r for r in reports if isinstance(r.function, TruthTable)]
+        column = _once(functools.partial(_column, reports))
     codes = np.array([f.outputs for f in column("function")], dtype=int).reshape(-1, 4) @ _PLACES
     bits = [format(code, "04b") for code in codes.tolist()]
     outputs, c12, walsh, numerators, rho8, reduced8, single8, zero8 = (e[codes] for e in _TABLE)
@@ -169,6 +176,7 @@ def run_all_checks() -> VerificationOutcome:
         if (enumerated() @ _PLACES).tolist() != list(range(16)):
             got = [f.to_string() for f in functions]
             yield f"enumeration: expected 16 distinct ascending tables, got {got}"
+        yield from unread
         # The first check: so far only the analyses that raised have failed their functions.
         if codes.tolist() != sorted({*range(16)} - {int(b, 2) for b in failed_functions}):
             yield f"coverage: expected each of the 16 tables once, in order, got {bits}"

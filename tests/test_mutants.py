@@ -176,6 +176,13 @@ def reversed_sweep(reports):
     return reports[::-1]
 
 
+@sweep_rows
+def unnamed_function(reports):
+    # 0110's report names no function: it is checked as missing, not as a crash.
+    reports[6] = dataclasses.replace(reports[6], function=None)
+    return reports
+
+
 # mutant: (failing checks in order, functions_verified)
 EVERY_CHECK = [
     "function_analysis", "function_enumeration", "oracle_properties", "separability_parity_theorem",
@@ -206,6 +213,7 @@ MUTANTS = {
     dropped_last_function: (["function_enumeration"], 15),
     repeated_first_function: (["function_enumeration"], 14),
     reversed_sweep: (["function_enumeration"], 16),
+    unnamed_function: (["function_enumeration"], 15),
 }
 
 
@@ -214,8 +222,9 @@ def test_verify_kills_the_mutant(mutant, capsys, monkeypatch):
     mutant(monkeypatch)
     expected_failures, verified = MUTANTS[mutant]
     code = main(["verify", "--json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 1
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert (code, err) == (1, "")
     assert [c["name"] for c in payload["checks"] if not c["passed"]] == expected_failures
     assert payload["summary"]["functions_verified"] == verified
 
