@@ -95,12 +95,12 @@ def observability_stack(rhos) -> Sweep:
 def threshold_separates(values_a: Sequence[float], values_b: Sequence[float]) -> bool:
     """Whether some cut point puts the two value families on opposite sides.
 
-    Requires a gap of more than ``ZERO_FLOOR`` between the families; two
-    empty or overlapping families, or any NaN, cannot be separated.
+    Requires a gap of more than ``ZERO_FLOOR`` between the families; empty or overlapping
+    families, or any NaN, cannot be separated. Lists and arrays give the same ``bool``.
     """
-    if not values_a or not values_b or np.isnan([*values_a, *values_b]).any():
+    if not len(values_a) or not len(values_b) or np.isnan([*values_a, *values_b]).any():
         return False
-    return (
+    return bool(
         min(values_b) - max(values_a) > ZERO_FLOOR
         or min(values_a) - max(values_b) > ZERO_FLOOR
     )

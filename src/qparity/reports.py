@@ -202,15 +202,18 @@ def class_summary_rows(reports: Sequence[ClassificationReport]) -> list[dict]:
     """One row per class [0,4] .. [4,0], as ``table --json`` writes it: count,
     parity, oracle nature ("separable" or "entangling") and DJ status.
 
-    Raises ValueError if members of a class ever disagree on a column; the
-    summary is derived from the per-function reports, not hardcoded.
+    Raises ValueError if a class has no report or its members ever disagree on
+    a column; the summary is derived from the per-function reports, not hardcoded.
     """
     columns = [_column(reports, f) for f in ("function_class", "oracle_separable", "dj_verdict")]
+    classes = {ones: [] for ones in CLASS_ORDER}
+    for c, separable, dj in zip(*columns):
+        classes.get(c.ones, []).append((c.parity, separable, dj))
     rows = []
-    for ones in CLASS_ORDER:
-        members = [(c.parity, sep, dj) for c, sep, dj in zip(*columns) if c.ones == ones]
-        if len(set(members)) != 1:
-            raise ValueError(f"class [{ones},{4 - ones}] is not homogeneous")
+    for ones, members in classes.items():
+        if not members or members.count(members[0]) != len(members):
+            fault = "has no report" if not members else "is not homogeneous"
+            raise ValueError(f"class [{ones},{4 - ones}] {fault}")
         parity, separable, dj = members[0]
         oracle = "separable" if separable else "entangling"
         rows.append({"class": f"[{ones},{4 - ones}]", "count": len(members),

@@ -3,14 +3,15 @@
 One report is built per two-bit function by the sweep that ``qparity table``
 prints from, whose functions must be the 16 tables once each, in order (a report
 whose function is not a truth table counts as missing); a function is verified
-when it has one report and no failure. Each named check covers the 16
-reports (or a global property) and notes expected-vs-actual for each failing function.
-Every expectation comes from one integer table over the truth-table bits (``_algebra``),
-never from ``classify``, which is checked like the rest. Each check is a probe that reads
-the sweep's columns (each read once, or a list of reports column by column) and applies
-the library form it checks to the whole stack; a probe that raises fails its check for
-every function. Every deviation is measured by ``linalg._deviation`` and compared at a
-constant of its tolerance table, so a NaN is within none of them.
+when it has one report and no failure. Each named check covers the 16 reports (or a
+global property) and notes expected-vs-actual for each failing function. Every
+expectation comes from one integer table over the truth-table bits (``_algebra``), put
+at import in the form its check compares, never from ``classify``, which is checked like
+the rest. Each check is a probe that reads the sweep's columns (each read once, or a list
+of reports column by column) and applies the library form it checks to the whole stack;
+a probe that raises fails its check for every function. Every deviation is measured by
+``linalg._deviation`` and compared at a constant of its tolerance table, so a NaN is
+within none of them.
 """
 
 from __future__ import annotations
@@ -80,7 +81,28 @@ def _algebra(outputs: np.ndarray) -> tuple[np.ndarray, ...]:
 
 _PLACES = np.array([8, 4, 2, 1])  # the bits (f(00), f(01), f(10), f(11)) as a binary number
 _POINTS = (np.arange(16)[:, None] & _PLACES > 0).astype(int)  # row k: the bits of k
-_TABLE = (_POINTS, *_algebra(_POINTS))  # row k: every expectation for the bits of k
+_C12, _W, _N, _RHO8, _REDUCED8, _SINGLE8, _ZERO8 = _algebra(_POINTS)
+_ONES, _CODES = _POINTS.sum(axis=1), {tuple(bits): k for k, bits in enumerate(_POINTS.tolist())}
+_PARITIES = [Parity.ODD if c else Parity.EVEN for c in _C12.tolist()]
+# Row k of each: what a check expects of the bits of k, in the form it compares or prints it:
+# evenness, C, oracle signs, final state, density and qubit-2 reduced matrices, reduced purity
+# 1 - C^2/2, Schmidt pair, readout weights; the bits, parity, class and DJ verdict.
+_TABLE = (
+    _C12 == 0, _C12 * 1.0, 1.0 - 2.0 * _POINTS, _N / math.sqrt(8.0), _RHO8 / 8.0, _REDUCED8 / 8.0,
+    1.0 - _C12 / 2.0, np.sqrt(np.stack([2 - _C12, _C12], axis=1) / 2.0),
+    np.abs(np.stack([_REDUCED8[:, 0, 1], 0 * _SINGLE8, _SINGLE8, _ZERO8], axis=1)) / 8.0,
+    *(np.fromiter(labels, object, 16) for labels in (
+        [format(k, "04b") for k in range(16)], _PARITIES,
+        [(k, 4 - k, p) for k, p in zip(((4 - _W) // 2).tolist(), _PARITIES)],
+        [(DJVerdict.BALANCED, DJVerdict.NEITHER, DJVerdict.CONSTANT)[abs(w) // 2]
+         for w in _W.tolist()])),
+)
+_EYE, _OFF_DIAGONAL = np.eye(4), 1.0 - np.eye(4)
+_STEP_NOTES = [f"step {k} norm error {{:.3e}}" for k in range(6)]
+_READOUT = {"transverse_magnetization_q2": "qubit-2 magnetization {!r} != {}",
+            "transverse_magnetization_q1": "qubit-1 magnetization {!r} != 0",
+            "single_quantum_weight": "single-quantum weight {!r} != {}",
+            "zero_quantum_weight": "zero-quantum weight {!r} != {}"}
 # Entry (S, T) is (-1)^(|S| - |T|) for T a subset of S; row k: the points one bit from k.
 _MOBIUS = functools.reduce(np.kron, [np.array([[1, 0], [-1, 1]])] * 4)
 _NEIGHBOURS = np.arange(16)[:, None] ^ _PLACES
@@ -91,7 +113,7 @@ def _query_certificates(labels: np.ndarray) -> tuple[int, int]:
     the degree of its multilinear polynomial (Moebius transform), of which an exact
     quantum algorithm needs half (Beals et al., J. ACM 48(4), 2001), and its sensitivity,
     which bounds deterministic classical ones (Nisan, SIAM J. Comput. 20(6), 1991)."""
-    degree = _POINTS.sum(axis=1)[_MOBIUS @ labels != 0].max(initial=0)
+    degree = _ONES[_MOBIUS @ labels != 0].max(initial=0)
     return int(degree), int((labels[_NEIGHBOURS] != labels[:, None]).sum(axis=1).max())
 
 
@@ -134,21 +156,21 @@ def run_all_checks() -> VerificationOutcome:
     if unread:
         reports = [r for r in reports if isinstance(r.function, TruthTable)]
         column = _once(functools.partial(_column, reports))
-    codes = np.array([f.outputs for f in column("function")], dtype=int).reshape(-1, 4) @ _PLACES
-    bits = [format(code, "04b") for code in codes.tolist()]
-    outputs, c12, walsh, numerators, rho8, reduced8, single8, zero8 = (e[codes] for e in _TABLE)
-    even, expected_finals = c12 == 0, numerators / math.sqrt(8.0)
-    parities = [Parity.EVEN if e else Parity.ODD for e in even.tolist()]
+    codes = np.array([_CODES[f.outputs] for f in column("function")], dtype=int)
+    (even, c12, signs, expected_finals, rho, reduced, expected_purity, schmidt, readout, bits,
+     parities, classes, dj_verdicts) = (e[codes] for e in _TABLE)
+    bits = bits.tolist()
     finals = _once(lambda: np.asarray(column("circuit.final_state")).reshape(-1, 4))
     densities = _once(lambda: density_from_state_stack(finals()))
     labels = _once(lambda: [classify(f) for f in functions])
-    enumerated = _once(lambda: np.array([f.outputs for f in functions]).reshape(-1, 4))
+    enumerated = _once(lambda: np.array([_CODES[f.outputs] for f in functions], dtype=int))
     classical_queries: int | None = None
 
     def check(probe) -> None:
         """Run ``probe`` now as the check of its name: its notes on the whole sweep (``str``),
         then for each function i, ``template.format(column[i], ...)`` of each of its rules
-        (mask, template, *columns) with mask[i] true. The masks are tested as one array."""
+        (mask, template, *columns) with mask[i] true, an array column read as its ``tolist``.
+        The masks are tested as one array, and only a failing row's values are formatted."""
         whole, notes, rules = [], [], []
         try:
             for item in probe():
@@ -160,7 +182,8 @@ def run_all_checks() -> VerificationOutcome:
                 raise ValueError(f"rule {t!r} has {len(mask)} rows, not {len(bits)}") from None
             for i, k in zip(*masks.T.nonzero()) if np.count_nonzero(masks) else ():
                 _, t, *columns = rules[k]  # by function, then in rule order
-                notes.append(f"{bits[i]}: {t.format(*(c[i] for c in columns))}")
+                values = (c.tolist()[i] if isinstance(c, np.ndarray) else c[i] for c in columns)
+                notes.append(f"{bits[i]}: {t.format(*values)}")
                 failed_functions.add(bits[i])
         except Exception as exc:
             # With no report to fail, the whole sweep carries the note.
@@ -173,34 +196,32 @@ def run_all_checks() -> VerificationOutcome:
 
     @check
     def function_enumeration():
-        if (enumerated() @ _PLACES).tolist() != list(range(16)):
+        if enumerated().tolist() != list(range(16)):
             got = [f.to_string() for f in functions]
             yield f"enumeration: expected 16 distinct ascending tables, got {got}"
         yield from unread
         # The first check: so far only the analyses that raised have failed their functions.
         if codes.tolist() != sorted({*range(16)} - {int(b, 2) for b in failed_functions}):
             yield f"coverage: expected each of the 16 tables once, in order, got {bits}"
-        histogram = dict(enumerate(np.bincount(enumerated().sum(axis=1), minlength=5).tolist()))
+        histogram = dict(enumerate(np.bincount(_ONES[enumerated()], minlength=5).tolist()))
         if histogram != {ones: math.comb(4, ones) for ones in range(5)}:
             yield f"enumeration: class histogram {histogram} != {{1,4,6,4,1}}"
         if (even_count := sum(c.parity is Parity.EVEN for c in labels())) != 8:
             yield f"enumeration: expected 8 even functions, found {even_count}"
-        got, ones = column("function_class"), ((4 - walsh) // 2).tolist()
-        want = list(zip(ones, [4 - k for k in ones], parities))
-        yield ([(c.ones, c.zeros, c.parity) != w for c, w in zip(got, want)],
+        got = column("function_class")
+        yield ([(c.ones, c.zeros, c.parity) != w for c, w in zip(got, classes)],
                "classify gives {0.label} {0.parity.value}, the ANF and W give "
-               "[{1[0]},{1[1]}] {1[2].value}", got, want)
+               "[{1[0]},{1[1]}] {1[2].value}", got, classes)
 
     @check
     def oracle_properties():
         m = np.array([build_oracle(f).entries for f in column("function")]).reshape(-1, 4, 4)
-        diag, signs = m.diagonal(axis1=1, axis2=2), 1.0 - 2.0 * outputs
+        diag = m.diagonal(axis1=1, axis2=2)
         off_diagonal, self_inverse = _deviation(
-            [m - diag[:, :, None] * np.eye(4), m @ m - np.eye(4)], 0.0, rows=2) > DEFAULT_TOL
+            [m * _OFF_DIAGONAL, m @ m - _EYE], 0.0, rows=2) > DEFAULT_TOL
         return [(off_diagonal, "oracle is not diagonal"),
                 (self_inverse, "oracle is not self-inverse"),
-                (_deviation(diag, signs) > DEFAULT_TOL, "oracle diagonal {} != {}", diag.tolist(),
-                 signs.tolist())]
+                (_deviation(diag, signs) > DEFAULT_TOL, "oracle diagonal {} != {}", diag, signs)]
 
     @check
     def separability_parity_theorem():
@@ -210,7 +231,7 @@ def run_all_checks() -> VerificationOutcome:
     @check
     def circuit_verdicts():
         verdicts, calls = column("circuit.verdict"), column("circuit.oracle_calls")
-        counts = [len(states) for states in column("circuit.per_step_states")]
+        counts = list(map(len, column("circuit.per_step_states")))
         return [([v is not p for v, p in zip(verdicts, parities)],
                  "expected verdict {.value}, got {.value}", parities, verdicts),
                 (np.array(calls) != 2, "expected 2 oracle calls, counted {}", calls),
@@ -220,7 +241,7 @@ def run_all_checks() -> VerificationOutcome:
     def step_normalization():
         steps = np.asarray(column("circuit.per_step_states")).reshape(-1, 6, 4)
         errors = _deviation((np.abs(steps) ** 2).sum(axis=2).T, 1.0, rows=2)
-        return [(e > DEFAULT_TOL, f"step {k} norm error {{:.3e}}", e) for k, e in enumerate(errors)]
+        return zip(errors > DEFAULT_TOL, _STEP_NOTES, errors)
 
     @check
     def final_state_sign_law():
@@ -232,24 +253,23 @@ def run_all_checks() -> VerificationOutcome:
         # Equality up to a global phase, a weaker route than the sign law.
         inner = np.abs((expected_finals * finals()).sum(axis=1))
         return [(_deviation(inner, 1.0) > DEFAULT_TOL,
-                 "|overlap with expected pattern| = {!r} != 1", inner.tolist())]
+                 "|overlap with expected pattern| = {!r} != 1", inner)]
 
     @check
     def density_matrix_forms():
-        err = _deviation(densities(), rho8 / 8.0)
+        err = _deviation(densities(), rho)
         return [(err > DEFAULT_TOL, "density matrix deviates by {:.3e}", err),
                 (np.linalg.eigvalsh(densities()).min(axis=1) < -ZERO_FLOOR,
                  "density matrix has a negative eigenvalue")]
 
     @check
     def reduced_density_forms():
-        expected_purity = 1.0 - c12 / 2.0  # 1 - C^2/2 at C = c12
         reduced1, reduced2 = (partial_trace_stack(densities(), k) for k in (1, 2))
-        err, purities = _deviation(reduced2, reduced8 / 8.0), purity_stack(reduced2)
+        err, purities = _deviation(reduced2, reduced), purity_stack(reduced2)
         trace_err = _deviation(reduced1.trace(axis1=1, axis2=2), 1.0)
         return [(err > DEFAULT_TOL, "qubit-2 reduced matrix deviates by {:.3e}", err),
                 (_deviation(purities, expected_purity) > DEFAULT_TOL,
-                 "qubit-2 reduced purity {!r} != {}", purities.tolist(), expected_purity),
+                 "qubit-2 reduced purity {!r} != {}", purities, expected_purity),
                 (is_idempotent_stack(reduced2) != even, "qubit-2 reduced idempotency != {}", even),
                 (trace_err > DEFAULT_TOL, "qubit-1 reduced trace off by {:.3e}", trace_err)]
 
@@ -259,7 +279,7 @@ def run_all_checks() -> VerificationOutcome:
             "concurrence", "is_entangled", "reduced_purity_q1", "reduced_purity_q2"))
         c, p1, p2 = np.array([concurrence, purity1, purity2], dtype=float).reshape(3, -1)
         bad = _deviation([c, p2, p1], [c12, 1.0 - c**2 / 2.0, p2], rows=2) > ZERO_FLOOR
-        return [(bad[0], "concurrence {!r} != {}", concurrence, c12 * 1.0),
+        return [(bad[0], "concurrence {!r} != {}", concurrence, c12),
                 (np.array(entangled) == even, "is_entangled={} but even={}", entangled, even),
                 (bad[1], "purity/concurrence relation violated"),
                 (bad[2], "reduced purities of the two qubits disagree")]
@@ -267,9 +287,8 @@ def run_all_checks() -> VerificationOutcome:
     @check
     def schmidt_coefficients():
         pairs = column("entanglement.schmidt_coefficients")
-        expected = np.sqrt(np.stack([2 - c12, c12]) / 2.0)  # (1 +- sqrt(1-C^2))/2, C=c12
-        return [(_deviation(np.array(pairs).reshape(-1, 2), expected.T) > DEFAULT_TOL,
-                 "schmidt coefficients {!r} != ({!r}, {!r})", pairs, *expected.tolist())]
+        return [(_deviation(np.array(pairs).reshape(-1, 2), schmidt) > DEFAULT_TOL,
+                 "schmidt coefficients {0!r} != ({1[0]!r}, {1[1]!r})", pairs, schmidt)]
 
     @check
     def even_odd_overlap():
@@ -280,32 +299,26 @@ def run_all_checks() -> VerificationOutcome:
     @check
     def nmr_observability():
         line = column("observability.observable_line")
-        actual = [column(f"observability.{field}") for field in (
-            "transverse_magnetization_q2", "transverse_magnetization_q1", "single_quantum_weight",
-            "zero_quantum_weight")]
-        want = np.abs([reduced8[:, 0, 1], 0 * single8, single8, zero8]) / 8.0
-        bad = _deviation(np.array(actual, dtype=float).reshape(4, -1), want, rows=2) > DEFAULT_TOL
-        templates = ("qubit-2 magnetization {!r} != {}", "qubit-1 magnetization {!r} != 0",
-                     "single-quantum weight {!r} != {}", "zero-quantum weight {!r} != {}")
-        return [(np.array(line) != even, "observable_line={} but even={}", line, even)] + [
-            *zip(bad, templates, actual, want)]
+        actual = [column(f"observability.{field}") for field in _READOUT]
+        bad = _deviation(np.array(actual, dtype=float).reshape(4, -1), readout.T, rows=2)
+        return [(np.array(line) != even, "observable_line={} but even={}", line, even),
+                *zip(bad > DEFAULT_TOL, _READOUT.values(), actual, readout.T)]
 
     @check
     def coherence_resum():
         orders = decompose_coherences_stack(densities())
-        err = _deviation(sum(orders.values()), densities())
-        transposes = _deviation([orders[1], orders[2]], [
-            orders[-k].conj().swapaxes(1, 2) for k in (1, 2)], rows=2) > DEFAULT_TOL
-        return [(err > DEFAULT_TOL, "coherence components re-sum off by {:.3e}", err)] + [
-            (bad, f"order +-{k} components are not conjugate transposes")
-            for k, bad in zip((1, 2), transposes)]
+        errors = _deviation([sum(orders.values()), orders[1], orders[2]], [
+            densities(), *(orders[-k].conj().swapaxes(1, 2) for k in (1, 2))], rows=2)
+        bad = errors > DEFAULT_TOL
+        return [(bad[0], "coherence components re-sum off by {:.3e}", errors[0]),
+                (bad[1], "order +-1 components are not conjugate transposes"),
+                (bad[2], "order +-2 components are not conjugate transposes")]
 
     @check
     def dj_verdicts():
-        by_walsh = (DJVerdict.BALANCED, DJVerdict.NEITHER, DJVerdict.CONSTANT)  # |W| = 0, 2, 4
-        expected, verdicts = [by_walsh[abs(w) // 2] for w in walsh.tolist()], column("dj_verdict")
-        return [([v is not e for v, e in zip(verdicts, expected)],
-                 "DJ verdict {.value} != {.value}", verdicts, expected)]
+        verdicts = column("dj_verdict")
+        return [([v is not e for v, e in zip(verdicts, dj_verdicts)],
+                 "DJ verdict {.value} != {.value}", verdicts, dj_verdicts)]
 
     @check
     def spin_readout_separation():
@@ -324,13 +337,13 @@ def run_all_checks() -> VerificationOutcome:
     def query_separation():
         # Certified from the parity labels: sensitivity 4 of 4 points is the classical count.
         nonlocal classical_queries
-        odd = np.bincount(enumerated() @ _PLACES, [c.parity is Parity.ODD for c in labels()], 16)
+        odd = np.bincount(enumerated(), [c.parity is Parity.ODD for c in labels()], 16)
         degree, classical_queries = _query_certificates(odd)
         if classical_queries != 4:
             yield f"classical parity queries = {classical_queries}, expected 4"
-        by_function = dict(zip(functions, labels()))
+        by_outputs = {f.outputs: c for f, c in zip(functions, labels())}  # as a function hashes
         promise_queries = classical_min_queries(
-            lambda f: by_function[f].ones in (0, 4), constant_balanced_promise_functions())
+            lambda f: by_outputs[f.outputs].ones in (0, 4), constant_balanced_promise_functions())
         if promise_queries != 3:
             yield f"classical promise queries = {promise_queries}, expected 3"
         quantum_queries, quantum_calls = (degree + 1) // 2, set(column("circuit.oracle_calls"))

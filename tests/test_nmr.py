@@ -185,6 +185,16 @@ class TestParityReadout:
         assert threshold_separates(values_a, [0.5]) is False
         assert threshold_separates([0.5], values_a) is False
 
+    @pytest.mark.parametrize("values_a, values_b", [
+        ([0.0, 0.1], [0.5, 0.6]), ([0.5], [0.0]), ([0.0], [0.0]), ([0.0, 0.5], [0.25]),
+        ([], [0.5]), ([0.0, NAN], [0.5]), ([0.5], [NAN, 0.0]),
+    ])
+    def test_arrays_give_the_answers_of_lists(self, values_a, values_b):
+        # The emptiness test once asked an array for its truth value, which numpy refuses.
+        expected = threshold_separates(values_a, values_b)
+        got = threshold_separates(np.array(values_a, dtype=float), np.array(values_b))
+        assert got is expected
+
     def test_a_nan_magnetization_decides_no_readout(self):
         def with_nan(bits, field):
             return [

@@ -1,9 +1,14 @@
 """The report sweep: all 16 reports from one sweep equal the per-function
-reports, and the sweep builds its gates once."""
+reports, the sweep builds its gates once, and the class summary names what
+keeps it from a row."""
+
+import dataclasses
+
+import pytest
 
 import qparity.gates
-from qparity import classification_report, enumerate_functions, run_even_odd
-from qparity.reports import all_reports
+from qparity import DJVerdict, TruthTable, classification_report, enumerate_functions, run_even_odd
+from qparity.reports import all_reports, class_summary_rows, classification_report_sweep
 
 
 def amplitude_bytes(report):
@@ -45,3 +50,16 @@ def test_sweep_builds_gates_once(monkeypatch):
         calls = 0
         run()
         assert calls == expected
+
+
+def test_class_summary_names_an_empty_class_and_a_split_one():
+    # A class no report falls in has no row to summarize; it is not "not homogeneous".
+    one = classification_report_sweep([TruthTable.from_string("0001")])
+    with pytest.raises(ValueError, match=r"^class \[0,4\] has no report$"):
+        class_summary_rows(one)
+    split = list(all_reports())
+    split[1] = dataclasses.replace(split[1], dj_verdict=DJVerdict.BALANCED)  # 0001 of class [1,3]
+    with pytest.raises(ValueError, match=r"^class \[1,3\] is not homogeneous$"):
+        class_summary_rows(split)
+    assert class_summary_rows(all_reports())[1] == {
+        "class": "[1,3]", "count": 4, "parity": "odd", "oracle": "entangling", "dj": "neither"}

@@ -244,6 +244,28 @@ def test_parity_flipped_classify_is_blamed_on_classify(capsys, monkeypatch):
     assert lines[-1] == "0/16 functions verified, classical_min_queries=4"
 
 
+def test_array_note_values_print_as_their_tolist_entries(capsys, monkeypatch):
+    # A failing row's values are read from array columns only when its note is written;
+    # numpy 2 writes a scalar's repr as np.float64(0.5), so each must print as the entry
+    # of the array's tolist() does: the purity by its repr, the expected one by str.
+    honest, seen = qparity.verification.purity_stack, []
+
+    def halved_last_purity(rhos):
+        seen.append(honest(rhos) * np.r_[np.ones(15), 0.5])
+        return seen[-1]
+
+    monkeypatch.setattr(qparity.verification, "purity_stack", halved_last_purity)
+    code = main(["verify"])
+    lines = capsys.readouterr().out.splitlines()
+    (purities,) = seen
+    assert repr(purities[15]) != repr(purities.tolist()[15])
+    note = f"1111: qubit-2 reduced purity {purities.tolist()[15]!r} != 1.0"
+    assert code == 1
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL reduced_density_forms: {note}"]
+    assert "np." not in "".join(lines)
+
+
 RAISED = "check raised RuntimeError('injected fault')"
 
 
