@@ -85,8 +85,8 @@ _C12, _W, _N, _RHO8, _REDUCED8, _SINGLE8, _ZERO8 = _algebra(_POINTS)
 _ONES, _CODES = _POINTS.sum(axis=1), {tuple(bits): k for k, bits in enumerate(_POINTS.tolist())}
 _PARITIES = [Parity.ODD if c else Parity.EVEN for c in _C12.tolist()]
 # Row k of each: what a check expects of the bits of k, in the form it compares or prints it:
-# evenness, C, oracle signs, final state, density and qubit-2 reduced matrices, reduced purity
-# 1 - C^2/2, Schmidt pair, readout weights; the bits, parity, class and DJ verdict.
+# evenness, C = c12, oracle signs, final state, density and qubit-2 reduced matrices, purity
+# 1 - C^2/2, Schmidt pair ((1 +- sqrt(1-C^2))/2)^(1/2), readout; bits, parity, class, DJ.
 _TABLE = (
     _C12 == 0, _C12 * 1.0, 1.0 - 2.0 * _POINTS, _N / math.sqrt(8.0), _RHO8 / 8.0, _REDUCED8 / 8.0,
     1.0 - _C12 / 2.0, np.sqrt(np.stack([2 - _C12, _C12], axis=1) / 2.0),
@@ -95,7 +95,7 @@ _TABLE = (
         [format(k, "04b") for k in range(16)], _PARITIES,
         [(k, 4 - k, p) for k, p in zip(((4 - _W) // 2).tolist(), _PARITIES)],
         [(DJVerdict.BALANCED, DJVerdict.NEITHER, DJVerdict.CONSTANT)[abs(w) // 2]
-         for w in _W.tolist()])),
+         for w in _W.tolist()])),  # |W| = 0, 2, 4
 )
 _EYE, _OFF_DIAGONAL = np.eye(4), 1.0 - np.eye(4)
 _STEP_NOTES = [f"step {k} norm error {{:.3e}}" for k in range(6)]
@@ -341,7 +341,7 @@ def run_all_checks() -> VerificationOutcome:
         degree, classical_queries = _query_certificates(odd)
         if classical_queries != 4:
             yield f"classical parity queries = {classical_queries}, expected 4"
-        by_outputs = {f.outputs: c for f, c in zip(functions, labels())}  # as a function hashes
+        by_outputs = {f.outputs: c for f, c in zip(functions, labels())}  # as functions compare
         promise_queries = classical_min_queries(
             lambda f: by_outputs[f.outputs].ones in (0, 4), constant_balanced_promise_functions())
         if promise_queries != 3:
