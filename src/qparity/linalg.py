@@ -213,12 +213,8 @@ def partial_trace_stack(rhos, keep_qubit: int) -> np.ndarray:
     a stacked form made it; the (n, 2, 2) result is read-only and validated likewise."""
     if type(keep_qubit) is not int or keep_qubit not in (1, 2):
         raise ValueError(f"keep_qubit must be 1 or 2, got {keep_qubit!r}")
-    return _check_densities(_partial_trace(_densities(rhos, (4,)), keep_qubit))
-
-
-def _partial_trace(rhos: np.ndarray, keep_qubit: int) -> np.ndarray:
-    blocks = rhos.reshape(-1, 2, 2, 2, 2)  # [n, i1, i2, j1, j2]
-    return np.einsum("nakbk->nab" if keep_qubit == 1 else "nkakb->nab", blocks)
+    blocks = _densities(rhos, (4,)).reshape(-1, 2, 2, 2, 2)  # [n, i1, i2, j1, j2]
+    return _check_densities(np.einsum("nakbk->nab" if keep_qubit == 1 else "nkakb->nab", blocks))
 
 
 def purity_stack(rhos) -> np.ndarray:

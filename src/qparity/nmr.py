@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .algorithms import Sweep, _column
-from .linalg import ZERO_FLOOR, _densities, _frozen, _partial_trace
+from .linalg import ZERO_FLOOR, _densities, _frozen
 
 if TYPE_CHECKING:
     from .reports import ClassificationReport
@@ -82,7 +82,10 @@ def observability_stack(rhos) -> Sweep:
     magnitudes = np.abs(rhos).reshape(len(rhos), 1, 16)
     plus, minus, zero_quantum = np.where(_READOUT_MASKS, magnitudes, 0.0).sum(axis=2).T
     single = (plus + minus).tolist()
-    m1, m2 = (np.abs(_partial_trace(rhos, qubit)[:, 0, 1]).tolist() for qubit in (1, 2))
+    # The off-diagonal entry of qubit 1's reduced matrix is rho[0, 2] + rho[1, 3], of qubit 2's
+    # rho[0, 1] + rho[2, 3]: the sums the partial trace forms, in its order.
+    m1 = np.abs(rhos[:, 0, 2] + rhos[:, 1, 3]).tolist()
+    m2 = np.abs(rhos[:, 0, 1] + rhos[:, 2, 3]).tolist()
     return Sweep(ObservabilityReport, {
         "observable_line": [s > ZERO_FLOOR for s in single],
         "single_quantum_weight": single,

@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import gates
+from . import gates, oracles
 from .algorithms import (
     AlgorithmResult, DJVerdict, Sweep, _column, run_deutsch_jozsa_2bit, run_deutsch_jozsa_sweep,
     run_even_odd, run_even_odd_sweep,
@@ -31,7 +31,6 @@ from .oracles import (
     FunctionClass, TruthTable, classify, enumerate_functions, oracle_signs, separable_signs
 )
 
-CLASS_ORDER = (0, 1, 2, 3, 4)  # number of ones, i.e. [0,4] .. [4,0]
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them
 _JSON_KINDS = (str, bool, int, float, list, tuple, dict, type(None))  # a bool is an int: bool first
 _EXACT_JSON_KINDS = frozenset(_JSON_KINDS)
@@ -199,25 +198,25 @@ def all_reports() -> Sweep:
 
 
 def class_summary_rows(reports: Sequence[ClassificationReport]) -> list[dict]:
-    """One row per class [0,4] .. [4,0], as ``table --json`` writes it: count,
-    parity, oracle nature ("separable" or "entangling") and DJ status.
-
-    Raises ValueError if a class has no report or its members ever disagree on
-    a column; the summary is derived from the per-function reports, not hardcoded.
-    """
+    """One row per class [0,4] .. [4,0] of the table ``classify`` returns from, as ``table
+    --json`` writes it: count, parity, oracle nature ("separable" or "entangling") and DJ status.
+    Raises ValueError if a report's class is not in the table, or a class has no report, members
+    that disagree on a column or a class other than the table's; rows come from the reports."""
     columns = [_column(reports, f) for f in ("function_class", "oracle_separable", "dj_verdict")]
-    classes = {ones: [] for ones in CLASS_ORDER}
-    for c, separable, dj in zip(*columns):
-        classes.get(c.ones, []).append((c.parity, separable, dj))
-    rows = []
-    for ones, members in classes.items():
-        if not members or members.count(members[0]) != len(members):
-            fault = "has no report" if not members else "is not homogeneous"
-            raise ValueError(f"class [{ones},{4 - ones}] {fault}")
-        parity, separable, dj = members[0]
-        oracle = "separable" if separable else "entangling"
-        rows.append({"class": f"[{ones},{4 - ones}]", "count": len(members),
-                     "parity": parity.value, "oracle": oracle, "dj": dj.value})
+    groups, stray, rows = {c.ones: [] for c in oracles._CLASSES}, [], []
+    for member in zip(*columns):
+        groups.get(member[0].ones, stray).append(member)
+    if stray:
+        raise ValueError(f"class {stray[0][0].label} is not one of the five")
+    for c in oracles._CLASSES:
+        if not (members := groups[c.ones]) or members.count(members[0]) != len(members):
+            fault = "is not homogeneous" if members else "has no report"
+            raise ValueError(f"class {c.label} {fault}")
+        reported, separable, dj = members[0]
+        if reported is not c and reported != c:  # classify returns c itself; dataclass == is slow
+            raise ValueError(f"class {c.label} is reported as {reported}")
+        rows.append({"class": c.label, "count": len(members), "parity": c.parity.value,
+                     "oracle": "separable" if separable else "entangling", "dj": dj.value})
     return rows
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import (
-    DJVerdict, Sweep, _column, classical_min_queries, constant_balanced_promise_functions
+    DJVerdict, _column, classical_min_queries, constant_balanced_promise_functions
 )
 from .entanglement import is_idempotent_stack
 from .linalg import (
@@ -33,7 +33,7 @@ from .nmr import (
     decompose_coherences_stack, magnetization_classifies_parity, spin1_indistinguishability_check
 )
 from .oracles import Parity, TruthTable, build_oracle, classify, enumerate_functions
-from .reports import ClassificationReport, classification_report, classification_report_sweep
+from .reports import classification_report_sweep
 
 @dataclass
 class CheckResult:
@@ -131,21 +131,21 @@ def _check(name: str, notes: list[str]) -> CheckResult:
 def run_all_checks() -> VerificationOutcome:
     """Run every named check, comparing at the tolerances of the ``linalg`` table."""
     functions = enumerate_functions()
-    reports: Sweep | list[ClassificationReport] = []
-    failed_functions: set[str] = set()
     checks: list[CheckResult] = []
-
-    build_notes = []
+    build_notes, raised, failed_functions = [], set(), set()  # raised: by their sweep of one
     try:
         reports = classification_report_sweep(functions)
-    except Exception:
-        # Rerun one function at a time so each failure names its function.
-        for f in functions:
+    except Exception as whole:
+        reports = []
+        for f in functions:  # the same sweep on each function alone names those that raise
             try:
-                reports.append(classification_report(f))
+                reports += classification_report_sweep((f,))[:]
             except Exception as exc:
-                failed_functions.add(f.to_string())
+                raised.add(f.to_string())
                 build_notes.append(f"{f.to_string()}: analysis raised {exc!r}")
+        # If none raises alone, the sweep's own exception fails every function.
+        failed_functions |= raised or {f.to_string() for f in functions}
+        build_notes = build_notes or [f"sweep raised {whole!r}; no function raises alone"]
     checks.append(_check("function_analysis", build_notes))
 
     # Each column and stack is read once, so one that cannot be read fails each check reading it.
@@ -200,8 +200,7 @@ def run_all_checks() -> VerificationOutcome:
             got = [f.to_string() for f in functions]
             yield f"enumeration: expected 16 distinct ascending tables, got {got}"
         yield from unread
-        # The first check: so far only the analyses that raised have failed their functions.
-        if codes.tolist() != sorted({*range(16)} - {int(b, 2) for b in failed_functions}):
+        if codes.tolist() != sorted({*range(16)} - {int(b, 2) for b in raised}):
             yield f"coverage: expected each of the 16 tables once, in order, got {bits}"
         histogram = dict(enumerate(np.bincount(_ONES[enumerated()], minlength=5).tolist()))
         if histogram != {ones: math.comb(4, ones) for ones in range(5)}:

@@ -2,6 +2,7 @@
 
 import argparse
 import collections
+import dataclasses
 import functools
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 import qparity.cli
 import qparity.gates
 import qparity.reports
-from qparity import DJVerdict, UnitaryOperator, to_canonical_json
+from qparity import DJVerdict, FunctionClass, Parity, UnitaryOperator, to_canonical_json
 from qparity.cli import build_parser, main
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
@@ -164,6 +165,25 @@ class TestTable:
             "constant",
         ]
         assert sum(row["count"] for row in data["classes"]) == 16
+
+    @pytest.mark.parametrize("fault", ["outside_the_five", "every_parity_flipped"])
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_class_unlike_the_table_prints_nothing(self, fault, json_flag, capsys, monkeypatch):
+        # The summary takes its classes from the table classify returns from, so a
+        # report whose class is not one of its five, or differs from it, is an error.
+        honest = qparity.reports.classify
+
+        def relabelled(f):
+            c = honest(f)
+            if fault == "outside_the_five":
+                return FunctionClass(5, -1, Parity.EVEN) if f.to_string() == "0011" else c
+            return dataclasses.replace(c, parity=Parity.ODD if c.parity is Parity.EVEN
+                                       else Parity.EVEN)
+
+        monkeypatch.setattr(qparity.reports, "classify", relabelled)
+        code, out, err = run_cli(capsys, "table", *json_flag)
+        assert (code, out) == (3, "")
+        assert err.rstrip().splitlines()[-1].startswith("ValueError: class ")
 
 
 class TestVerify:

@@ -18,7 +18,7 @@ from qparity import (
     spin1_indistinguishability_check,
     threshold_separates,
 )
-from qparity.linalg import density_from_state_stack
+from qparity.linalg import density_from_state_stack, partial_trace_stack
 from qparity.nmr import decompose_coherences_stack, observability_stack
 from qparity.reports import all_reports
 
@@ -127,6 +127,19 @@ class TestObservability:
         assert report.single_quantum_weight == pytest.approx(0.0, abs=1e-12)
         assert report.zero_quantum_weight == pytest.approx(1.0, abs=1e-12)
         assert report.transverse_magnetization_q2 == pytest.approx(0.0, abs=1e-12)
+
+    def test_magnetizations_equal_the_partial_trace_bit_for_bit(self):
+        # observability_stack reads each magnetization from the two density entries that
+        # sum to the reduced matrix's off-diagonal entry, not from the partial trace.
+        rng = np.random.default_rng(20000)
+        g = rng.standard_normal((20000, 4, 4)) + 1j * rng.standard_normal((20000, 4, 4))
+        rhos = g @ g.conj().swapaxes(1, 2)
+        rhos /= rhos.trace(axis1=1, axis2=2).real[:, None, None]
+        readout = observability_stack(rhos)
+        for qubit in (1, 2):
+            reduced = partial_trace_stack(rhos, qubit)
+            assert np.array_equal(readout.columns[f"transverse_magnetization_q{qubit}"],
+                                  np.abs(reduced[:, 0, 1]))
 
     def test_populations_are_not_counted_as_zero_quantum_weight(self):
         (report,) = observability_stack(MIXED)
