@@ -163,11 +163,15 @@ def run_deutsch_jozsa_sweep(
     three ones sit outside the promise). All functions run as one stack; the
     verdicts follow the order of ``functions``.
     """
-    magnitudes = np.abs(_circuit_steps(oracle_signs(functions), (h12, None, h12))[:, -1, 0])
+    return dj_readout(_circuit_steps(oracle_signs(functions), (h12, None, h12))[:, -1])
+
+
+def dj_readout(finals: np.ndarray) -> list[DJVerdict]:
+    """The verdict of each DJ final state, a row of an (n, 4) stack, by its |00> magnitude."""
     return [
         DJVerdict.CONSTANT if m > DJ_CONSTANT_CUT else
         DJVerdict.BALANCED if m < DJ_BALANCED_CUT else DJVerdict.NEITHER
-        for m in magnitudes.tolist()
+        for m in np.abs(finals[:, 0]).tolist()
     ]
 
 

@@ -106,6 +106,13 @@ class StateVector:
         """The amplitudes, so that a sequence of states stacks as one array."""
         return np.array(self._amplitudes, dtype=dtype, copy=copy)
 
+    def __eq__(self, other) -> bool:
+        """Bit-equal amplitudes, save that -0.0 and 0.0 agree, as in ``__hash__``."""
+        return isinstance(other, StateVector) and np.array_equal(self._amplitudes, other._amplitudes)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._amplitudes.tolist()))
+
     def basis_labels(self) -> tuple[str, ...]:
         return _basis_labels(len(self._amplitudes))
 

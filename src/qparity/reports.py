@@ -21,11 +21,11 @@ import numpy as np
 
 from . import gates, oracles
 from .algorithms import (
-    AlgorithmResult, DJVerdict, Sweep, _column, run_deutsch_jozsa_2bit, run_deutsch_jozsa_sweep,
-    run_even_odd, run_even_odd_sweep,
+    AlgorithmResult, DJVerdict, Sweep, _column, dj_readout, run_deutsch_jozsa_2bit, run_even_odd,
+    run_even_odd_sweep,
 )
 from .entanglement import EntanglementReport, _analyze
-from .linalg import StateVector, _basis_labels, density_from_state_stack
+from .linalg import StateVector, _basis_labels, density_from_state_stack, validated_state_stack
 from .nmr import ObservabilityReport, observability_stack
 from .oracles import (
     FunctionClass, TruthTable, classify, enumerate_functions, oracle_signs, separable_signs
@@ -79,14 +79,14 @@ def _assemble_reports(
 
 def classification_report_sweep(functions: Iterable[TruthTable]) -> Sweep:
     """Run every analysis for each function and keep the results as columns,
-    in the order of ``functions``. The even/odd circuits and the DJ tests run
-    as one sweep each on one gate set, and the entanglement and observability
-    analyses take all the final states as one stack."""
+    in the order of ``functions``. The even/odd circuits run as one sweep, and each DJ
+    test is one more H12 on its run's state after H12 and the oracle; the entanglement
+    and observability analyses take all the even/odd final states as one stack."""
     functions = tuple(functions)
     h12, h2 = gates.even_odd_gates()
-    return _assemble_reports(
-        functions, run_even_odd_sweep(functions, h12, h2), run_deutsch_jozsa_sweep(functions, h12)
-    )
+    circuits = run_even_odd_sweep(functions, h12, h2)
+    dj_finals = (h12.entries @ circuits.columns["per_step_states"][:, 2, :, None])[..., 0]
+    return _assemble_reports(functions, circuits, dj_readout(validated_state_stack(dj_finals)))
 
 
 def classification_report(f: TruthTable) -> ClassificationReport:

@@ -7,10 +7,11 @@ per-state wrapper objects, one density stack per analysis, products formed
 by broadcasting, a readout that sums under fixed masks instead of
 decomposing. These tests count calls of public functions and constructors,
 of the density check ``_check_densities`` that every density stack passes
-through, of the comparison rule ``_deviation`` and of ``numpy.kron``, wrapped
-from outside the package the way ``bench/tracer.py`` wraps them. They also
-count the lines of the package's source, which ``python -m qparity.cli``
-compiles when no bytecode is cached.
+through, of ``_circuit_steps``, which runs every circuit, of the comparison
+rule ``_deviation`` and of ``numpy.kron``, wrapped from outside the package
+the way ``bench/tracer.py`` wraps them. They also count the lines of the
+package's source, which ``python -m qparity.cli`` compiles when no bytecode
+is cached.
 
 The budgets are a ratchet, so each count must equal its budget. A count
 above it is a regression. A count below it fails too, until the change
@@ -37,6 +38,7 @@ from qparity.reports import all_reports
 
 FUNCTIONS = {  # name: the module that defines it
     "_check_densities": qparity.linalg,
+    "_circuit_steps": qparity.algorithms,
     "_deviation": qparity.linalg,
     "build_oracle": qparity.oracles,
     "classical_min_queries": qparity.algorithms,
@@ -44,6 +46,7 @@ FUNCTIONS = {  # name: the module that defines it
     "classify": qparity.oracles,
     "decompose_coherences_stack": qparity.nmr,
     "density_from_state_stack": qparity.linalg,
+    "oracle_signs": qparity.oracles,
     "partial_trace_stack": qparity.linalg,
     "to_canonical_json": qparity.reports,
 }
@@ -67,8 +70,11 @@ REPORT_BUDGET = {
     "kron": 0,
     "decompose_coherences_stack": 0,  # the readout sums |entries| under fixed masks
 }
-# A sweep keeps its states as one stack and runs both circuits on one gate set.
-SWEEP_BUDGET = {**REPORT_BUDGET, "UnitaryOperator": 4, "_trusted": 0}
+# A sweep keeps its states as one stack and runs one circuit, the even/odd one, whose
+# first two steps are DJ's; separability reads the sign rows apart from the circuit.
+SWEEP_BUDGET = {
+    **REPORT_BUDGET, "UnitaryOperator": 4, "_trusted": 0, "_circuit_steps": 1, "oracle_signs": 2
+}
 BATCH_BUDGET = {
     "UnitaryOperator": 8,
     "StateVector": 0,
@@ -77,6 +83,8 @@ BATCH_BUDGET = {
     "build_oracle": 16,
     "ArgumentParser": 0,
     "to_canonical_json": 2,
+    "_circuit_steps": 2,  # one per sweep: the even/odd circuit, read for DJ as well
+    "oracle_signs": 4,  # per sweep, the circuit's and separability's
     "density_from_state_stack": 3,
     "partial_trace_stack": 2,
     # One per stack made: the projectors of each sweep and of verify's density
@@ -91,7 +99,7 @@ BATCH_BUDGET = {
     # stacks and idempotency test, and one per comparison of verify's 14 folded ones.
     "_deviation": 37,
 }
-SRC_LINES = 1861  # cat src/qparity/*.py | wc -l
+SRC_LINES = 1872  # cat src/qparity/*.py | wc -l
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """The stacked circuit sweeps: every step equals a gate-by-gate run of
-validated matrix-vector products, oracles come from one sign stack, and each
-sweep's steps are validated once, as ``StateVector`` validates one state."""
+validated matrix-vector products, oracles come from one sign stack, each
+sweep's steps are validated once, as ``StateVector`` validates one state, and
+the report sweep reads Deutsch-Jozsa off the even/odd run bit for bit."""
 
 import re
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import qparity.algorithms
+import qparity.gates
 import qparity.linalg
 from qparity import (
     DJVerdict,
@@ -24,12 +26,15 @@ from qparity import (
 from qparity.algorithms import (
     DJ_BALANCED_CUT,
     DJ_CONSTANT_CUT,
+    _circuit_steps,
     run_deutsch_jozsa_sweep,
     run_even_odd_sweep,
 )
 from qparity.cli import main
 from qparity.linalg import validated_state_stack
+from qparity.oracles import oracle_signs
 from qparity.reports import all_reports
+from test_mutants import flipped_oracle_sign, swapped_gates
 
 
 ZERO_ZERO = StateVector([1.0, 0.0, 0.0, 0.0])
@@ -77,6 +82,43 @@ def test_dj_verdicts_equal_the_one_query_route():
     functions = enumerate_functions()
     expected = [reference_dj_verdict(f) for f in functions]
     assert run_deutsch_jozsa_sweep(functions, hadamard_both()) == expected
+
+
+def test_dj_final_states_are_h12_on_the_even_odd_run():
+    # The even/odd circuit opens with DJ's first two steps, H12 and the oracle, so one
+    # more H12 on its step-2 states gives the separate DJ circuit's final states, bit for bit.
+    functions = enumerate_functions()
+    h12, h2 = qparity.gates.even_odd_gates()
+    steps = run_even_odd_sweep(functions, h12, h2).columns["per_step_states"]
+    reused = (h12.entries @ steps[:, 2, :, None])[..., 0]
+    separate = _circuit_steps(oracle_signs(functions), (h12, None, h12))[:, -1]
+    assert reused.tobytes() == separate.tobytes()
+
+
+def skewed_hadamard(monkeypatch):
+    # H with its lower row negated: the even/odd readout still passes, but H12 is wrong.
+    monkeypatch.setattr(qparity.gates, "hadamard",
+                        lambda: UnitaryOperator(np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("fault", [flipped_oracle_sign, skewed_hadamard], ids=lambda m: m.__name__)
+def test_report_dj_column_equals_the_dj_sweep_under_a_fault(fault, monkeypatch):
+    # A fault in the circuits' sign rows or gates reaches the DJ verdicts read off the
+    # even/odd run as it reaches the separate DJ circuit on the same gates.
+    functions = enumerate_functions()
+    honest = run_deutsch_jozsa_sweep(functions, hadamard_both())
+    fault(monkeypatch)
+    expected = run_deutsch_jozsa_sweep(functions, qparity.gates.even_odd_gates()[0])
+    assert expected != honest
+    assert list(all_reports().columns["dj_verdict"]) == expected
+
+
+def test_swapped_gates_leave_no_dj_verdict(monkeypatch):
+    # With I (x) H where H (x) H belongs, no even/odd final state matches a parity pattern,
+    # so the report sweep raises before it reads DJ, as it did when it ran DJ apart.
+    swapped_gates(monkeypatch)
+    with pytest.raises(RuntimeError, match="neither parity pattern"):
+        all_reports()
 
 
 def test_flipped_oracle_sign_fails_verification(capsys, monkeypatch):

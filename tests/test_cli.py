@@ -226,17 +226,19 @@ class TestVerify:
 
     def test_checks_the_reports_that_table_prints(self, capsys, monkeypatch):
         # A wrong DJ verdict in one function's report must surface in verify,
-        # attributed to that function and to the DJ check alone.
-        honest = qparity.reports.run_deutsch_jozsa_sweep
+        # attributed to that function and to the DJ check alone. The readout
+        # tells 1100 by its DJ final state, -|10> (0011's is +|10>).
+        import numpy as np
 
-        def mislabel_1100(functions, h12):
-            functions = tuple(functions)
+        honest = qparity.reports.dj_readout
+
+        def mislabel_1100(finals):
             return [
-                DJVerdict.CONSTANT if f.to_string() == "1100" else verdict
-                for f, verdict in zip(functions, honest(functions, h12))
+                DJVerdict.CONSTANT if row == [0, 0, -1, 0] else verdict
+                for row, verdict in zip(np.round(finals.real).tolist(), honest(finals))
             ]
 
-        monkeypatch.setattr(qparity.reports, "run_deutsch_jozsa_sweep", mislabel_1100)
+        monkeypatch.setattr(qparity.reports, "dj_readout", mislabel_1100)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]

@@ -109,6 +109,14 @@ class TestStateVector:
     def test_basis_labels_order(self):
         assert basis("00").basis_labels() == ("00", "01", "10", "11")
 
+    def test_equal_amplitudes_compare_and_hash_equal(self):
+        a, b = state(0.6, 0.0, 0.0, 0.8), state(0.6, -0.0, 0.0, 0.8)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != state(0.6, 0.0, 0.0, -0.8)
+        assert a != state(-0.6, 0.0, 0.0, -0.8)  # a global phase is a different state here
+        assert basis("0") != basis("00")
+        assert a != a.amplitudes
+
 
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):

@@ -45,16 +45,14 @@ def flipped_oracle_sign(monkeypatch):
 
 
 def mislabelled_dj_verdict(monkeypatch):
-    # The DJ sweep calls the constant 1111 balanced.
-    honest = qparity.reports.run_deutsch_jozsa_sweep
+    # The DJ readout calls the constant 1111, whose DJ final state is -|00>, balanced.
+    honest = qparity.reports.dj_readout
 
-    def sweep(functions, h12):
-        functions = tuple(functions)
-        verdicts = honest(functions, h12)
-        return [DJVerdict.BALANCED if f.to_string() == "1111" else v
-                for f, v in zip(functions, verdicts)]
+    def readout(finals):
+        return [DJVerdict.BALANCED if row == [-1, 0, 0, 0] else v
+                for row, v in zip(np.round(finals.real).tolist(), honest(finals))]
 
-    monkeypatch.setattr(qparity.reports, "run_deutsch_jozsa_sweep", sweep)
+    monkeypatch.setattr(qparity.reports, "dj_readout", readout)
 
 
 def shifted_coherence_mask(monkeypatch):

@@ -1,6 +1,6 @@
 """The report sweep: all 16 reports from one sweep equal the per-function
-reports, the sweep builds its gates once, and the class summary names what
-keeps it from a row."""
+reports, and compare equal to them, the sweep builds its gates once, and the
+class summary names what keeps it from a row."""
 
 import dataclasses
 
@@ -30,6 +30,15 @@ def test_sweep_equals_one_report_per_function():
         assert amplitude_bytes(a) == amplitude_bytes(b)
         assert a.entanglement == b.entanglement
         assert a.observability == b.observability
+
+
+def test_equal_reports_compare_equal():
+    # A report's states compare by their amplitudes, so two runs of the same
+    # sweep are equal, and so are a function's report and its sweep of one.
+    assert all_reports() == all_reports()
+    for f in enumerate_functions():
+        single, swept = classification_report(f), classification_report_sweep((f,))[0]
+        assert single == swept and hash(single) == hash(swept), f.to_string()
 
 
 def test_sweep_builds_gates_once(monkeypatch):
