@@ -220,8 +220,9 @@ def partial_trace_stack(rhos, keep_qubit: int) -> np.ndarray:
     a stacked form made it; the (n, 2, 2) result is read-only and validated likewise."""
     if type(keep_qubit) is not int or keep_qubit not in (1, 2):
         raise ValueError(f"keep_qubit must be 1 or 2, got {keep_qubit!r}")
-    blocks = _densities(rhos, (4,)).reshape(-1, 2, 2, 2, 2)  # [n, i1, i2, j1, j2]
-    return _check_densities(np.einsum("nakbk->nab" if keep_qubit == 1 else "nkakb->nab", blocks))
+    rhos = _densities(rhos, (4,))  # [n, 2 i1 + i2, 2 j1 + j2]: the traced bit's 0 and 1 blocks
+    zero, one = (np.s_[0::2], np.s_[1::2]) if keep_qubit == 1 else (np.s_[:2], np.s_[2:])
+    return _check_densities(rhos[:, zero, zero] + rhos[:, one, one])
 
 
 def purity_stack(rhos) -> np.ndarray:

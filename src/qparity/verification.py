@@ -11,7 +11,12 @@ the rest. Each check is a probe that reads the sweep's columns (each read once, 
 of reports column by column) and applies the library form it checks to the whole stack;
 a probe that raises fails its check for every function. Every deviation is measured by
 ``linalg._deviation`` and compared at a constant of its tolerance table, so a NaN is
-within none of them.
+within none of them; a number or flag entry numpy does not read as one (a ``str``, even
+"0.5" or "True") reads as NaN. Every expected density matrix is a rank-one projector, so by
+Weyl's inequality (Horn & Johnson, *Matrix Analysis*, Thm 4.3.1) a Hermitian 4x4 matrix
+within ``err`` of it entrywise, such as the one ``eigvalsh`` reads from a triangle, has no
+eigenvalue below -4 err. Only the rows more than ZERO_FLOOR / 8 from their projector go to
+``eigvalsh``: the others have none below -ZERO_FLOOR / 2, leaving half the floor to rounding.
 """
 
 from __future__ import annotations
@@ -123,6 +128,16 @@ def _once(read):
     return lambda *key: memo[key] if key in memo else memo.setdefault(key, read(*key))
 
 
+def _read(kinds: str, *columns) -> np.ndarray:
+    """``columns`` of numbers (``kinds`` "biuf") or flags ("b"), or of tuples of them, as one
+    array [column, row, ...]; an entry numpy reads as none of ``kinds`` reads as NaN."""
+    arr = np.array(columns)
+    if arr.dtype.kind in kinds:  # all-number columns skip the entry by entry reading
+        return arr
+    return np.array([[v if np.array(v).dtype.kind in kinds else np.full(np.shape(v), np.nan)
+                      for v in c] for c in columns], float)
+
+
 def _check(name: str, notes: list[str]) -> CheckResult:
     more = f"; and {len(notes) - 4} more" if len(notes) > 4 else ""
     return CheckResult(name=name, passed=not notes, detail="; ".join(notes[:4]) + more)
@@ -225,7 +240,7 @@ def run_all_checks() -> VerificationOutcome:
     @check
     def separability_parity_theorem():
         separable = column("oracle_separable")
-        return [(np.array(separable) != even, "separable={} but even={}", separable, even)]
+        return [(_read("b", separable)[0] != even, "separable={!r} but even={}", separable, even)]
 
     @check
     def circuit_verdicts():
@@ -233,7 +248,7 @@ def run_all_checks() -> VerificationOutcome:
         counts = list(map(len, column("circuit.per_step_states")))
         return [([v is not p for v, p in zip(verdicts, parities)],
                  "expected verdict {.value}, got {.value}", parities, verdicts),
-                (np.array(calls) != 2, "expected 2 oracle calls, counted {}", calls),
+                (_read("biuf", calls)[0] != 2, "expected 2 oracle calls, counted {!r}", calls),
                 (np.array(counts) != 6, "expected 6 per-step states, got {}", counts)]
 
     @check
@@ -257,9 +272,11 @@ def run_all_checks() -> VerificationOutcome:
     @check
     def density_matrix_forms():
         err = _deviation(densities(), rho)
+        negative = err > ZERO_FLOOR / 8  # only these can have one (Weyl; the module docstring)
+        if negative.any():
+            negative[negative] = np.linalg.eigvalsh(densities()[negative]).min(axis=1) < -ZERO_FLOOR
         return [(err > DEFAULT_TOL, "density matrix deviates by {:.3e}", err),
-                (np.linalg.eigvalsh(densities()).min(axis=1) < -ZERO_FLOOR,
-                 "density matrix has a negative eigenvalue")]
+                (negative, "density matrix has a negative eigenvalue")]
 
     @check
     def reduced_density_forms():
@@ -276,17 +293,17 @@ def run_all_checks() -> VerificationOutcome:
     def entanglement_correspondence():
         concurrence, entangled, purity1, purity2 = (column(f"entanglement.{field}") for field in (
             "concurrence", "is_entangled", "reduced_purity_q1", "reduced_purity_q2"))
-        c, p1, p2 = np.array([concurrence, purity1, purity2], dtype=float).reshape(3, -1)
+        c, p1, p2 = _read("biuf", concurrence, purity1, purity2)
         bad = _deviation([c, p2, p1], [c12, 1.0 - c**2 / 2.0, p2], rows=2) > ZERO_FLOOR
         return [(bad[0], "concurrence {!r} != {}", concurrence, c12),
-                (np.array(entangled) == even, "is_entangled={} but even={}", entangled, even),
+                (_read("b", entangled)[0] != c12, "is_entangled={!r} but even={}", entangled, even),
                 (bad[1], "purity/concurrence relation violated"),
                 (bad[2], "reduced purities of the two qubits disagree")]
 
     @check
     def schmidt_coefficients():
         pairs = column("entanglement.schmidt_coefficients")
-        return [(_deviation(np.array(pairs).reshape(-1, 2), schmidt) > DEFAULT_TOL,
+        return [(_deviation(_read("biuf", pairs).reshape(-1, 2), schmidt) > DEFAULT_TOL,
                  "schmidt coefficients {0!r} != ({1[0]!r}, {1[1]!r})", pairs, schmidt)]
 
     @check
@@ -299,8 +316,8 @@ def run_all_checks() -> VerificationOutcome:
     def nmr_observability():
         line = column("observability.observable_line")
         actual = [column(f"observability.{field}") for field in _READOUT]
-        bad = _deviation(np.array(actual, dtype=float).reshape(4, -1), readout.T, rows=2)
-        return [(np.array(line) != even, "observable_line={} but even={}", line, even),
+        bad = _deviation(_read("biuf", *actual), readout.T, rows=2)
+        return [(_read("b", line)[0] != even, "observable_line={!r} but even={}", line, even),
                 *zip(bad > DEFAULT_TOL, _READOUT.values(), actual, readout.T)]
 
     @check
@@ -322,7 +339,7 @@ def run_all_checks() -> VerificationOutcome:
     @check
     def spin_readout_separation():
         m = [column(f"observability.transverse_magnetization_q{q}") for q in (1, 2)]
-        unread = np.isnan(np.array(m, dtype=float).reshape(2, -1))
+        unread = np.isnan(_read("biuf", *m))
         # A NaN is read by neither rule, and the check fails on it without claiming a split.
         if not unread[0].any() and not spin1_indistinguishability_check(reports):
             yield "spin-1 readout unexpectedly separates even from odd"

@@ -8,7 +8,8 @@ by broadcasting, a readout that sums under fixed masks instead of
 decomposing. These tests count calls of public functions and constructors,
 of the density check ``_check_densities`` that every density stack passes
 through, of ``_circuit_steps``, which runs every circuit, of the comparison
-rule ``_deviation`` and of ``numpy.kron``, wrapped from outside the package
+rule ``_deviation`` and of ``numpy.kron``, ``numpy.einsum`` and
+``numpy.linalg.eigvalsh``, wrapped from outside the package
 the way ``bench/tracer.py`` wraps them. They also count the lines of the
 package's source, which ``python -m qparity.cli`` compiles when no bytecode
 is cached.
@@ -57,7 +58,11 @@ CONSTRUCTORS = {
     "ArgumentParser": argparse.ArgumentParser,
 }
 CLASSMETHODS = {"_trusted": qparity.linalg.StateVector}  # a state on a row of a checked stack
-NUMPY_FUNCTIONS = ("kron",)  # gate products are broadcast, not formed by np.kron
+NUMPY_FUNCTIONS = {  # name: the numpy namespace the package calls it through
+    "kron": numpy,  # gate products are broadcast, not formed by np.kron
+    "einsum": numpy,  # the entanglement analysis's reduced matrices; partial traces sum blocks
+    "eigvalsh": numpy.linalg,  # verify's eigenvalue rule, only on rows far from their projector
+}
 
 REPORT_BUDGET = {
     "UnitaryOperator": 6,  # H, I, H (x) H, I (x) H for the circuit; H, H (x) H for DJ
@@ -68,6 +73,8 @@ REPORT_BUDGET = {
     "partial_trace_stack": 0,
     "_check_densities": 1,  # the projector stack, where it is made
     "kron": 0,
+    "einsum": 2,  # the analysis's two reduced matrices
+    "eigvalsh": 0,
     "decompose_coherences_stack": 0,  # the readout sums |entries| under fixed masks
 }
 # A sweep keeps its states as one stack and runs one circuit, the even/odd one, whose
@@ -94,12 +101,14 @@ BATCH_BUDGET = {
     "classification_report": 0,  # table and verify read the 16-function sweep alone
     "classical_min_queries": 1,  # the DJ promise; parity is certified, not searched
     "kron": 0,
+    "einsum": 4,  # two per sweep's analysis; none in verify's partial traces
+    "eigvalsh": 0,  # every density row is within ZERO_FLOOR / 8 of its projector
     "decompose_coherences_stack": 1,  # verify's coherence_resum
     # The one comparison rule: 8 validations per sweep, 7 in verify's density
     # stacks and idempotency test, and one per comparison of verify's 14 folded ones.
     "_deviation": 37,
 }
-SRC_LINES = 1872  # cat src/qparity/*.py | wc -l
+SRC_LINES = 1890  # cat src/qparity/*.py | wc -l
 
 
 @pytest.fixture
@@ -128,8 +137,8 @@ def counts(monkeypatch):
         monkeypatch.setattr(cls, "__init__", counted(cls.__init__, name))
     for name, cls in CLASSMETHODS.items():
         monkeypatch.setattr(cls, name, classmethod(counted(getattr(cls, name).__func__, name)))
-    for name in NUMPY_FUNCTIONS:
-        monkeypatch.setattr(numpy, name, counted(getattr(numpy, name), name))
+    for name, home in NUMPY_FUNCTIONS.items():
+        monkeypatch.setattr(home, name, counted(getattr(home, name), name))
     return counter
 
 

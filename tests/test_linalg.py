@@ -347,6 +347,20 @@ class TestPartialTrace:
             trace = np.trace(reduced(rho, qubit))
             assert abs(trace - 1.0) < 1e-12
 
+    def test_block_sums_equal_the_einsum_bit_for_bit(self):
+        # The reference is the index contraction over [n, i1, i2, j1, j2] that the block sums
+        # replaced. The two differ only where both addends are -0.0 (the contraction starts
+        # from +0.0), which no random density has; uint64 views tell every other zero sign.
+        rng = np.random.default_rng(29)
+        g = rng.standard_normal((20000, 4, 4)) + 1j * rng.standard_normal((20000, 4, 4))
+        rhos = g @ g.conj().swapaxes(1, 2)
+        rhos /= rhos.trace(axis1=1, axis2=2).real[:, None, None]
+        blocks = rhos.reshape(-1, 2, 2, 2, 2)
+        for qubit, subscripts in ((1, "nakbk->nab"), (2, "nkakb->nab")):
+            expected = np.einsum(subscripts, blocks)
+            assert np.array_equal(partial_trace_stack(rhos, qubit).view(np.uint64),
+                                  expected.view(np.uint64))
+
 
 class TestPurity:
     def test_maximally_mixed_qubit(self):

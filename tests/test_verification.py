@@ -2,6 +2,7 @@
 faults, and concurrent use."""
 
 import dataclasses
+import json
 import sys
 import threading
 
@@ -12,6 +13,7 @@ import qparity.reports
 import qparity.verification
 from qparity import StateVector, classical_min_queries, run_all_checks, to_canonical_json
 from qparity.cli import main
+from qparity.linalg import ZERO_FLOOR
 from qparity.oracles import Parity, classify, enumerate_functions
 from qparity.reports import all_reports, report_to_jsonable
 
@@ -163,6 +165,53 @@ def test_one_wrong_field_is_attributed_to_its_function(
     assert summary == "15/16 functions verified, classical_min_queries=4"
 
 
+# The check that reads each number or flag field of a report. np.array(..., dtype=float)
+# once parsed "0.5" as 0.5, and a column holding "False" compared unequal to every flag,
+# so a report that the JSON writer refuses passed every check.
+STR_READERS = {
+    **dict.fromkeys(["entanglement.concurrence", "entanglement.is_entangled",
+                     "entanglement.reduced_purity_q1", "entanglement.reduced_purity_q2"],
+                    "entanglement_correspondence"),
+    "entanglement.schmidt_coefficients": "schmidt_coefficients",
+    **dict.fromkeys([f"observability.{field}" for field in (
+        "observable_line", "transverse_magnetization_q1", "transverse_magnetization_q2",
+        "single_quantum_weight", "zero_quantum_weight")], "nmr_observability"),
+    "oracle_separable": "separability_parity_theorem",
+}
+
+
+def with_str_in_row_0(sweep, path):
+    """A copy of a report sweep whose row 0 holds the repr of its value at the dotted
+    ``path`` (of each member, for a tuple)."""
+    head, _, rest = path.partition(".")
+    columns = dict(sweep.columns)
+    if rest:
+        columns[head] = with_str_in_row_0(columns[head], rest)
+    else:
+        value, *others = columns[head]
+        columns[head] = [tuple(map(repr, value)) if type(value) is tuple else repr(value), *others]
+    return type(sweep)(sweep.row_type, columns)
+
+
+@pytest.mark.parametrize("path", list(STR_READERS))
+def test_a_number_or_flag_given_as_a_str_fails_its_function(path, capsys, monkeypatch):
+    honest = qparity.verification.classification_report_sweep
+    monkeypatch.setattr(qparity.verification, "classification_report_sweep",
+                        lambda functions: with_str_in_row_0(honest(functions), path))
+    code = main(["verify", "--json"])
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    failed = [c["name"] for c in payload["checks"] if not c["passed"]]
+    assert (code, err) == (1, "")
+    assert STR_READERS[path] in failed
+    if "magnetization" in path:
+        # These also reach nmr's readout rules, which raise on a str, failing their check.
+        assert set(failed) <= {STR_READERS[path], "spin_readout_separation"}
+    else:
+        assert failed == [STR_READERS[path]]
+        assert payload["summary"]["functions_verified"] == 15
+
+
 def test_cancelling_schmidt_formula_is_caught(capsys, monkeypatch):
     # The pair sqrt((1 +- sqrt(1 - C^2))/2) gave every odd function, 1.4e-8
     # from 1/sqrt(2) because 1 - C^2 cancels at C = 1 - 8e-16.
@@ -213,6 +262,58 @@ def test_probe_rule_missing_a_row_fails_its_check(capsys, monkeypatch):
     assert code == 1
     assert len(failed) == 1 and failed[0].startswith("FAIL reduced_density_forms: 0000: check raised")
     assert lines[-1] == "0/16 functions verified, classical_min_queries=4"
+
+
+def honest_densities() -> np.ndarray:
+    """A writable copy of the density stack that verify checks, one row per function."""
+    finals = np.array([r.circuit.final_state.amplitudes for r in all_reports()])
+    return qparity.verification.density_from_state_stack(finals).copy()
+
+
+def density_check_with(rhos, monkeypatch):
+    """The ``density_matrix_forms`` result of a verify run whose density stack is ``rhos``."""
+    monkeypatch.setattr(qparity.verification, "density_from_state_stack", lambda amps: rhos)
+    (check,) = [c for c in run_all_checks().checks if c.name == "density_matrix_forms"]
+    return check
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-12, 1e-11, 1e-10, 1e-9])
+def test_eigenvalue_rule_flags_the_rows_the_full_call_does(scale, monkeypatch):
+    # The rule calls eigvalsh only on the rows that are more than ZERO_FLOOR / 8 from their
+    # projector; on every row it must flag what eigvalsh of the whole stack flags. Half the
+    # perturbations are indefinite, half positive semidefinite, each with a non-Hermitian
+    # part of 1e-13 that eigvalsh, reading one triangle, does not see.
+    honest, bits = honest_densities(), [f"{k:04b}" for k in range(16)]
+    rng = np.random.default_rng(int(-np.log10(scale)))
+    flagged = []
+    for k in range(16):
+        for positive in (False, True):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            e = g @ g.conj().T / 8 if positive else (g + g.conj().T) / 4
+            rhos = honest.copy()
+            rhos[k] += scale * e + 1e-13 * rng.standard_normal((4, 4))
+            expected = np.linalg.eigvalsh(rhos).min(axis=1) < -ZERO_FLOOR
+            detail = density_check_with(rhos, monkeypatch).detail
+            assert [f"{b}: density matrix has a negative eigenvalue" in detail
+                    for b in bits] == expected.tolist()
+            flagged.append(expected[k])
+    # Below 1e-10 no row has an eigenvalue below -ZERO_FLOOR. At 1e-9 the rule calls eigvalsh
+    # on every perturbed row: some indefinite ones have one, no positive one does.
+    if scale < 1e-10:
+        assert not any(flagged)
+    if scale == 1e-9:
+        assert any(flagged)
+    assert not any(flagged[1::2])
+
+
+def test_density_fault_with_a_negative_eigenvalue_fails(monkeypatch):
+    # |11> is orthogonal to every final state, so 0110's matrix gets the eigenvalue -2e-10.
+    rhos = honest_densities()
+    rhos[6, 3, 3] -= 2e-10
+    check = density_check_with(rhos, monkeypatch)
+    assert not check.passed
+    assert check.detail == ("0110: density matrix deviates by 2.000e-10; "
+                            "0110: density matrix has a negative eigenvalue")
 
 
 def test_parity_flipped_classify_is_blamed_on_classify(capsys, monkeypatch):
