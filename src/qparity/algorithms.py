@@ -197,7 +197,8 @@ def classical_min_queries(
     point, learns the function's output bit there, and may choose the next
     point based on the answer. The search is exhaustive and exact, by
     minimax recursion over the set of functions still consistent with the
-    answers seen so far. ``functions`` defaults to all 16 two-bit functions.
+    answers seen so far, memoized per pool and label partition (``label`` still
+    runs on every function). ``functions`` defaults to all 16 two-bit functions.
     """
     pool = tuple(enumerate_functions() if functions is None else functions)
     # Candidate sets are bitmasks over pool positions: bit k stands for pool[k].
@@ -205,11 +206,14 @@ def classical_min_queries(
     label_masks: dict[object, int] = {}
     for k, value in enumerate(labels):
         label_masks[value] = label_masks.get(value, 0) | 1 << k
-    same_label = [label_masks[value] for value in labels]  # pool[k]'s label class
-    zero_masks = [
-        sum(1 << k for k, f in enumerate(pool) if not f.outputs[point]) for point in range(4)
-    ]
+    same_label = tuple(label_masks[value] for value in labels)  # pool[k]'s label class
+    zero_masks = [sum(1 << k for k, f in enumerate(pool) if not f.outputs[x]) for x in range(4)]
+    return _min_depth(same_label, tuple(zero_masks))
 
+
+@functools.lru_cache(maxsize=64)
+def _min_depth(same_label: tuple[int, ...], zero_masks: tuple[int, ...]) -> int:
+    """The search of :func:`classical_min_queries` by label-class and per-point zero bitmasks."""
     @functools.cache  # every candidate set, pure ones included
     def depth(candidates: int) -> int:
         lowest = (candidates & -candidates).bit_length() - 1
@@ -232,4 +236,4 @@ def classical_min_queries(
         assert best is not None
         return best
 
-    return depth((1 << len(pool)) - 1) if pool else 0
+    return depth((1 << len(same_label)) - 1) if same_label else 0

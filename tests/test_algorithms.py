@@ -8,12 +8,14 @@ possible three-point answer pattern.
 """
 
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qparity.algorithms
 from qparity import (
     DJVerdict,
     Parity,
@@ -209,6 +211,32 @@ class TestClassicalMinQueries:
     def test_agrees_with_existence_search_on_random_pools(self, pool, labels):
         label = lambda f: labels[int(f.to_string(), 2)]
         assert classical_min_queries(label, pool) == min_queries_by_existence(pool, label)
+
+    @given(
+        st.lists(st.lists(st.sampled_from(enumerate_functions()), max_size=16),
+                 min_size=2, max_size=3),
+        st.lists(st.integers(0, 2), min_size=16, max_size=16),
+    )
+    @example(  # one label partition, pools one and two queries deep: the pool is in the key
+        [[TruthTable.from_string(b) for b in pool] for pool in (
+            ["0000", "1111", "1110"], ["0000", "1000", "0100"])],
+        [int(k in (4, 8, 14, 15)) for k in range(16)],
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_memoized_search_equals_the_uncached_one(self, pools, labels):
+        # ``renamed`` gives every class other values but keeps the partition, so it reads
+        # ``label``'s memo entry; each pool is searched again after the others.
+        label = lambda f: labels[int(f.to_string(), 2)]
+        renamed = lambda f: ("class", 2 - label(f))
+        search = qparity.algorithms._min_depth
+        with mock.patch.object(qparity.algorithms, "_min_depth", search.__wrapped__):
+            uncached = [classical_min_queries(label, pool) for pool in pools]
+        for _ in range(2):
+            for pool, expected in zip(pools, uncached):
+                assert classical_min_queries(label, pool) == expected
+                hits = search.cache_info().hits
+                assert classical_min_queries(renamed, pool) == expected
+                assert search.cache_info().hits == hits + 1
 
     def test_quantum_classical_separation(self):
         quantum_calls = {run_even_odd(f).oracle_calls for f in enumerate_functions()}

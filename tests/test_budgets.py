@@ -10,9 +10,10 @@ of the density check ``_check_densities`` that every density stack passes
 through, of ``_circuit_steps``, which runs every circuit, of the comparison
 rule ``_deviation`` and of ``numpy.kron``, ``numpy.einsum`` and
 ``numpy.linalg.eigvalsh``, wrapped from outside the package
-the way ``bench/tracer.py`` wraps them. They also count the lines of the
-package's source, which ``python -m qparity.cli`` compiles when no bytecode
-is cached.
+the way ``bench/tracer.py`` wraps them, and the runs of the classical query
+search's minimax recursion, as misses of its cache. They also count the lines
+of the package's source, which ``python -m qparity.cli`` compiles when no
+bytecode is cached.
 
 The budgets are a ratchet, so each count must equal its budget. A count
 above it is a regression. A count below it fails too, until the change
@@ -60,7 +61,7 @@ CONSTRUCTORS = {
 CLASSMETHODS = {"_trusted": qparity.linalg.StateVector}  # a state on a row of a checked stack
 NUMPY_FUNCTIONS = {  # name: the numpy namespace the package calls it through
     "kron": numpy,  # gate products are broadcast, not formed by np.kron
-    "einsum": numpy,  # the entanglement analysis's reduced matrices; partial traces sum blocks
+    "einsum": numpy,  # none: reduced matrices are formed entrywise, partial traces sum blocks
     "eigvalsh": numpy.linalg,  # verify's eigenvalue rule, only on rows far from their projector
 }
 
@@ -73,7 +74,7 @@ REPORT_BUDGET = {
     "partial_trace_stack": 0,
     "_check_densities": 1,  # the projector stack, where it is made
     "kron": 0,
-    "einsum": 2,  # the analysis's two reduced matrices
+    "einsum": 0,  # the analysis forms its reduced matrices and purities entrywise
     "eigvalsh": 0,
     "decompose_coherences_stack": 0,  # the readout sums |entries| under fixed masks
 }
@@ -100,15 +101,16 @@ BATCH_BUDGET = {
     "classify": 48,  # 16 per sweep, and verify's 16 labels
     "classification_report": 0,  # table and verify read the 16-function sweep alone
     "classical_min_queries": 1,  # the DJ promise; parity is certified, not searched
+    "_min_depth": 0,  # that search's recursion: memoized by label partition and pool
     "kron": 0,
-    "einsum": 4,  # two per sweep's analysis; none in verify's partial traces
+    "einsum": 0,
     "eigvalsh": 0,  # every density row is within ZERO_FLOOR / 8 of its projector
     "decompose_coherences_stack": 1,  # verify's coherence_resum
     # The one comparison rule: 8 validations per sweep, 7 in verify's density
     # stacks and idempotency test, and one per comparison of verify's 14 folded ones.
     "_deviation": 37,
 }
-SRC_LINES = 1890  # cat src/qparity/*.py | wc -l
+SRC_LINES = 1899  # cat src/qparity/*.py | wc -l
 
 
 @pytest.fixture
@@ -158,14 +160,31 @@ def test_all_reports_budget(counts):
     assert per_call(counts, SWEEP_BUDGET, 1) == SWEEP_BUDGET
 
 
-def test_batch_pair_budget(counts):
-    # The benchmark's batch op: table --json, then verify --json.
-    pairs = 3
+def batch_pairs(pairs):
+    """The benchmark's batch op, ``pairs`` times: table --json, then verify --json."""
     with contextlib.redirect_stdout(io.StringIO()):
         for _ in range(pairs):
             assert main(["table", "--json"]) == 0
             assert main(["verify", "--json"]) == 0
+
+
+def test_batch_pair_budget(counts):
+    # Counted warm, as the benchmark's loop runs: one pair fills the caches first.
+    pairs, search = 3, qparity.algorithms._min_depth
+    batch_pairs(1)
+    counts.clear()
+    misses = search.cache_info().misses
+    batch_pairs(pairs)
+    counts["_min_depth"] = search.cache_info().misses - misses
     assert per_call(counts, BATCH_BUDGET, pairs) == BATCH_BUDGET
+
+
+def test_a_cold_search_runs_its_recursion_once():
+    # The count above reads 0 only because the memo holds the search, not because none runs.
+    search = qparity.algorithms._min_depth
+    search.cache_clear()
+    batch_pairs(1)
+    assert (search.cache_info().misses, search.cache_info().hits) == (1, 0)
 
 
 def test_source_line_budget():

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qparity import Parity, StateVector, classify, enumerate_functions, run_even_odd
+from qparity.algorithms import run_even_odd_sweep
 from qparity.entanglement import analyze_pure_state_stack, is_idempotent_stack
+from qparity.gates import even_odd_gates
 from qparity.linalg import density_from_state_stack, partial_trace_stack
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -132,6 +134,51 @@ class TestSchmidtCoefficients:
             expected = (1.0, 0.0) if classify(f).parity is Parity.EVEN else (INV_SQRT2,) * 2
             assert coefficients == pytest.approx(expected, abs=1e-15), f.to_string()
             assert coefficients == pytest.approx(svd_schmidt(final.amplitudes), abs=1e-15)
+
+
+def analysis_by_matrix_products(amps) -> np.ndarray:
+    """The analysis as it was formed before the entrywise forms, kept as the reference: the
+    reduced matrices by ``np.einsum`` and each purity as the trace of a stacked ``r @ r``.
+    Rows: concurrence, the Schmidt pair and the two purities, one column per state."""
+    m = amps.reshape(-1, 2, 2)
+    concurrence = 2.0 * np.abs(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
+    reduced1 = np.einsum("nak,nbk->nab", m, m.conj())
+    reduced2 = np.einsum("nka,nkb->nab", m, m.conj())
+    norm = reduced1.trace(axis1=1, axis2=2).real
+    p, q = reduced1[:, 0, 0].real / norm, np.abs(reduced1[:, 0, 1]) / norm
+    lam1 = np.sqrt((1.0 + np.hypot(2.0 * p - 1.0, 2.0 * q)) / 2.0)
+    lam2 = concurrence / (2.0 * norm * lam1)
+    purity1, purity2 = ((r @ r).trace(axis1=1, axis2=2).real for r in (reduced1, reduced2))
+    return np.array([concurrence, lam1, lam2, purity1, purity2])
+
+
+def analysis_columns(amps) -> np.ndarray:
+    """The package's analysis in the reference's layout."""
+    c = analyze_pure_state_stack(amps).columns
+    pairs = np.array(c["schmidt_coefficients"]).T
+    return np.array([c["concurrence"], *pairs, c["reduced_purity_q1"], c["reduced_purity_q2"]])
+
+
+class TestEntrywiseForms:
+    """The entrywise reduced matrices and purities against the matrix products they replace."""
+
+    def sweep_finals(self) -> np.ndarray:
+        sweep = run_even_odd_sweep(enumerate_functions(), *even_odd_gates())
+        return np.asarray(sweep.columns["final_state"])
+
+    def test_sweep_states_bit_for_bit(self):
+        # As uint64 views, so a zero's sign counts too.
+        finals = self.sweep_finals()
+        for amps in [finals, *(finals[k:k + 1] for k in range(16))]:
+            ours, reference = analysis_columns(amps), analysis_by_matrix_products(amps)
+            assert ours.view(np.uint64).tolist() == reference.view(np.uint64).tolist()
+
+    def test_random_states_within_one_part_in_1e15(self):
+        rng = np.random.default_rng(20000)
+        raw = rng.standard_normal((20000, 4)) + 1j * rng.standard_normal((20000, 4))
+        amps = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        ours, reference = analysis_columns(amps), analysis_by_matrix_products(amps)
+        assert np.abs(ours - reference).max() <= 1e-15
 
 
 class TestIsIdempotent:

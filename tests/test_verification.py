@@ -203,13 +203,12 @@ def test_a_number_or_flag_given_as_a_str_fails_its_function(path, capsys, monkey
     payload = json.loads(out)
     failed = [c["name"] for c in payload["checks"] if not c["passed"]]
     assert (code, err) == (1, "")
-    assert STR_READERS[path] in failed
     if "magnetization" in path:
-        # These also reach nmr's readout rules, which raise on a str, failing their check.
-        assert set(failed) <= {STR_READERS[path], "spin_readout_separation"}
+        # The readout check fails too: that row cannot be read out, and neither rule reads it.
+        assert failed == [STR_READERS[path], "spin_readout_separation"]
     else:
         assert failed == [STR_READERS[path]]
-        assert payload["summary"]["functions_verified"] == 15
+    assert payload["summary"]["functions_verified"] == 15
 
 
 def test_cancelling_schmidt_formula_is_caught(capsys, monkeypatch):
@@ -405,9 +404,10 @@ def test_raising_probe_fails_its_check_without_a_crash(
     assert lines[-1] == "0/16 functions verified, classical_min_queries=?"
 
 
-def labels_of(label) -> np.ndarray:
-    """A 0/1 label of the 16 truth tables, in enumeration order: entry k for the bits of k."""
-    return np.array([label(f) for f in enumerate_functions()], dtype=int)
+def labels_of(label) -> tuple[int, ...]:
+    """A 0/1 label of the 16 truth tables, in enumeration order: entry k for the bits of k.
+    A tuple, the key ``_query_certificates`` is memoized by."""
+    return tuple(int(label(f)) for f in enumerate_functions())
 
 
 def moebius(labels) -> list[int]:
