@@ -27,9 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import (
-    DJVerdict, _column, classical_min_queries, constant_balanced_promise_functions
-)
+from .algorithms import DJVerdict, _column, constant_balanced_promise_functions
 from .entanglement import is_idempotent_stack
 from .linalg import (
     DEFAULT_TOL, ZERO_FLOOR, _deviation, density_from_state_stack, partial_trace_stack, purity_stack
@@ -84,8 +82,7 @@ def _algebra(outputs: np.ndarray) -> tuple[np.ndarray, ...]:
     return c12, 4 - 2 * outputs.sum(axis=1), n, rho, m.swapaxes(1, 2) @ m, single, zero
 
 
-_PLACES = np.array([8, 4, 2, 1])  # the bits (f(00), f(01), f(10), f(11)) as a binary number
-_POINTS = (np.arange(16)[:, None] & _PLACES > 0).astype(int)  # row k: the bits of k
+_POINTS = (np.arange(16)[:, None] & [8, 4, 2, 1] > 0).astype(int)  # row k: k's bits, f(00) first
 _C12, _W, _N, _RHO8, _REDUCED8, _SINGLE8, _ZERO8 = _algebra(_POINTS)
 _ONES, _CODES = _POINTS.sum(axis=1), {tuple(bits): k for k, bits in enumerate(_POINTS.tolist())}
 _PARITIES = [Parity.ODD if c else Parity.EVEN for c in _C12.tolist()]
@@ -108,20 +105,27 @@ _READOUT = {"transverse_magnetization_q2": "qubit-2 magnetization {!r} != {}",
             "transverse_magnetization_q1": "qubit-1 magnetization {!r} != 0",
             "single_quantum_weight": "single-quantum weight {!r} != {}",
             "zero_quantum_weight": "zero-quantum weight {!r} != {}"}
-# Entry (S, T) is (-1)^(|S| - |T|) for T a subset of S; row k: the points one bit from k.
-_MOBIUS = functools.reduce(np.kron, [np.array([[1, 0], [-1, 1]])] * 4)
-_NEIGHBOURS = np.arange(16)[:, None] ^ _PLACES
+# Each point set s (its points at the places of k's bits), smallest first, with its size and the
+# tables (bit k for the bits of k) that give each answer a = k & s, from all 0 to all 1.
+_GROUPS = tuple((s.bit_count(), tuple(sum(1 << k for k in range(16) if k & s == a)
+                for a in range(s + 1) if a & s == a)) for s in sorted(range(16), key=int.bit_count))
+_ODD_WEIGHT = sum(1 << k for k in range(16) if k.bit_count() % 2)  # the tables of 1 or 3 ones
 
 
-@functools.lru_cache(maxsize=16)
-def _query_certificates(labels: tuple[float, ...]) -> tuple[int, int]:
-    """Query lower bounds for a 0/1 label of the 16 truth tables (k for the bits of k):
-    the degree of its multilinear polynomial (Moebius transform), of which an exact
-    quantum algorithm needs half (Beals et al., J. ACM 48(4), 2001), and its sensitivity,
-    which bounds deterministic classical ones (Nisan, SIAM J. Comput. 20(6), 1991)."""
-    labels = np.array(labels)
-    degree = _ONES[_MOBIUS @ labels != 0].max(initial=0)
-    return int(degree), int((labels[_NEIGHBOURS] != labels[:, None]).sum(axis=1).max())
+def _certificate(ones: int, pool: int) -> tuple[int, int]:
+    """Bounds (lower, upper) on the deterministic queries that tell which ``pool`` tables are in
+    ``ones`` (masks: bit k for the bits of k). Lower: an adversary answering b to every query is
+    not done while the tables reading b at each point asked have both labels. Upper: the fewest
+    points that decide (Deutsch & Jozsa, Proc. R. Soc. A 439, 553, 1992; Buhrman & de Wolf,
+    Theor. Comput. Sci. 288(1), 2002)."""
+    one, zero = pool & ones, pool & ~ones
+    lower = max(min(n for n, g in _GROUPS if not g[b] & one or not g[b] & zero) for b in (0, -1))
+    for n, groups in _GROUPS:  # the first set none of whose groups carries both labels
+        for group in groups:
+            if group & one and group & zero:
+                break
+        else:
+            return lower, n
 
 
 def _once(read):
@@ -353,21 +357,25 @@ def run_all_checks() -> VerificationOutcome:
 
     @check
     def query_separation():
-        # Certified from the parity labels: sensitivity 4 of 4 points is the classical count.
         nonlocal classical_queries
-        odd = np.bincount(enumerated(), [c.parity is Parity.ODD for c in labels()], 16)
-        degree, classical_queries = _query_certificates(tuple(odd.tolist()))
-        if classical_queries != 4:
-            yield f"classical parity queries = {classical_queries}, expected 4"
-        by_outputs = {f.outputs: c for f, c in zip(functions, labels())}  # as functions compare
-        promise_queries = classical_min_queries(
-            lambda f: by_outputs[f.outputs].ones in (0, 4), constant_balanced_promise_functions())
-        if promise_queries != 3:
-            yield f"classical promise queries = {promise_queries}, expected 3"
+        codes = enumerated().tolist()  # each label as a mask, a set of bits whose sum is an OR
+        odd = sum({1 << k for k, c in zip(codes, labels()) if c.parity is Parity.ODD})
+        constant = sum({1 << k for k, c in zip(codes, labels()) if c.ones in (0, 4)})
+        lower, upper = parity = _certificate(odd, 0xFFFF)
+        classical_queries = lower if lower == upper else None
+        dj = sum({1 << _CODES[f.outputs] for f in constant_balanced_promise_functions()})
+        for what, (lo, hi), n in ("parity", parity, 4), ("promise", _certificate(constant, dj), 3):
+            if (lo, hi) != (n, n):
+                count = f"= {lo}" if lo == hi else f"in [{lo}, {hi}]"
+                yield f"classical {what} queries {count}, expected {n}"
+        # Half the labels' degree is the exact quantum count (Beals et al., J. ACM 48(4), 2001):
+        # the monomial off a set S has coefficient +-(odd- less even-weight labels in S's 0 group).
+        degree = next((4 - n for n, (within, *_) in _GROUPS if (odd & within & _ODD_WEIGHT)
+                       .bit_count() != (odd & within & ~_ODD_WEIGHT).bit_count()), 0)
         quantum_queries, quantum_calls = (degree + 1) // 2, set(column("circuit.oracle_calls"))
         if quantum_calls != {quantum_queries}:
             yield f"quantum circuits used {quantum_calls} oracle calls, expected {quantum_queries}"
-        elif not quantum_queries < classical_queries:
+        elif not quantum_queries < lower:
             yield "no quantum/classical separation"
 
     return VerificationOutcome(

@@ -10,10 +10,9 @@ of the density check ``_check_densities`` that every density stack passes
 through, of ``_circuit_steps``, which runs every circuit, of the comparison
 rule ``_deviation`` and of ``numpy.kron``, ``numpy.einsum`` and
 ``numpy.linalg.eigvalsh``, wrapped from outside the package
-the way ``bench/tracer.py`` wraps them, and the runs of the classical query
-search's minimax recursion, as misses of its cache. They also count the lines
-of the package's source, which ``python -m qparity.cli`` compiles when no
-bytecode is cached.
+the way ``bench/tracer.py`` wraps them. They also count the lines of the
+package's source, which ``python -m qparity.cli`` compiles when no bytecode
+is cached.
 
 The budgets are a ratchet, so each count must equal its budget. A count
 above it is a regression. A count below it fails too, until the change
@@ -100,8 +99,7 @@ BATCH_BUDGET = {
     "_check_densities": 5,
     "classify": 48,  # 16 per sweep, and verify's 16 labels
     "classification_report": 0,  # table and verify read the 16-function sweep alone
-    "classical_min_queries": 1,  # the DJ promise; parity is certified, not searched
-    "_min_depth": 0,  # that search's recursion: memoized by label partition and pool
+    "classical_min_queries": 0,  # verify certifies both query counts; it runs no search
     "kron": 0,
     "einsum": 0,
     "eigvalsh": 0,  # every density row is within ZERO_FLOOR / 8 of its projector
@@ -110,7 +108,7 @@ BATCH_BUDGET = {
     # stacks and idempotency test, and one per comparison of verify's 14 folded ones.
     "_deviation": 37,
 }
-SRC_LINES = 1899  # cat src/qparity/*.py | wc -l
+SRC_LINES = 1898  # cat src/qparity/*.py | wc -l
 
 
 @pytest.fixture
@@ -169,22 +167,10 @@ def batch_pairs(pairs):
 
 
 def test_batch_pair_budget(counts):
-    # Counted warm, as the benchmark's loop runs: one pair fills the caches first.
-    pairs, search = 3, qparity.algorithms._min_depth
-    batch_pairs(1)
-    counts.clear()
-    misses = search.cache_info().misses
+    # Every pair meets the budget, the first included.
+    pairs = 3
     batch_pairs(pairs)
-    counts["_min_depth"] = search.cache_info().misses - misses
     assert per_call(counts, BATCH_BUDGET, pairs) == BATCH_BUDGET
-
-
-def test_a_cold_search_runs_its_recursion_once():
-    # The count above reads 0 only because the memo holds the search, not because none runs.
-    search = qparity.algorithms._min_depth
-    search.cache_clear()
-    batch_pairs(1)
-    assert (search.cache_info().misses, search.cache_info().hits) == (1, 0)
 
 
 def test_source_line_budget():

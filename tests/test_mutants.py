@@ -14,7 +14,6 @@ import pytest
 
 import qparity.algorithms
 import qparity.gates
-import qparity.oracles
 import qparity.reports
 import qparity.verification
 from qparity import DJVerdict, TruthTable, UnitaryOperator
@@ -68,14 +67,10 @@ def shifted_coherence_mask(monkeypatch):
 
 
 def search_skipping_a_point(monkeypatch):
-    # The search learns f(11) without paying a query for it.
-    honest = qparity.verification.classical_min_queries
-
-    def search(label, functions=None):
-        pool = qparity.oracles.enumerate_functions() if functions is None else list(functions)
-        return max(honest(label, [f for f in pool if f.outputs[3] == bit]) for bit in (0, 1))
-
-    monkeypatch.setattr(qparity.verification, "classical_min_queries", search)
+    # The promise pool keeps only the tables with f(11) = 0, as if f(11) were learned free.
+    honest = qparity.verification.constant_balanced_promise_functions
+    monkeypatch.setattr(qparity.verification, "constant_balanced_promise_functions",
+                        lambda: [f for f in honest() if f.outputs[3] == 0])
 
 
 def three_oracle_calls(monkeypatch):

@@ -1,5 +1,5 @@
 """The checks of ``qparity verify``: per-function attribution of injected
-faults, and concurrent use."""
+faults, the certificate of the classical query counts, and concurrent use."""
 
 import dataclasses
 import json
@@ -8,10 +8,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qparity.reports
 import qparity.verification
-from qparity import StateVector, classical_min_queries, run_all_checks, to_canonical_json
+from qparity import (
+    StateVector, classical_min_queries, constant_balanced_promise_functions, run_all_checks,
+    to_canonical_json,
+)
 from qparity.cli import main
 from qparity.linalg import ZERO_FLOOR
 from qparity.oracles import Parity, classify, enumerate_functions
@@ -404,38 +409,89 @@ def test_raising_probe_fails_its_check_without_a_crash(
     assert lines[-1] == "0/16 functions verified, classical_min_queries=?"
 
 
-def labels_of(label) -> tuple[int, ...]:
-    """A 0/1 label of the 16 truth tables, in enumeration order: entry k for the bits of k.
-    A tuple, the key ``_query_certificates`` is memoized by."""
-    return tuple(int(label(f)) for f in enumerate_functions())
+def mask(functions) -> int:
+    """Truth tables as a bit mask, bit k for the bits of k, as ``_certificate`` reads them."""
+    return sum({1 << int(f.to_string(), 2) for f in functions})
 
 
-def moebius(labels) -> list[int]:
-    """The coefficients of the label's multilinear polynomial, by inclusion-exclusion over
-    the subsets T of each monomial S (as bit masks), independently of the certificate."""
-    return [sum((-1) ** bin(s ^ t).count("1") * labels[t] for t in range(16) if t & s == t)
+def certify(label, pool=None) -> tuple[tuple[int, int], int]:
+    """The certificate's bounds for a 0/1 ``label`` on ``pool`` (all 16 tables by default),
+    and the exhaustive search's count."""
+    pool = enumerate_functions() if pool is None else pool
+    bounds = qparity.verification._certificate(mask(f for f in pool if label(f)), mask(pool))
+    return bounds, classical_min_queries(label, pool)
+
+
+def moebius(labels: int) -> list[int]:
+    """The coefficients of a label's multilinear polynomial, by inclusion-exclusion over
+    the subsets T of each monomial S (as bit masks), independently of ``verify``."""
+    return [sum((-1) ** bin(s ^ t).count("1") * (labels >> t & 1) for t in range(16) if t & s == t)
             for s in range(16)]
 
 
 def test_parity_certificates_are_tight():
     # Beals et al.: exact quantum algorithms need deg/2 queries; the x1x2x3x4
     # coefficient -8 makes parity's degree 4, so the circuit's 2 calls are optimal.
-    odd = labels_of(lambda f: classify(f).parity is Parity.ODD)
-    assert moebius(odd)[15] == -8
-    degree, sensitivity = qparity.verification._query_certificates(odd)
-    assert degree == 4 and sensitivity == 4
-    # Nisan: D >= s, and no strategy needs more than the 4 points, so s = 4 is the
-    # exhaustive search's answer.
-    assert classical_min_queries(lambda f: classify(f).parity) == sensitivity
+    odd = lambda f: classify(f).parity is Parity.ODD
+    assert moebius(mask(filter(odd, enumerate_functions())))[15] == -8
+    # Both bounds are the exhaustive search's answer: every strategy needs all 4 points.
+    assert certify(odd) == ((4, 4), 4)
 
 
 @pytest.mark.parametrize("bit", range(4))
 def test_certificates_of_one_output_bit(bit):
-    # A label that is one output bit has degree 1 and sensitivity 1, and one query decides it.
-    label = labels_of(lambda f: f.outputs[bit])
-    assert [k for k, c in enumerate(moebius(label)) if c] == [8 >> bit]
-    assert qparity.verification._query_certificates(label) == (1, 1)
-    assert classical_min_queries(lambda f: f.outputs[bit]) == 1
+    # A label that is one output bit has degree 1, and one query decides it.
+    label = lambda f: f.outputs[bit]
+    coefficients = moebius(mask(filter(label, enumerate_functions())))
+    assert [k for k, c in enumerate(coefficients) if c] == [8 >> bit]
+    assert certify(label) == ((1, 1), 1)
+
+
+def test_promise_and_constant_certificates_are_tight():
+    # Under the promise, two points answered 0 leave 0000 and a balanced table; three decide.
+    promise = constant_balanced_promise_functions()
+    assert certify(lambda f: f.ones() in (0, 4), promise) == ((3, 3), 3)
+    assert certify(lambda f: True) == ((0, 0), 0)
+    # f(00) and f(01): an adversary answering 0 stops after one point, one answering 1 after two.
+    assert certify(lambda f: f.outputs[0] & f.outputs[1]) == ((2, 2), 2)
+
+
+def address(f) -> int:
+    """f(00) ? f(01) : f(10): two adaptive queries decide it, but no two fixed points do."""
+    return f.outputs[1] if f.outputs[0] else f.outputs[2]
+
+
+@given(st.lists(st.sampled_from(enumerate_functions()), max_size=16),
+       st.lists(st.integers(0, 1), min_size=16, max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_certificate_bounds_the_search(pool, labels):
+    (lower, upper), search = certify(lambda f: labels[int(f.to_string(), 2)], pool)
+    assert lower <= search <= upper
+
+
+def majority(f) -> int:
+    """The majority of f(00), f(01), f(10): of degree 3, and two answers alike stop an adversary."""
+    return int(sum(f.outputs[:3]) >= 2)
+
+
+@pytest.mark.parametrize("label, search, note", [
+    (address, 2, "quantum circuits used {2} oracle calls, expected 1"),
+    # Degree 3 asks 2 quantum queries, which the lower bound 2 does not separate.
+    (majority, 3, "no quantum/classical separation"),
+], ids=["address", "majority"])
+def test_split_certificate_fails_the_summary_count(label, search, note, capsys, monkeypatch):
+    # A classify whose parity is ``label``: verify cannot certify a count.
+    assert certify(label) == ((2, 3), search)
+    honest = qparity.verification.classify
+    monkeypatch.setattr(qparity.verification, "classify", lambda f: dataclasses.replace(
+        honest(f), parity=Parity.ODD if label(f) else Parity.EVEN))
+    code = main(["verify"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if not line.startswith("ok ")] == [
+        f"FAIL query_separation: classical parity queries in [2, 3], expected 4; {note}",
+        "16/16 functions verified, classical_min_queries=?",
+    ]
 
 
 def snapshot():
