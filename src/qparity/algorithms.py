@@ -202,7 +202,10 @@ def classical_min_queries(
     pool = tuple(enumerate_functions() if functions is None else functions)
     # Candidate sets are bitmasks over pool positions: bit k stands for pool[k].
     labels = [label(f) for f in pool]
-    same_label = [sum(1 << j for j, w in enumerate(labels) if w == v) for v in labels]
+    label_masks: dict[object, int] = {}
+    for k, value in enumerate(labels):
+        label_masks[value] = label_masks.get(value, 0) | 1 << k
+    same_label = [label_masks[value] for value in labels]  # pool[k]'s label class
     zero_masks = [sum(1 << k for k, f in enumerate(pool) if not f.outputs[x]) for x in range(4)]
 
     @functools.cache  # every candidate set, pure ones included

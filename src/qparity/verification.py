@@ -105,27 +105,39 @@ _READOUT = {"transverse_magnetization_q2": "qubit-2 magnetization {!r} != {}",
             "transverse_magnetization_q1": "qubit-1 magnetization {!r} != 0",
             "single_quantum_weight": "single-quantum weight {!r} != {}",
             "zero_quantum_weight": "zero-quantum weight {!r} != {}"}
-# Each point set s (its points at the places of k's bits), smallest first, with its size and the
-# tables (bit k for the bits of k) that give each answer a = k & s, from all 0 to all 1.
-_GROUPS = tuple((s.bit_count(), tuple(sum(1 << k for k in range(16) if k & s == a)
-                for a in range(s + 1) if a & s == a)) for s in sorted(range(16), key=int.bit_count))
-_ODD_WEIGHT = sum(1 << k for k in range(16) if k.bit_count() % 2)  # the tables of 1 or 3 ones
+# Entry (S, T) is (-1)^(|S| - |T|) for T a subset of S.
+_MOBIUS = functools.reduce(np.kron, [np.array([[1, 0], [-1, 1]])] * 4)
+# Each set s of points (the bits of s, f(00) first), fewest points first, with its groups: entry
+# a holds the tables (a bitmask) answering a = k & s on s, so entry 0 answers all 0, entry s all 1.
+_POINT_SETS = tuple((s, tuple(sum(1 << k for k in range(16) if k & s == a) for a in range(16)))
+                    for s in sorted(range(16), key=int.bit_count))
+
+
+def _degree(ones: int) -> int:
+    """The degree of the Moebius transform (multilinear polynomial) of the 0/1 label ``ones`` of
+    the 16 tables; exact quantum algorithms need half of it (Beals et al., J. ACM 48(4), 2001)."""
+    return int(_ONES[_MOBIUS @ (ones >> np.arange(16) & 1) != 0].max(initial=0))
 
 
 def _certificate(ones: int, pool: int) -> tuple[int, int]:
-    """Bounds (lower, upper) on the deterministic queries that tell which ``pool`` tables are in
-    ``ones`` (masks: bit k for the bits of k). Lower: an adversary answering b to every query is
-    not done while the tables reading b at each point asked have both labels. Upper: the fewest
-    points that decide (Deutsch & Jozsa, Proc. R. Soc. A 439, 553, 1992; Buhrman & de Wolf,
-    Theor. Comput. Sci. 288(1), 2002)."""
+    """Bounds (lower, upper) on the queries any deterministic classical strategy needs to tell
+    which tables of ``pool`` are in ``ones`` (bitmasks). Lower: an adversary answering b to every
+    query leaves a strategy undecided while the pool tables answering b at each point asked have
+    both labels. Upper: the fewest points whose answers decide the label (Deutsch & Jozsa, Proc.
+    R. Soc. A 439, 553, 1992; Buhrman & de Wolf, Theor. Comput. Sci. 288(1), 2002)."""
     one, zero = pool & ones, pool & ~ones
-    lower = max(min(n for n, g in _GROUPS if not g[b] & one or not g[b] & zero) for b in (0, -1))
-    for n, groups in _GROUPS:  # the first set none of whose groups carries both labels
+    lower_0 = lower_1 = None  # the fewest points after which each adversary must stop
+    for s, groups in _POINT_SETS:  # fewest points first, so the first set found is a smallest
+        all_0, all_1 = groups[0], groups[s]
+        if lower_0 is None and not (all_0 & one and all_0 & zero):
+            lower_0 = s.bit_count()
+        if lower_1 is None and not (all_1 & one and all_1 & zero):
+            lower_1 = s.bit_count()
         for group in groups:
             if group & one and group & zero:
                 break
-        else:
-            return lower, n
+        else:  # this set decides, so its all-0 and all-1 groups did, and both adversaries stopped
+            return max(lower_0, lower_1), s.bit_count()
 
 
 def _once(read):
@@ -358,21 +370,21 @@ def run_all_checks() -> VerificationOutcome:
     @check
     def query_separation():
         nonlocal classical_queries
-        codes = enumerated().tolist()  # each label as a mask, a set of bits whose sum is an OR
-        odd = sum({1 << k for k, c in zip(codes, labels()) if c.parity is Parity.ODD})
-        constant = sum({1 << k for k, c in zip(codes, labels()) if c.ones in (0, 4)})
+        odd = constant = promise = 0  # sets of truth tables as bitmasks, bit k for the bits of k
+        for k, c in zip(enumerated().tolist(), labels()):
+            odd |= (c.parity is Parity.ODD) << k
+            constant |= (c.ones in (0, 4)) << k
+        for f in constant_balanced_promise_functions():
+            promise |= 1 << _CODES[f.outputs]
         lower, upper = parity = _certificate(odd, 0xFFFF)
         classical_queries = lower if lower == upper else None
-        dj = sum({1 << _CODES[f.outputs] for f in constant_balanced_promise_functions()})
-        for what, (lo, hi), n in ("parity", parity, 4), ("promise", _certificate(constant, dj), 3):
+        for what, (lo, hi), n in [("parity", parity, 4),
+                                  ("promise", _certificate(constant, promise), 3)]:
             if (lo, hi) != (n, n):
                 count = f"= {lo}" if lo == hi else f"in [{lo}, {hi}]"
                 yield f"classical {what} queries {count}, expected {n}"
-        # Half the labels' degree is the exact quantum count (Beals et al., J. ACM 48(4), 2001):
-        # the monomial off a set S has coefficient +-(odd- less even-weight labels in S's 0 group).
-        degree = next((4 - n for n, (within, *_) in _GROUPS if (odd & within & _ODD_WEIGHT)
-                       .bit_count() != (odd & within & ~_ODD_WEIGHT).bit_count()), 0)
-        quantum_queries, quantum_calls = (degree + 1) // 2, set(column("circuit.oracle_calls"))
+        quantum_queries = (_degree(odd) + 1) // 2
+        quantum_calls = set(column("circuit.oracle_calls"))
         if quantum_calls != {quantum_queries}:
             yield f"quantum circuits used {quantum_calls} oracle calls, expected {quantum_queries}"
         elif not quantum_queries < lower:

@@ -411,7 +411,10 @@ def test_raising_probe_fails_its_check_without_a_crash(
 
 def mask(functions) -> int:
     """Truth tables as a bit mask, bit k for the bits of k, as ``_certificate`` reads them."""
-    return sum({1 << int(f.to_string(), 2) for f in functions})
+    tables = 0
+    for f in functions:
+        tables |= 1 << int(f.to_string(), 2)
+    return tables
 
 
 def certify(label, pool=None) -> tuple[tuple[int, int], int]:
@@ -433,7 +436,9 @@ def test_parity_certificates_are_tight():
     # Beals et al.: exact quantum algorithms need deg/2 queries; the x1x2x3x4
     # coefficient -8 makes parity's degree 4, so the circuit's 2 calls are optimal.
     odd = lambda f: classify(f).parity is Parity.ODD
-    assert moebius(mask(filter(odd, enumerate_functions())))[15] == -8
+    odd_tables = mask(filter(odd, enumerate_functions()))
+    assert moebius(odd_tables)[15] == -8
+    assert qparity.verification._degree(odd_tables) == 4
     # Both bounds are the exhaustive search's answer: every strategy needs all 4 points.
     assert certify(odd) == ((4, 4), 4)
 
@@ -442,9 +447,19 @@ def test_parity_certificates_are_tight():
 def test_certificates_of_one_output_bit(bit):
     # A label that is one output bit has degree 1, and one query decides it.
     label = lambda f: f.outputs[bit]
-    coefficients = moebius(mask(filter(label, enumerate_functions())))
-    assert [k for k, c in enumerate(coefficients) if c] == [8 >> bit]
+    tables = mask(filter(label, enumerate_functions()))
+    assert [k for k, c in enumerate(moebius(tables)) if c] == [8 >> bit]
+    assert qparity.verification._degree(tables) == 1
     assert certify(label) == ((1, 1), 1)
+
+
+def test_degree_of_every_label_is_its_moebius_degree():
+    # All 2^16 labels; the transform is linear, so each is a sum of the one-table labels'.
+    labels = np.arange(1 << 16)[:, None] >> np.arange(16) & 1
+    coefficients = labels @ np.array([moebius(1 << t) for t in range(16)])
+    sizes = np.array([bin(s).count("1") for s in range(16)])
+    expected = np.where(coefficients != 0, sizes, 0).max(axis=1)
+    assert [qparity.verification._degree(ones) for ones in range(1 << 16)] == expected.tolist()
 
 
 def test_promise_and_constant_certificates_are_tight():
