@@ -1,11 +1,10 @@
 """Per-function reports and deterministic JSON serialization.
 
-A sweep keeps its reports as columns (a ``Sweep``), builds a
-``ClassificationReport`` only for a row asked for, and is written as JSON from
-its columns, as is one report. Complex numbers serialize as [re, im] arrays.
-JSON output is canonical, the bytes of ``json.dumps(data, indent=2,
-sort_keys=True)``: keys sorted, two-space indent, floats in Python's shortest
-round-trip form, so parsing and re-serializing reproduces the bytes.
+A sweep keeps its reports as columns (a ``Sweep``) and builds a ``ClassificationReport`` only for
+a row asked for. ``to_canonical_json`` is the one report writer: it writes a sweep, or one report,
+from its columns. Complex numbers serialize as [re, im] arrays. JSON output is canonical, the
+bytes of ``json.dumps(data, indent=2, sort_keys=True)``: keys sorted, two-space indent, floats in
+Python's shortest round-trip form, so parsing and re-serializing reproduces the bytes.
 """
 
 from __future__ import annotations
@@ -106,40 +105,9 @@ def states_to_jsonable(states: Sequence[StateVector] | np.ndarray) -> list[dict]
     return [{"basis": basis, "amplitudes": p} for p in pairs]
 
 
-def _records_to_jsonable(reports: Sequence[ClassificationReport], name: str, cls) -> list[dict]:
-    """The ``name`` records (of type ``cls``) of the reports as JSON objects: a column
-    of bools as it is, numbers and tuples of them as floats, IEEE negative zero made
-    positive by the + 0.0 so serialized zeros are stable."""
-    fields = [f.name for f in dataclasses.fields(cls)]
-    columns = [_column(reports, f"{name}.{field}") for field in fields]
-    columns = [c if all(type(v) is bool for v in c) else
-               [[x + 0.0 for x in v] if type(v) is tuple else v + 0.0 for v in c] for c in columns]
-    return [dict(zip(fields, row)) for row in zip(*columns)]
-
-
-def reports_to_jsonable(reports: Sequence[ClassificationReport]) -> list[dict]:
-    """One JSON object per report, of a sweep or of any sequence of reports,
-    written from one column per field."""
-    column = functools.partial(_column, reports)
-    columns = zip(
-        column("function"), column("function_class"), column("oracle_separable"),
-        column("dj_verdict"), column("circuit.verdict"), column("circuit.oracle_calls"),
-        states_to_jsonable(column("circuit.final_state")),
-        _records_to_jsonable(reports, "entanglement", EntanglementReport),
-        _records_to_jsonable(reports, "observability", ObservabilityReport),
-    )
-    return [
-        {"function": f.to_string(), "class": c.label, "ones": c.ones, "zeros": c.zeros,
-         "parity": c.parity.value, "oracle_separable": separable, "dj_verdict": dj.value,
-         "circuit_verdict": verdict.value, "oracle_calls": calls, "final_state": state,
-         "entanglement": entanglement, "observability": observability}
-        for f, c, separable, dj, verdict, calls, state, entanglement, observability in columns
-    ]
-
-
-def report_to_jsonable(r: ClassificationReport) -> dict:
-    """The JSON object :func:`reports_to_jsonable` writes for one report."""
-    return reports_to_jsonable((r,))[0]
+def report_to_jsonable(r: ClassificationReport) -> ClassificationReport:
+    """``r`` itself, kept only because ``bench/worker.py`` calls it until ROADMAP item 1."""
+    return r
 
 
 # The dotted JSON path of each scalar of a report's object but its function and final state: the
@@ -165,9 +133,9 @@ def _report_layout(indent: str, d: int, shape: tuple) -> str:
 
 
 def _report_texts(reports: Sequence[ClassificationReport], indent: str) -> list[str]:
-    """Each report's JSON text after ``indent``, as ``_write`` writes its dict form, from the
-    columns: each distinct number formatted once as x + 0.0, other scalars by their column's kind,
-    one % fill per report; other kinds go through the dict form (a None or a str: TypeError)."""
+    """The JSON text of each of one or more reports after ``indent``, from the columns: numbers
+    as x + 0.0, each distinct one formatted once, other scalars by their column's kind, one % fill
+    per report. A column of other kinds, or a number not a float, int or bool, raises TypeError."""
     amps = np.ascontiguousarray(_column(reports, "circuit.final_state"), dtype=np.complex128)
     floats, texts, shape = {"final_state": amps.view(np.float64).T.tolist()}, {}, []
     fields = {"function": [f.to_string() for f in _column(reports, "function")],
@@ -176,16 +144,16 @@ def _report_texts(reports: Sequence[ClassificationReport], indent: str) -> list[
         kinds, record, slot = set(map(type, values)), "." in path, "\0"
         if kinds == {bool} or not record and len(kinds) == 1 and kinds <= _SCALARS.keys():
             texts[path] = [list(map(_SCALARS[kinds.pop()], values))]
-        elif record and tuple not in kinds:
+        elif record and kinds <= {float, int, bool}:
             floats[path] = [values]
         elif record and kinds == {tuple} and len(lengths := set(map(len, values))) == 1:
             slot, floats[path] = ("\0",) * lengths.pop(), list(zip(*values))
         else:
-            break
+            raise TypeError(f"report field {path} holds {sorted(k.__name__ for k in kinds)}")
         shape.append((path, slot))
     numbers = list(itertools.chain.from_iterable(itertools.chain.from_iterable(floats.values())))
-    if len(shape) < len(fields) or not set(map(type, numbers)) <= {float, int, bool}:
-        return [_json(r, indent) for r in reports_to_jsonable(reports)]
+    if not (held := set(map(type, numbers))) <= {float, int, bool}:  # unchecked: tuple entries
+        raise TypeError(f"report tuple entries hold {sorted(k.__name__ for k in held)}")
     text = {v: _SCALARS[float](v + 0.0) for v in dict.fromkeys(numbers)}  # 0.0, -0.0 share a text
     texts |= {path: [list(map(text.__getitem__, c)) for c in cs] for path, cs in floats.items()}
     layout = _report_layout(indent, amps.shape[-1], tuple(shape))
@@ -234,7 +202,7 @@ def _write(x, indent: str, append) -> None:
             return append(_report_texts((x,), indent)[0])
         if not (isinstance(x, Sweep) and x.row_type is ClassificationReport):
             raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-        rows = _report_texts(x, indent + "  ")
+        rows = _report_texts(x, indent + "  ") if len(x) else []
         return append(f"[{indent}  " + f",{indent}  ".join(rows) + f"{indent}]" if rows else "[]")
     inner = indent + "  "
     head, sep = ("{" if kind is dict else "[") + inner, "," + inner
@@ -267,9 +235,8 @@ def _json(x, indent: str) -> str:
 
 
 def to_canonical_json(data) -> str:
-    """Serialize as ``json.dumps(data, indent=2, sort_keys=True)`` would, so
-    loads/dumps is byte-stable. ``data`` nests str-keyed dicts, lists, tuples,
-    str, int, float (NaN and infinities too), bool and None, and report sweeps and
-    reports, written from their columns as their :func:`reports_to_jsonable` form;
-    anything else, unlike in ``json`` a non-``str`` key too, raises TypeError."""
+    """Serialize as ``json.dumps(data, indent=2, sort_keys=True)`` would, so loads/dumps is
+    byte-stable. ``data`` nests str-keyed dicts, lists, tuples, str, int, float (NaN and infinities
+    too), bool and None, and report sweeps and reports, which this alone writes, from their columns.
+    Anything else, unlike in ``json`` a non-``str`` key too, raises TypeError."""
     return _json(data, "\n")

@@ -3,7 +3,9 @@
 Runs ``bench/worker.py`` briefly for each workload and checks every answer
 with ``bench/checker.py``: ``calls`` and ``batch`` call
 ``classification_report``, ``report_to_jsonable``, ``TruthTable.from_string``,
-``run_even_odd`` and ``cli.main`` in-process; ``cli`` runs each of the five
+``run_even_odd`` and ``cli.main`` in-process (``report_to_jsonable`` returns the
+report, so the ``calls`` classify op writes it with ``to_canonical_json``, the one
+report writer, as ``classify --json`` does); ``cli`` runs each of the five
 commands as a real ``python -m qparity.cli`` subprocess, so an import-time
 failure or an output difference that only the command line shows fails here.
 No assertion depends on a timing.

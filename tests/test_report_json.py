@@ -1,21 +1,58 @@
 """Reports written from their columns: ``to_canonical_json`` takes a report sweep
-or a report as it is, and must give the bytes of its dict form,
-``reports_to_jsonable``/``report_to_jsonable``, in every case that form can be
-written, and raise where that form raises."""
+or a report as it is, the package's one report writer. This file keeps the dict
+form each report's JSON object was first written from, ``reports_to_jsonable``, as
+its reference: the writer must give that form's bytes in every case the column
+layout fits, and raise ``TypeError`` naming the field where it does not, or where
+the dict form raises."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import qparity.cli
-from qparity import enumerate_functions, to_canonical_json
+from qparity import classification_report, enumerate_functions, to_canonical_json
+from qparity.algorithms import _column
 from qparity.entanglement import EntanglementReport
 from qparity.nmr import ObservabilityReport
 from qparity.reports import (
-    ClassificationReport, all_reports, report_to_jsonable, reports_to_jsonable,
+    ClassificationReport, all_reports, classification_report_sweep, report_to_jsonable,
+    states_to_jsonable,
 )
+
+
+def records_to_jsonable(reports, name, cls):
+    """The ``name`` records (of type ``cls``) of the reports as JSON objects: a column
+    of bools as it is, numbers and tuples of them as floats, IEEE negative zero made
+    positive by the + 0.0 so serialized zeros are stable."""
+    fields = [f.name for f in dataclasses.fields(cls)]
+    columns = [_column(reports, f"{name}.{field}") for field in fields]
+    columns = [c if all(type(v) is bool for v in c) else
+               [[x + 0.0 for x in v] if type(v) is tuple else v + 0.0 for v in c] for c in columns]
+    return [dict(zip(fields, row)) for row in zip(*columns)]
+
+
+def reports_to_jsonable(reports):
+    """The reference: one JSON object per report, of a sweep or of any sequence of
+    reports, written from one column per field."""
+    column = functools.partial(_column, reports)
+    columns = zip(
+        column("function"), column("function_class"), column("oracle_separable"),
+        column("dj_verdict"), column("circuit.verdict"), column("circuit.oracle_calls"),
+        states_to_jsonable(column("circuit.final_state")),
+        records_to_jsonable(reports, "entanglement", EntanglementReport),
+        records_to_jsonable(reports, "observability", ObservabilityReport),
+    )
+    return [
+        {"function": f.to_string(), "class": c.label, "ones": c.ones, "zeros": c.zeros,
+         "parity": c.parity.value, "oracle_separable": separable, "dj_verdict": dj.value,
+         "circuit_verdict": verdict.value, "oracle_calls": calls, "final_state": state,
+         "entanglement": entanglement, "observability": observability}
+        for f, c, separable, dj, verdict, calls, state, entanglement, observability in columns
+    ]
+
 
 SPECIALS = (math.nan, math.inf, -math.inf, -0.0, 5e-324)  # the last one is subnormal
 RECORD_FIELDS = [f"{name}.{f.name}" for name, cls in (
@@ -48,7 +85,7 @@ def both(x, nest):
     """The new route's text and the dict form's, at the top (``classify``) or one level
     down, in a list of a dict (``table``)."""
     single = isinstance(x, ClassificationReport)
-    reference = report_to_jsonable(x) if single else reports_to_jsonable(x)
+    reference = reports_to_jsonable([x])[0] if single else reports_to_jsonable(x)
     if nest:
         x, reference = {"functions": [x]}, {"functions": [reference]}
     return to_canonical_json(x), to_canonical_json(reference)
@@ -112,15 +149,23 @@ class TestSameBytesAsTheDictForm:
         assert '"observable_line": true' in new
 
     def test_columns_the_layout_does_not_fit(self, nest):
-        # A tuple of another length, a scalar among tuples, a scalar of another kind
-        # among the top-level fields: written as the dict form writes them.
+        # A tuple of another length, a scalar among tuples, a scalar of another kind among
+        # the top-level fields: no layout fits the sweep, so the writer names the field and
+        # the kinds it holds. The row alone is a column of one kind, written as the dict form.
         sweep = all_reports()
-        for path, row, value in [("entanglement.schmidt_coefficients", 4, (0.5, 0.25, 0.125)),
-                                 ("entanglement.schmidt_coefficients", 5, 0.5),
-                                 ("circuit.oracle_calls", 6, None),
-                                 ("oracle_separable", 7, 1)]:
+        for path, row, value, message in [
+            ("entanglement.schmidt_coefficients", 4, (0.5, 0.25, 0.125),
+             "entanglement.schmidt_coefficients holds ['tuple']"),
+            ("entanglement.schmidt_coefficients", 5, 0.5,
+             "entanglement.schmidt_coefficients holds ['float', 'tuple']"),
+            ("circuit.oracle_calls", 6, None, "oracle_calls holds ['NoneType', 'int']"),
+            ("oracle_separable", 7, 1, "oracle_separable holds ['bool', 'int']"),
+        ]:
             changed = with_row(sweep, path, row, value)
-            new, reference = both(changed, nest)
+            with pytest.raises(TypeError) as raised:
+                to_canonical_json({"functions": changed} if nest else changed)
+            assert str(raised.value) == f"report field {message}"
+            new, reference = both(changed[row], nest)
             assert new == reference
         triples = replaced(sweep, "entanglement.schmidt_coefficients", [(0.5,) * 3] * 16)
         new, reference = both(triples, nest)
@@ -146,14 +191,29 @@ def test_none_or_str_in_a_number_column_raises_as_the_dict_form_does(path, value
 
 
 @pytest.mark.parametrize("path", ["entanglement.concurrence", "observability.observable_line",
-                                  "entanglement.schmidt_coefficients"])
+                                  "entanglement.schmidt_coefficients", "circuit.oracle_calls"])
 def test_table_json_with_a_none_exits_3_and_prints_nothing(capsys, monkeypatch, path):
     broken = with_row(all_reports(), path, 5, None)
     monkeypatch.setattr(qparity.cli, "all_reports", lambda: broken)
     code = qparity.cli.main(["table", "--json"])
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
-    assert "TypeError" in err
+    assert f"TypeError: report field {path.removeprefix('circuit.')} holds ['NoneType', " in err
+
+
+@pytest.mark.parametrize("f", enumerate_functions(), ids=lambda f: f.to_string())
+def test_classify_json_writes_what_the_benchmark_classify_op_writes(capsys, f):
+    # The benchmark's in-process classify op writes to_canonical_json(report_to_jsonable(...)).
+    bits = f.to_string()
+    assert report_to_jsonable(report := classification_report(f)) is report
+    assert qparity.cli.main(["classify", bits, "--json"]) == 0
+    assert capsys.readouterr().out == to_canonical_json(report_to_jsonable(report)) + "\n"
+
+
+def test_an_empty_sweep_is_an_empty_list():
+    empty = classification_report_sweep(())
+    assert to_canonical_json(empty) == "[]"
+    assert to_canonical_json({"functions": empty}) == '{\n  "functions": []\n}'
 
 
 def test_other_sweeps_and_objects_are_not_json():

@@ -20,7 +20,7 @@ from qparity import (
 from qparity.cli import main
 from qparity.linalg import ZERO_FLOOR
 from qparity.oracles import Parity, classify, enumerate_functions
-from qparity.reports import all_reports, report_to_jsonable
+from qparity.reports import all_reports
 
 
 def negate_final_state(report):
@@ -323,7 +323,7 @@ def test_density_fault_with_a_negative_eigenvalue_fails(monkeypatch):
 def test_parity_flipped_classify_is_blamed_on_classify(capsys, monkeypatch):
     # The expectations and the readout's even/odd split come from the
     # truth-table bits, not from classify, so a wrong classify fails the class
-    # rule alone, and the physics checks keyed by the bits pass.
+    # and label rules alone, and the physics checks keyed by the bits pass.
     def flipped(f):
         c = classify(f)
         parity = Parity.ODD if c.parity is Parity.EVEN else Parity.EVEN
@@ -339,9 +339,9 @@ def test_parity_flipped_classify_is_blamed_on_classify(capsys, monkeypatch):
     assert failed[0] == (
         "FAIL function_enumeration: "
         "0000: classify gives [0,4] odd, the ANF and W give [0,4] even; "
+        "0000: classify labels it odd, the ANF gives even; "
         "0001: classify gives [1,3] even, the ANF and W give [1,3] odd; "
-        "0010: classify gives [1,3] even, the ANF and W give [1,3] odd; "
-        "0011: classify gives [2,2] odd, the ANF and W give [2,2] even; and 12 more"
+        "0001: classify labels it even, the ANF gives odd; and 28 more"
     )
     for name in ("separability_parity_theorem", "circuit_verdicts", "entanglement_correspondence",
                  "schmidt_coefficients", "nmr_observability", "spin_readout_separation"):
@@ -495,22 +495,28 @@ def majority(f) -> int:
     (majority, 3, "no quantum/classical separation"),
 ], ids=["address", "majority"])
 def test_split_certificate_fails_the_summary_count(label, search, note, capsys, monkeypatch):
-    # A classify whose parity is ``label``: verify cannot certify a count.
+    # A classify whose parity is ``label``: verify cannot certify a count, and
+    # function_enumeration fails each of the 8 functions that label gets wrong.
     assert certify(label) == ((2, 3), search)
     honest = qparity.verification.classify
     monkeypatch.setattr(qparity.verification, "classify", lambda f: dataclasses.replace(
         honest(f), parity=Parity.ODD if label(f) else Parity.EVEN))
     code = main(["verify"])
     out, err = capsys.readouterr()
-    assert (code, err) == (1, "")
+    wrong = [f for f in enumerate_functions() if label(f) != sum(f.outputs) % 2]
+    words = ("even", "odd")
+    labelled = [f"{f.to_string()}: classify labels it {words[label(f)]}, the ANF gives "
+                f"{words[1 - label(f)]}" for f in wrong]
+    assert (code, err, len(wrong)) == (1, "", 8)
     assert [line for line in out.splitlines() if not line.startswith("ok ")] == [
+        f"FAIL function_enumeration: {'; '.join(labelled[:4])}; and 4 more",
         f"FAIL query_separation: classical parity queries in [2, 3], expected 4; {note}",
-        "16/16 functions verified, classical_min_queries=?",
+        "8/16 functions verified, classical_min_queries=?",
     ]
 
 
 def snapshot():
-    reports = to_canonical_json([report_to_jsonable(r) for r in all_reports()])
+    reports = to_canonical_json(all_reports())
     outcome = run_all_checks()
     return reports, outcome
 
