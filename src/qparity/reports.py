@@ -152,7 +152,7 @@ def _report_texts(reports: Sequence[ClassificationReport], indent: str) -> list[
             raise TypeError(f"report field {path} holds {sorted(k.__name__ for k in kinds)}")
         shape.append((path, slot))
     numbers = list(itertools.chain.from_iterable(itertools.chain.from_iterable(floats.values())))
-    if not (held := set(map(type, numbers))) <= {float, int, bool}:  # unchecked: tuple entries
+    if not (held := set(map(type, numbers))) <= {float, int, bool}:  # the loop skips tuple entries
         raise TypeError(f"report tuple entries hold {sorted(k.__name__ for k in held)}")
     text = {v: _SCALARS[float](v + 0.0) for v in dict.fromkeys(numbers)}  # 0.0, -0.0 share a text
     texts |= {path: [list(map(text.__getitem__, c)) for c in cs] for path, cs in floats.items()}

@@ -244,8 +244,8 @@ def run_all_checks() -> VerificationOutcome:
         yield ([(c.ones, c.zeros, c.parity) != w for c, w in zip(got, classes)],
                "classify gives {0.label} {0.parity.value}, the ANF and W give "
                "[{1[0]},{1[1]}] {1[2].value}", got, classes)
-        said = dict(zip(enumerated().tolist(), labels()))  # the labels query_separation reads
-        said = [said[k].parity for k in codes.tolist()]
+        by_code = dict(zip(enumerated().tolist(), labels()))  # the labels query_separation reads
+        said = [by_code[k].parity for k in codes.tolist()]
         yield ([s is not p for s, p in zip(said, parities)],
                "classify labels it {.value}, the ANF gives {.value}", said, parities)
 
