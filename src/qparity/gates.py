@@ -1,11 +1,11 @@
 """Gate constructors for the two-qubit circuits.
 
-Each call builds fresh operators. No gate is built at import or kept across
-calls: that would speed the single-function calls past the benchmark's memory
-bound until its harness is fixed (ROADMAP item 1), and its tracer test pins a
-report to constructing a gate. The circuit sweeps take their gates as arguments,
-so a report sweep builds one set from one ``hadamard()``. Products are formed by
-broadcasting (``tensor_product``), and every gate is validated once per construction.
+Each constructor builds fresh operators on every call. The report sweep, run by
+``table`` and ``verify`` alone, reads ``EVEN_ODD_GATES``, one read-only pair built and
+validated at import. The single-function runs still build their own gates: a constant
+there would speed them past the benchmark's memory bound until its harness is fixed
+(ROADMAP item 1), and its tracer test pins a report to constructing a gate. Products
+are formed by broadcasting (``tensor_product``), and every gate is validated once.
 """
 
 from __future__ import annotations
@@ -38,3 +38,7 @@ def even_odd_gates() -> tuple[UnitaryOperator, UnitaryOperator]:
     """The even/odd circuit's gates H (x) H and I (x) H, from one Hadamard."""
     h = hadamard()
     return tensor_product(h, h), tensor_product(identity(), h)
+
+
+# The report sweep's H (x) H and I (x) H; ``UnitaryOperator`` freezes their entries.
+EVEN_ODD_GATES = even_odd_gates()

@@ -78,11 +78,11 @@ def _assemble_reports(
 
 def classification_report_sweep(functions: Iterable[TruthTable]) -> Sweep:
     """Run every analysis for each function and keep the results as columns,
-    in the order of ``functions``. The even/odd circuits run as one sweep, and each DJ
-    test is one more H12 on its run's state after H12 and the oracle; the entanglement
-    and observability analyses take all the even/odd final states as one stack."""
+    in the order of ``functions``. The even/odd circuits run as one sweep on the gates
+    ``gates.EVEN_ODD_GATES`` holds when called, and each DJ test is one more H12 on its run's
+    state after H12 and the oracle; the analyses take all the final states as one stack."""
     functions = tuple(functions)
-    h12, h2 = gates.even_odd_gates()
+    h12, h2 = gates.EVEN_ODD_GATES
     circuits = run_even_odd_sweep(functions, h12, h2)
     dj_finals = (h12.entries @ circuits.columns["per_step_states"][:, 2, :, None])[..., 0]
     return _assemble_reports(functions, circuits, dj_readout(validated_state_stack(dj_finals)))

@@ -34,7 +34,7 @@ from qparity.cli import main
 from qparity.linalg import validated_state_stack
 from qparity.oracles import oracle_signs
 from qparity.reports import all_reports
-from test_mutants import flipped_oracle_sign, swapped_gates
+from test_mutants import flipped_oracle_sign, gates_from, swapped_gates
 
 
 ZERO_ZERO = StateVector([1.0, 0.0, 0.0, 0.0])
@@ -96,9 +96,10 @@ def test_dj_final_states_are_h12_on_the_even_odd_run():
 
 
 def skewed_hadamard(monkeypatch):
-    # H with its lower row negated: the even/odd readout still passes, but H12 is wrong.
-    monkeypatch.setattr(qparity.gates, "hadamard",
-                        lambda: UnitaryOperator(np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)))
+    # The report sweep's gates are built from H with its lower row negated: the
+    # even/odd readout still passes, but H12 is wrong.
+    h = UnitaryOperator(np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0))
+    monkeypatch.setattr(qparity.gates, "EVEN_ODD_GATES", gates_from(h))
 
 
 @pytest.mark.parametrize("fault", [flipped_oracle_sign, skewed_hadamard], ids=lambda m: m.__name__)
@@ -108,7 +109,7 @@ def test_report_dj_column_equals_the_dj_sweep_under_a_fault(fault, monkeypatch):
     functions = enumerate_functions()
     honest = run_deutsch_jozsa_sweep(functions, hadamard_both())
     fault(monkeypatch)
-    expected = run_deutsch_jozsa_sweep(functions, qparity.gates.even_odd_gates()[0])
+    expected = run_deutsch_jozsa_sweep(functions, qparity.gates.EVEN_ODD_GATES[0])
     assert expected != honest
     assert list(all_reports().columns["dj_verdict"]) == expected
 

@@ -14,10 +14,10 @@ import threading
 import pytest
 
 import qparity.cli
-import qparity.gates
 import qparity.reports
-from qparity import DJVerdict, FunctionClass, Parity, UnitaryOperator, to_canonical_json
+from qparity import DJVerdict, FunctionClass, Parity, to_canonical_json
 from qparity.cli import build_parser, main
+from test_circuit_stack import skewed_hadamard
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 
@@ -210,16 +210,9 @@ class TestVerify:
         assert code == 2
 
     def test_flipped_hadamard_sign_fails_verification(self, capsys, monkeypatch):
-        # Mutation sanity check: poison the Hadamard and the self-check
-        # suite must notice and exit 1.
-        import numpy as np
-
-        def flipped():
-            return UnitaryOperator(
-                np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
-            )
-
-        monkeypatch.setattr(qparity.gates, "hadamard", flipped)
+        # Mutation sanity check: poison the Hadamard of the report sweep's gates
+        # (its lower row's sign flipped) and the self-check suite must notice and exit 1.
+        skewed_hadamard(monkeypatch)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "FAIL" in out

@@ -2,9 +2,9 @@
 test data selection", IEEE Computer 11(4), 1978): each mutant plants one fault
 in the program that ``verify`` checks, and ``verify`` must exit 1, fail exactly
 the checks that see the fault and lower ``functions_verified`` by the functions
-it affects. Faults enter only through explicit points: the gates the sweeps are
-given, ``qparity.verification.classification_report_sweep``, or a public name.
-No private name is patched."""
+it affects. Faults enter only through explicit points: the report sweep's gate pair
+``qparity.gates.EVEN_ODD_GATES``, ``qparity.verification.classification_report_sweep``,
+or a public name. No private name is patched."""
 
 import dataclasses
 import json
@@ -16,7 +16,7 @@ import qparity.algorithms
 import qparity.gates
 import qparity.reports
 import qparity.verification
-from qparity import DJVerdict, TruthTable, UnitaryOperator
+from qparity import DJVerdict, TruthTable, UnitaryOperator, tensor_product
 from qparity.algorithms import CircuitSweep, Sweep
 from qparity.cli import main
 from qparity.nmr import COHERENCE_ORDERS
@@ -24,8 +24,7 @@ from qparity.nmr import COHERENCE_ORDERS
 
 def swapped_gates(monkeypatch):
     # The even/odd circuit runs I (x) H where it should run H (x) H, and back.
-    honest = qparity.gates.even_odd_gates
-    monkeypatch.setattr(qparity.gates, "even_odd_gates", lambda: honest()[::-1])
+    monkeypatch.setattr(qparity.gates, "EVEN_ODD_GATES", qparity.gates.EVEN_ODD_GATES[::-1])
 
 
 def flipped_oracle_sign(monkeypatch):
@@ -84,10 +83,15 @@ def three_oracle_calls(monkeypatch):
     monkeypatch.setattr(qparity.verification, "classification_report_sweep", sweep)
 
 
+def gates_from(h):
+    """The report sweep's pair H (x) H and I (x) H, built from ``h`` in place of H."""
+    return tensor_product(h, h), tensor_product(qparity.gates.identity(), h)
+
+
 def sign_flipped_hadamard(monkeypatch):
-    honest = qparity.gates.hadamard
-    monkeypatch.setattr(qparity.gates, "hadamard",
-                        lambda: UnitaryOperator(-honest().entries))
+    # The report sweep's gates are built from -H: H (x) H as before, I (x) H negated.
+    monkeypatch.setattr(qparity.gates, "EVEN_ODD_GATES",
+                        gates_from(UnitaryOperator(-qparity.gates.hadamard().entries)))
 
 
 def misclassified_function(monkeypatch):

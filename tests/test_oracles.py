@@ -114,11 +114,13 @@ class TestOracleTable:
             inits += 1
             honest_init(self, entries)
 
+        # The sweep reads its gates from the pair built at import, and verify builds
+        # no operator of its own: its oracles are the shared table.
         monkeypatch.setattr(qparity.linalg.UnitaryOperator, "__init__", counting_init)
         all_reports()
         report_inits, inits = inits, 0
         assert run_all_checks().passed
-        assert inits == report_inits > 0
+        assert (report_inits, inits) == (0, 0)
 
 
 class TestClassify:
