@@ -2,10 +2,10 @@
 
 Each constructor builds fresh operators on every call. The report sweep, run by
 ``table`` and ``verify`` alone, reads ``EVEN_ODD_GATES``, one read-only pair built and
-validated at import. The single-function runs still build their own gates: a constant
-there would speed them past the benchmark's memory bound until its harness is fixed
-(ROADMAP item 1), and its tracer test pins a report to constructing a gate. Products
-are formed by broadcasting (``tensor_product``), and every gate is validated once.
+validated at import. The single-function runs still build their own: reading the pair there
+made ``calls`` 1.3x faster, so its peak RSS, which grows with the benchmark's op count, rose
+past its 5% bound (ROADMAP item 1). Products are formed by broadcasting (``tensor_product``),
+and every gate is validated once.
 """
 
 from __future__ import annotations

@@ -77,10 +77,10 @@ def _assemble_reports(
 
 
 def classification_report_sweep(functions: Iterable[TruthTable]) -> Sweep:
-    """Run every analysis for each function and keep the results as columns,
-    in the order of ``functions``. The even/odd circuits run as one sweep on the gates
-    ``gates.EVEN_ODD_GATES`` holds when called, and each DJ test is one more H12 on its run's
-    state after H12 and the oracle; the analyses take all the final states as one stack."""
+    """Run every analysis for each function and keep the results as columns, in the order
+    of ``functions``. The even/odd circuits run as one sweep on ``gates.EVEN_ODD_GATES``, and
+    each DJ test is one more H12 on its run's state after H12 and the oracle; the entanglement
+    and observability analyses take all the even/odd final states as one stack."""
     functions = tuple(functions)
     h12, h2 = gates.EVEN_ODD_GATES
     circuits = run_even_odd_sweep(functions, h12, h2)

@@ -3,17 +3,11 @@ reports, and compare equal to them, the sweep reads the gate pair built at
 import and builds no gate, and the class summary names what keeps it from a row."""
 
 import dataclasses
-import json
 
-import numpy as np
 import pytest
 
 import qparity.gates
-from qparity import (
-    DJVerdict, TruthTable, UnitaryOperator, classification_report, enumerate_functions,
-    run_even_odd, to_canonical_json,
-)
-from qparity.cli import main
+from qparity import DJVerdict, TruthTable, classification_report, enumerate_functions, run_even_odd
 from qparity.reports import all_reports, class_summary_rows, classification_report_sweep
 
 
@@ -67,38 +61,10 @@ def test_sweep_constructs_no_gate(monkeypatch):
         assert calls == expected
 
 
-class TestGateSources:
-    """The report sweep reads ``gates.EVEN_ODD_GATES``, built and validated once at
-    import; the single-function runs build fresh gates on every call (ROADMAP item 3)."""
-
-    def test_the_shared_pair_is_read_only(self):
-        for gate in qparity.gates.EVEN_ODD_GATES:
-            with pytest.raises(ValueError):
-                gate.entries[0, 0] = -gate.entries[0, 0]
-
-    def test_the_shared_pair_equals_a_fresh_build(self):
-        for shared, fresh in zip(qparity.gates.EVEN_ODD_GATES, qparity.gates.even_odd_gates(),
-                                 strict=True):
-            assert shared.entries.dtype == fresh.entries.dtype
-            assert shared.entries.tobytes() == fresh.entries.tobytes()
-
-    def test_classify_json_prints_each_table_json_entry(self, capsys):
-        # classify runs on fresh gates, table on the shared pair: the same bytes.
-        assert main(["table", "--json"]) == 0
-        entries = json.loads(capsys.readouterr().out)["functions"]
-        for f, entry in zip(enumerate_functions(), entries, strict=True):
-            assert main(["classify", f.to_string(), "--json"]) == 0
-            assert capsys.readouterr().out == to_canonical_json(entry) + "\n", f.to_string()
-
-    def test_a_skewed_hadamard_reaches_the_single_runs_not_the_sweep(self, monkeypatch):
-        f = enumerate_functions()[6]
-        # Until the single-function runs read the shared pair too (ROADMAP item 3), a fault
-        # in ``gates.hadamard`` reaches them and not the sweep.
-        skewed = UnitaryOperator(np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0))
-        honest_run, honest_reports = run_even_odd(f), all_reports()
-        monkeypatch.setattr(qparity.gates, "hadamard", lambda: skewed)
-        assert run_even_odd(f) != honest_run
-        assert all_reports() == honest_reports
+def test_the_shared_pair_is_read_only():
+    for gate in qparity.gates.EVEN_ODD_GATES:
+        with pytest.raises(ValueError):
+            gate.entries[0, 0] = -gate.entries[0, 0]
 
 
 def test_class_summary_names_an_empty_class_and_a_split_one():
